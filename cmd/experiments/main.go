@@ -160,7 +160,6 @@ func main() {
 	timeline := flag.String("timeline", "", "write a Chrome trace_event timeline (Perfetto-loadable JSON) to this file at exit")
 	faultsFlag := flag.String("faults", "", "fault scenario (preset name or scenario JSON path): append a degraded-mode delta analysis")
 	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free simulations: off, on, or verify (run both, panic on divergence)")
-	shards := flag.Int("shards", 1, "event-queue shards per simulation engine (node-affinity partition; results identical at any count)")
 	flag.Parse()
 
 	fpMode, err := iophases.ParseFastPath(*fastpathFlag)
@@ -169,11 +168,6 @@ func main() {
 		os.Exit(2)
 	}
 	iophases.SetFastPath(fpMode)
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -shards %d: shard count must be >= 1\n", *shards)
-		os.Exit(2)
-	}
-	iophases.SetShards(*shards)
 
 	// Enable run telemetry before any simulation is built: engines, links
 	// and devices pick up their metric handles at construction time.

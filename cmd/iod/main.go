@@ -55,31 +55,26 @@ func main() {
 	queue := flag.Int("queue", 0, "max queued query computations before 503 (0 = 1024)")
 	jobs := flag.Int("j", 0, "sweep worker pool size per computation (0 = GOMAXPROCS)")
 	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free simulations: off, on, or verify")
-	shards := flag.Int("shards", 1, "event-queue shards per simulation engine")
 	accessLog := flag.String("access-log", "-", "JSON access-log destination: '-' = stdout, '' = disabled, else a file path (appended)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof/ runtime profiling endpoints")
 	timeline := flag.String("timeline", "", "record per-request wall-clock spans and write a Chrome trace_event timeline here at shutdown")
 	flag.Parse()
 
 	if err := run(*addr, *models, *builtin, *builtinNP, *warm, *inflight, *queue,
-		*jobs, *fastpathFlag, *shards, *accessLog, *pprofFlag, *timeline); err != nil {
+		*jobs, *fastpathFlag, *accessLog, *pprofFlag, *timeline); err != nil {
 		fmt.Fprintf(os.Stderr, "iod: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, models string, builtin bool, builtinNP int, warm bool,
-	inflight, queue, jobs int, fastpathFlag string, shards int,
+	inflight, queue, jobs int, fastpathFlag string,
 	accessLog string, pprofFlag bool, timeline string) error {
 	fpMode, err := iophases.ParseFastPath(fastpathFlag)
 	if err != nil {
 		return err
 	}
 	iophases.SetFastPath(fpMode)
-	if shards < 1 {
-		return fmt.Errorf("-shards %d: shard count must be >= 1", shards)
-	}
-	iophases.SetShards(shards)
 	sweep.SetConcurrency(jobs)
 	// The /metrics endpoint reads the always-on default registry; the hot
 	// simulation registry and the timeline recorder stay off unless span
@@ -185,7 +180,12 @@ func buildCorpus(models string, builtin bool, builtinNP int) (map[string]*core.M
 		if _, dup := corpus["madbench2"]; dup {
 			return nil, errors.New(`-builtin conflicts with a loaded model named "madbench2"`)
 		}
-		res := iophases.TraceMADBench2(iophases.ConfigA(), builtinNP,
+		cfg := iophases.ConfigA()
+		if builtinNP < 1 || builtinNP > cfg.MaxProcs() {
+			return nil, fmt.Errorf("-builtin-np %d: want 1..%d (%s capacity)",
+				builtinNP, cfg.MaxProcs(), cfg.Name)
+		}
+		res := iophases.TraceMADBench2(cfg, builtinNP,
 			iophases.DefaultMADBench(), iophases.RunOptions{})
 		corpus["madbench2"] = iophases.Extract(res.Set)
 	}

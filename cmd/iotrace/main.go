@@ -21,6 +21,8 @@ import (
 	"os"
 
 	"iophases"
+	"iophases/internal/apps/btio"
+	"iophases/internal/apps/madbench"
 	"iophases/internal/units"
 )
 
@@ -30,7 +32,7 @@ func main() {
 	np := flag.Int("np", 16, "number of MPI processes")
 	out := flag.String("out", "traces", "output directory for trace files")
 	class := flag.String("class", "C", "BT-IO class: A | B | C | D | W")
-	subtype := flag.String("subtype", "full", "BT-IO subtype: full | simple")
+	subtype := flag.String("subtype", "full", "BT-IO subtype: full | simple | epio")
 	nbin := flag.Int("nbin", 8, "MADBench2 bin count")
 	kpix := flag.Int("kpix", 8, "MADBench2 pixel count (KPIX); sets the request size")
 	format := flag.String("format", "text", "per-rank trace encoding: text | binary")
@@ -72,13 +74,14 @@ func main() {
 	if *np > cfg.MaxProcs() {
 		fail("%d processes exceed %s capacity (%d)", *np, cfg.Name, cfg.MaxProcs())
 	}
+	if err := checkFlags(*app, *np, *nbin, *kpix, *subtype); err != nil {
+		fail("%v", err)
+	}
 
 	var res iophases.RunResult
 	switch *app {
 	case "madbench2":
-		params := iophases.DefaultMADBench()
-		params.NBin = *nbin
-		params.RS = kpixRS(*kpix, *np)
+		params := madbenchParams(*nbin, *kpix, *np)
 		fmt.Printf("tracing MADBench2: np=%d nbin=%d rs=%s on %s\n",
 			*np, *nbin, units.FormatBytes(params.RS), cfg.Name)
 		res = iophases.TraceMADBench2(cfg, *np, params, iophases.RunOptions{})
@@ -139,10 +142,33 @@ func fileExt(f iophases.TraceFormat) string {
 	return ".txt"
 }
 
-// kpixRS is the per-process request size for a KPIX pixel map.
-func kpixRS(kpix, np int) int64 {
-	npix := int64(kpix) * 1024
-	return npix * npix * 8 / int64(np)
+// madbenchParams is the MADBench2 run the -nbin and -kpix flags describe.
+func madbenchParams(nbin, kpix, np int) iophases.MADBenchParams {
+	p := iophases.DefaultMADBench()
+	p.NBin = nbin
+	p.RS = madbench.KPixRS(kpix, np)
+	return p
+}
+
+// checkFlags rejects flag values the kernels cannot run, so a bad command
+// line ends in one error line instead of a panic halfway through tracing.
+func checkFlags(app string, np, nbin, kpix int, subtype string) error {
+	if np < 1 {
+		return fmt.Errorf("-np %d: need at least one process", np)
+	}
+	switch app {
+	case "madbench2":
+		if kpix < 1 {
+			return fmt.Errorf("-kpix %d: need a positive pixel count", kpix)
+		}
+		return madbenchParams(nbin, kpix, np).Validate(np)
+	case "btio":
+		if subtype != btio.Full && subtype != btio.Simple && subtype != btio.Epio {
+			return fmt.Errorf("unknown BT-IO subtype %q (full | simple | epio)", subtype)
+		}
+		return btio.ValidateNP(np)
+	}
+	return nil
 }
 
 func fail(format string, args ...interface{}) {

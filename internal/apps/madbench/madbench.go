@@ -58,6 +58,9 @@ func (p Params) Validate(np int) error {
 	if p.NBin <= 0 || p.RS <= 0 {
 		return fmt.Errorf("madbench: nbin=%d rs=%d", p.NBin, p.RS)
 	}
+	if p.Gangs <= 1 && p.NBin < 2 {
+		return fmt.Errorf("madbench: nbin=%d: the W pipeline reads two bins ahead", p.NBin)
+	}
 	if p.Gangs > 1 && (np%p.Gangs != 0 || p.NBin%p.Gangs != 0) {
 		return fmt.Errorf("madbench: gangs=%d must divide np=%d and nbin=%d",
 			p.Gangs, np, p.NBin)

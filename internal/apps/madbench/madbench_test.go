@@ -190,6 +190,16 @@ func TestValidateGangs(t *testing.T) {
 	if bad.Validate(4) == nil {
 		t.Fatal("rs=0 accepted")
 	}
+	// A single gang primes two bins of read-ahead; several gangs clamp it.
+	one := Default()
+	one.NBin = 1
+	if one.Validate(4) == nil {
+		t.Fatal("single-gang nbin=1 accepted")
+	}
+	one.NBin, one.Gangs = 2, 2
+	if err := one.Validate(4); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBadParamsPanic(t *testing.T) {

@@ -17,7 +17,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"iophases/internal/des"
 	"iophases/internal/disksim"
@@ -91,29 +90,6 @@ type Cluster struct {
 	memberDisks  [][]*disksim.Disk
 }
 
-// shardCount is the package-wide event-queue shard count applied to every
-// engine Build constructs. Atomic because sweeps build clusters from many
-// goroutines; 0/1 both mean the classic single queue.
-var shardCount atomic.Int32
-
-// SetShards sets the event-queue shard count for subsequently built
-// clusters (the -shards CLI flag). Sharding partitions each engine's event
-// queue by node affinity; results are bit-identical at any count.
-func SetShards(n int) {
-	if n < 1 {
-		panic(fmt.Sprintf("cluster: shard count %d", n))
-	}
-	shardCount.Store(int32(n))
-}
-
-// Shards reports the configured event-queue shard count.
-func Shards() int {
-	if n := shardCount.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
-
 // Build constructs the cluster on a fresh engine.
 func Build(spec Spec) *Cluster {
 	if spec.ComputeNodes <= 0 || spec.CoresPerNode <= 0 {
@@ -123,13 +99,6 @@ func Build(spec Spec) *Cluster {
 		panic(fmt.Sprintf("cluster: %q has no storage", spec.Name))
 	}
 	eng := des.NewEngine()
-	if n := Shards(); n > 1 {
-		// Partition the event queue by node affinity, with the network
-		// latency as the conservative lookahead bound: no node's event
-		// can affect another node sooner than one link traversal.
-		eng.SetShards(n)
-		eng.SetLookahead(spec.Net.Latency)
-	}
 	if spec.Faults != nil {
 		// Attach before any device exists: constructors capture the
 		// engine's injector handle once, at build time.

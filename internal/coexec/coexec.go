@@ -136,7 +136,7 @@ type appState struct {
 
 // Run executes the co-execution and reports per-app attribution plus
 // shared-subsystem totals. The run is deterministic: same spec, same
-// result, bit for bit, at any engine shard count.
+// result, bit for bit.
 func Run(spec Spec) (*Result, error) {
 	if err := Validate(spec); err != nil {
 		return nil, err

@@ -134,12 +134,12 @@ type Model struct {
 	// opens per-app synthetic paths, and fsim placement rotates on
 	// creation order, not names.
 	//iovet:cosmetic trace-time names unused by replay
-	Files  []trace.FileMeta `json:"files"`
-	Phases []*PhaseModel    `json:"phases"`
-	AccessMode   string           `json:"accessMode"` // sequential | strided | random
-	AccessType   string           `json:"accessType"` // shared | unique
-	PointerSet   string           `json:"pointerSet"`
-	Collective   bool             `json:"collective"`
+	Files      []trace.FileMeta `json:"files"`
+	Phases     []*PhaseModel    `json:"phases"`
+	AccessMode string           `json:"accessMode"` // sequential | strided | random
+	AccessType string           `json:"accessType"` // shared | unique
+	PointerSet string           `json:"pointerSet"`
+	Collective bool             `json:"collective"`
 }
 
 // Build extracts the model from a trace set: phase identification plus

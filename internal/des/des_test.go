@@ -349,26 +349,6 @@ func TestQuickSleepOrdering(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	e.Schedule(units.Second, func() { fired = append(fired, 1) })
-	e.Schedule(3*units.Second, func() { fired = append(fired, 3) })
-	remaining := e.RunUntil(2 * units.Second)
-	if !remaining {
-		t.Fatal("expected remaining events")
-	}
-	if !reflect.DeepEqual(fired, []int{1}) {
-		t.Fatalf("fired = %v", fired)
-	}
-	if e.RunUntil(10 * units.Second) {
-		t.Fatal("queue should be drained")
-	}
-	if !reflect.DeepEqual(fired, []int{1, 3}) {
-		t.Fatalf("fired = %v", fired)
-	}
-}
-
 func TestYield(t *testing.T) {
 	e := NewEngine()
 	var order []string

@@ -23,8 +23,8 @@ func TestElisionEngagesWhenUncontended(t *testing.T) {
 	if e.Now() != 10*units.Millisecond {
 		t.Fatalf("clock at %v, want 10ms", e.Now())
 	}
-	if e.Elisions() != 10 {
-		t.Fatalf("elisions = %d, want 10", e.Elisions())
+	if e.elided != 10 {
+		t.Fatalf("elisions = %d, want 10", e.elided)
 	}
 }
 
@@ -110,36 +110,107 @@ func TestQuickElisionInvariance(t *testing.T) {
 	}
 }
 
-// TestElisionRespectsRunUntil pins the deadline guard: a sleep that would
-// elide past a RunUntil deadline must park instead, so the engine stops
-// exactly at the boundary with the resume still queued.
-func TestElisionRespectsRunUntil(t *testing.T) {
+// mixTrace runs a pseudo-random workload derived from seed and records
+// every observable step as (proc, virtual time) pairs plus the final clock.
+// The workload mixes the engine's whole surface — sleeps (elidable and
+// tied), callbacks scheduled from proc context, yields, a contended
+// resource, and a mailbox — so any reordering by the elision fast path
+// shows up in the trace.
+func mixTrace(seed uint64) ([]string, units.Duration) {
 	e := NewEngine()
-	var wake units.Duration
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(5 * units.Second)
-		wake = p.Now()
-	})
-	if !e.RunUntil(2 * units.Second) {
-		t.Fatal("expected the sleep's resume to remain queued")
+	rng := seed
+	next := func(n uint64) uint64 { // xorshift64, deterministic across runs
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
 	}
-	if wake != 0 {
-		t.Fatalf("proc woke at %v before the deadline window reached 5s", wake)
+	var tr []string
+	note := func(who string, at units.Duration) {
+		tr = append(tr, fmt.Sprintf("%s@%d", who, at))
 	}
-	if e.RunUntil(10 * units.Second) {
-		t.Fatal("queue should drain")
+	res := NewResource(e, "res", 2)
+	mbox := NewMailbox(e, "mb", 1)
+	np := int(2 + next(5))
+	for i := 0; i < np; i++ {
+		i := i
+		steps := int(3 + next(6))
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for s := 0; s < steps; s++ {
+				switch next(5) {
+				case 0:
+					p.Sleep(units.Duration(next(200)) * units.Microsecond)
+				case 1:
+					d := units.Duration(next(100)) * units.Microsecond
+					e.Schedule(d, func() { note(fmt.Sprintf("cb%d", i), e.Now()) })
+				case 2:
+					res.Acquire(p, 1)
+					p.Sleep(units.Duration(10+next(40)) * units.Microsecond)
+					res.Release(1)
+				case 3:
+					p.Yield()
+				case 4:
+					if i%2 == 0 {
+						mbox.Put(p, i)
+					} else {
+						mbox.Get(p)
+					}
+				}
+				note(fmt.Sprintf("p%d.%d", i, s), p.Now())
+			}
+		})
 	}
-	if wake != 5*units.Second {
-		t.Fatalf("woke at %v, want 5s", wake)
-	}
-	// Within a generous deadline the fast path applies again.
-	if e.Elisions() == 0 {
-		e2 := NewEngine()
-		e2.Spawn("p", func(p *Proc) { p.Sleep(units.Second) })
-		e2.RunUntil(units.Second)
-		if e2.Elisions() != 1 {
-			t.Fatalf("in-deadline sleep did not elide (%d)", e2.Elisions())
+	// Mailbox puts and gets may be unbalanced; a harvester unsticks any
+	// party still parked once the queue drains, so the run terminates for
+	// every seed.
+	e.Spawn("harvest", func(p *Proc) {
+		for {
+			p.Sleep(units.Second)
+			if len(e.queue) > 0 {
+				continue // still making progress
+			}
+			if len(e.live) <= 1 {
+				return // only the harvester remains
+			}
+			mbox.promoteAll()
 		}
+	})
+	e.Run()
+	return tr, e.Now()
+}
+
+// promoteAll unblocks every parked mailbox party (test-only: the harvester
+// uses it to guarantee the random workload terminates).
+func (m *Mailbox) promoteAll() {
+	for len(m.putters) > 0 {
+		m.promotePutter()
+	}
+	for len(m.getters) > 0 {
+		g := m.getters[0]
+		m.getters = m.getters[1:]
+		m.items = append(m.items, len(m.items))
+		m.eng.scheduleResume(0, g)
+	}
+}
+
+// TestQuickElisionInvarianceMixed is the engine-wide determinism property:
+// for random mixed workloads the event trace and final clock with switch
+// elision on are bit-identical to the park/resume-only run.
+func TestQuickElisionInvarianceMixed(t *testing.T) {
+	prop := func(seed uint64) bool {
+		fast, fastEnd := mixTrace(seed)
+		elisionDisabled = true
+		slow, slowEnd := mixTrace(seed)
+		elisionDisabled = false
+		if fastEnd != slowEnd || !reflect.DeepEqual(fast, slow) {
+			t.Logf("seed %d: end %v vs %v, trace %v vs %v",
+				seed, fastEnd, slowEnd, fast, slow)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

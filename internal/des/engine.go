@@ -102,13 +102,8 @@ type Engine struct {
 	live     map[*Proc]struct{}
 	pool     []*Proc // recycled procs: goroutine + channels ready for reuse
 	running  bool
-	elided   uint64
+	elided   uint64 // blocking calls that advanced the clock inline instead of parking
 	switches uint64 // park/resume handoffs actually performed
-	// limit bounds inline clock advances while RunUntil drives the loop:
-	// a Sleep that would elide past the deadline must park instead, so
-	// the engine regains control exactly at the deadline boundary.
-	limit   units.Duration
-	limited bool
 
 	// Run-telemetry handles, nil unless obs was enabled when the engine
 	// was built. Every method on the nil struct is a no-op branch, so the
@@ -121,17 +116,6 @@ type Engine struct {
 	// devices fetch it once at construction, so the no-faults service
 	// path pays a single nil check.
 	faultCtx any
-
-	// Sharded-queue state (see shard.go). nshards is 0 on the classic
-	// single-queue engine, so every hot path gates sharding behind one
-	// always-false comparison; curShard is the shard whose event is
-	// currently firing and therefore the affinity new work inherits.
-	nshards   int
-	shardQ    []eventQueue
-	curShard  int
-	lookahead units.Duration
-	horizon   units.Duration
-	windows   uint64
 }
 
 // SetFaultCtx installs the engine's fault-injection context. Called once
@@ -187,16 +171,6 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() units.Duration { return e.now }
 
-// Elisions reports how many context switches the engine has elided: blocking
-// calls (Sleep, uncontended transfers) that advanced the clock inline
-// instead of parking the process. Purely observational — used by tests to
-// pin that the fast path engages and by perf diagnostics.
-func (e *Engine) Elisions() uint64 { return e.elided }
-
-// Switches reports how many park/resume handoffs the engine performed —
-// the context switches elision did not remove. Observational only.
-func (e *Engine) Switches() uint64 { return e.switches }
-
 // noteElision counts one elided context switch (clock advanced inline).
 func (e *Engine) noteElision() {
 	e.elided++
@@ -213,20 +187,12 @@ var elisionDisabled = false
 // canElide reports whether a process may advance the clock to target inline
 // instead of scheduling a resume event and parking: legal exactly when no
 // queued event fires at or before target (such an event must run first, in
-// seq order, before any resume the caller would schedule now) and target
-// does not cross an active RunUntil deadline.
+// seq order, before any resume the caller would schedule now).
 func (e *Engine) canElide(target units.Duration) bool {
 	if elisionDisabled {
 		return false
 	}
-	if e.nshards > 1 {
-		if at, ok := e.minPendingAt(); ok && at <= target {
-			return false
-		}
-	} else if len(e.queue) > 0 && e.queue[0].at <= target {
-		return false
-	}
-	return !e.limited || target <= e.limit
+	return len(e.queue) == 0 || e.queue[0].at > target
 }
 
 // Schedule arranges for fn to run after delay. A negative delay panics:
@@ -236,10 +202,6 @@ func (e *Engine) Schedule(delay units.Duration, fn func()) {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
 	e.seq++
-	if e.nshards > 1 {
-		e.pushShard(e.curShard, event{at: e.now + delay, seq: e.seq, fn: fn})
-		return
-	}
 	e.queue.push(event{at: e.now + delay, seq: e.seq, fn: fn})
 	e.met.noteScheduled(len(e.queue))
 }
@@ -251,22 +213,8 @@ func (e *Engine) scheduleResume(delay units.Duration, p *Proc) {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
 	e.seq++
-	if e.nshards > 1 {
-		e.pushShard(p.shard, event{at: e.now + delay, seq: e.seq, proc: p})
-		return
-	}
 	e.queue.push(event{at: e.now + delay, seq: e.seq, proc: p})
 	e.met.noteScheduled(len(e.queue))
-}
-
-// fire dispatches one popped event.
-func (e *Engine) fire(ev event) {
-	e.now = ev.at
-	if ev.proc != nil {
-		e.resume(ev.proc)
-		return
-	}
-	ev.fn()
 }
 
 // Run executes events until the queue drains. If processes are still alive
@@ -279,11 +227,13 @@ func (e *Engine) Run() {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.nshards > 1 {
-		e.runSharded()
-	} else {
-		for len(e.queue) > 0 {
-			e.fire(e.queue.pop())
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
+		e.now = ev.at
+		if ev.proc != nil {
+			e.resume(ev.proc)
+		} else {
+			ev.fn()
 		}
 	}
 	e.drainPool()
@@ -301,33 +251,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= deadline, leaving later events
-// queued. It reports whether any events remain.
-func (e *Engine) RunUntil(deadline units.Duration) bool {
-	if e.running {
-		panic("des: RunUntil re-entered")
-	}
-	e.running = true
-	e.limited = true
-	e.limit = deadline
-	defer func() { e.running = false; e.limited = false }()
-	if e.nshards > 1 {
-		if e.runUntilSharded(deadline) {
-			return true
-		}
-		e.drainPool()
-		return false
-	}
-	for len(e.queue) > 0 {
-		if e.queue[0].at > deadline {
-			return true
-		}
-		e.fire(e.queue.pop())
-	}
-	e.drainPool()
-	return false
-}
-
 // drainPool terminates the recycled proc goroutines once the simulation has
 // run out of events. Without this, every finished engine would leave its
 // free-listed goroutines parked on their wake channels forever — a leak
@@ -339,16 +262,4 @@ func (e *Engine) drainPool() {
 		e.pool[i] = nil
 	}
 	e.pool = e.pool[:0]
-}
-
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int {
-	if e.nshards > 1 {
-		n := 0
-		for i := range e.shardQ {
-			n += len(e.shardQ[i])
-		}
-		return n
-	}
-	return len(e.queue)
 }

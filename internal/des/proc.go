@@ -17,7 +17,6 @@ type Proc struct {
 	park  chan struct{}
 	state string // human-readable blocking reason for deadlock reports
 	fn    func(p *Proc)
-	shard int // owning event shard; always 0 on an unsharded engine
 }
 
 // Spawn starts fn as a new simulated process. The process begins at the
@@ -29,13 +28,6 @@ type Proc struct {
 // no allocation and no goroutine creation in steady state. No caller may
 // retain the returned *Proc past fn's return — the identity is reused.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawnOn(e.curShard, name, fn)
-}
-
-// spawnOn is the Spawn core with an explicit shard: the new process's
-// resume events queue on that shard. On an unsharded engine every caller
-// passes 0 (curShard never moves), so the classic path is unchanged.
-func (e *Engine) spawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.pool); n > 0 {
 		p = e.pool[n-1]
@@ -44,7 +36,6 @@ func (e *Engine) spawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 		p.name = name
 		p.state = "starting"
 		p.fn = fn
-		p.shard = shard
 	} else {
 		p = &Proc{
 			eng:   e,
@@ -53,7 +44,6 @@ func (e *Engine) spawnOn(shard int, name string, fn func(p *Proc)) *Proc {
 			park:  make(chan struct{}),
 			state: "starting",
 			fn:    fn,
-			shard: shard,
 		}
 		go p.loop()
 	}

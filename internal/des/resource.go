@@ -69,17 +69,3 @@ func (r *Resource) Release(n int) {
 		r.head = 0
 	}
 }
-
-// InUse reports the currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of blocked waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
-
-// Use acquires n units, runs fn, and releases — the common
-// hold-for-the-duration idiom.
-func (r *Resource) Use(p *Proc, n int, fn func()) {
-	r.Acquire(p, n)
-	defer r.Release(n)
-	fn()
-}

@@ -40,9 +40,6 @@ func (b *Barrier) Wait(p *Proc) {
 	p.block("barrier " + b.name)
 }
 
-// Size reports the participant count.
-func (b *Barrier) Size() int { return b.n }
-
 // Mailbox is a blocking point-to-point channel in virtual time, used for
 // MPI-style message passing. Senders block until a receiver takes the value
 // (rendezvous), matching blocking MPI semantics; buffered delivery is the
@@ -115,9 +112,6 @@ func (m *Mailbox) promotePutter() {
 	m.items = append(m.items, pt.v)
 	m.eng.scheduleResume(0, pt.p)
 }
-
-// Len reports the buffered item count.
-func (m *Mailbox) Len() int { return len(m.items) }
 
 // WaitGroup counts outstanding work in virtual time; Wait blocks until the
 // counter returns to zero.

@@ -363,13 +363,10 @@ func (fs *FS) runChunks(p *des.Proc, client string, targets []int, chunks []exte
 	}
 	wg := des.NewWaitGroup(fs.eng)
 	wg.Add(len(chunks))
-	// Chunk workers live on the shard of the storage target they drive, so
-	// a node-partitioned engine keeps each target's device events local.
 	if fs.flt == nil {
 		for _, c := range chunks {
 			c := c
-			shard := fs.eng.ShardOf(fs.params.Targets[targets[c.target]].Node)
-			fs.eng.SpawnOn(shard, fs.params.Name+"/chunk", func(hp *des.Proc) {
+			fs.eng.Spawn(fs.params.Name+"/chunk", func(hp *des.Proc) {
 				fs.chunkOp(hp, client, targets, c, write)
 				wg.Done()
 			})
@@ -380,8 +377,7 @@ func (fs *FS) runChunks(p *des.Proc, client string, targets []int, chunks []exte
 	errs := make([]error, len(chunks))
 	for i, c := range chunks {
 		i, c := i, c
-		shard := fs.eng.ShardOf(fs.params.Targets[targets[c.target]].Node)
-		fs.eng.SpawnOn(shard, fs.params.Name+"/chunk", func(hp *des.Proc) {
+		fs.eng.Spawn(fs.params.Name+"/chunk", func(hp *des.Proc) {
 			errs[i] = fs.chunkOp(hp, client, targets, c, write)
 			wg.Done()
 		})

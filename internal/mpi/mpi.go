@@ -91,10 +91,7 @@ func (w *World) Launch(program func(r *Rank), onDone func()) {
 		i := i
 		r := &Rank{world: w, id: i}
 		w.ranks[i] = r
-		// Rank processes live on the shard of their compute node, so an
-		// engine partitioned by node affinity keeps each rank's resume
-		// events in its node's queue.
-		w.eng.SpawnOn(w.eng.ShardOf(w.nodeOf[i]), fmt.Sprintf("rank%d", i), func(p *des.Proc) {
+		w.eng.Spawn(fmt.Sprintf("rank%d", i), func(p *des.Proc) {
 			r.proc = p
 			program(r)
 			remaining--

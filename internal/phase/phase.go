@@ -317,8 +317,8 @@ type mergedSpec struct {
 type member struct {
 	rank   int
 	lap    pattern.LAP
-	events []trace.Event       // in-memory path
-	agg    *pattern.StreamLAP  // streaming path
+	events []trace.Event      // in-memory path
+	agg    *pattern.StreamLAP // streaming path
 }
 
 // contiguous reports whether the member's repetitions are tick-adjacent.

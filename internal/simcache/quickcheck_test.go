@@ -340,8 +340,8 @@ func coexecBase() coexec.Spec {
 				Files: []trace.FileMeta{{ID: 0, Name: "btio.out", AccessType: "shared"}},
 				Phases: []*core.PhaseModel{{
 					ID: 1, File: 0,
-					Ops:    []core.OpModel{{Op: trace.Op("write_at"), Size: units.MiB, Disp: units.MiB}},
-					Rep:    3, NP: 1, Weight: units.MiB, Tick: 1,
+					Ops: []core.OpModel{{Op: trace.Op("write_at"), Size: units.MiB, Disp: units.MiB}},
+					Rep: 3, NP: 1, Weight: units.MiB, Tick: 1,
 					OffsetC: 4096, OffsetOK: true, OffsetExpr: "c",
 					MeasuredSec: 0.25, StartSec: 1.0,
 				}},

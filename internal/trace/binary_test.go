@@ -168,7 +168,7 @@ func TestBinaryCorruptInputs(t *testing.T) {
 	t.Run("implausible op length", func(t *testing.T) {
 		raw := append([]byte{}, binMagic...)
 		raw = binary.AppendUvarint(raw, 1)
-		raw = binary.AppendUvarint(raw, 1)           // op-define
+		raw = binary.AppendUvarint(raw, 1)          // op-define
 		raw = binary.AppendUvarint(raw, maxOpLen+1) // absurd name length
 		if _, err := decodeFile(t, raw, 1); err == nil || !strings.Contains(err.Error(), "op name length") {
 			t.Fatalf("err = %v", err)

@@ -152,7 +152,7 @@ type Set struct {
 // translation; replay and phase building over wide traces made them O(events
 // × files) and O(events × views).
 type setIndex struct {
-	file map[int]int       // file ID → position in Files
+	file map[int]int        // file ID → position in Files
 	view []map[int]ViewInfo // per Files position: rank → first recorded view
 }
 

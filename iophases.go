@@ -33,13 +33,13 @@ import (
 	"iophases/internal/fastpath"
 	"iophases/internal/faults"
 	"iophases/internal/ior"
-	"iophases/internal/simcache"
 	"iophases/internal/iozone"
 	"iophases/internal/mpi"
 	"iophases/internal/mpiio"
 	"iophases/internal/predict"
 	"iophases/internal/runner"
 	"iophases/internal/schedule"
+	"iophases/internal/simcache"
 	"iophases/internal/trace"
 	"iophases/internal/units"
 )
@@ -438,15 +438,6 @@ func ParseFastPath(s string) (FastPathMode, error) { return fastpath.ParseMode(s
 // (hits) and how many fell back to the full DES after failing admission or
 // bailing out mid-walk (bailouts).
 func FastPathStats() (hits, bailouts int64) { return fastpath.Stats() }
-
-// SetShards sets the event-queue shard count for subsequently built
-// simulations (the -shards CLI flag): each engine's queue is partitioned by
-// node affinity with a conservative network-latency lookahead. Results are
-// bit-identical at any shard count; n must be >= 1.
-func SetShards(n int) { cluster.SetShards(n) }
-
-// Shards reports the configured event-queue shard count.
-func Shards() int { return cluster.Shards() }
 
 // MeasuredBandwidth reports a phase's BW_MD from its traced time.
 func MeasuredBandwidth(pm *PhaseModel) Bandwidth {
