@@ -72,7 +72,7 @@ func BenchmarkFig3LAPExtraction(b *testing.B) {
 	set := benchBTIOSet(b, 4, btio.ClassW)
 	evs := set.DataEvents(0)
 	b.ResetTimer()
-	var laps []pattern.LAP
+	var laps []pattern.StreamLAP
 	for i := 0; i < b.N; i++ {
 		laps = pattern.Extract(0, evs)
 	}
@@ -196,9 +196,11 @@ func BenchmarkStreamIdentSynth(b *testing.B) {
 	b.ReportMetric(float64(len(res.Phases)), "phases")
 }
 
-// BenchmarkStreamIdentVsInMemory pins streaming against the materialized
-// path on the same input: same phases, different memory shape. The metric
-// of interest is allocs/op staying flat as EventsPerRank grows.
+// BenchmarkStreamIdentVsInMemory runs the one extraction pipeline over the
+// same events from both kinds of source: "inmemory" reads a resident Set,
+// whose slices trace.Each passes whole, and "stream" reads the synthetic
+// generator in fixed-size chunks. The stream side also times the
+// generator; its allocs/op should stay flat as EventsPerRank grows.
 func BenchmarkStreamIdentVsInMemory(b *testing.B) {
 	src, err := trace.Synth(trace.SynthSpec{NP: 4, EventsPerRank: 16 << 10})
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -83,6 +84,29 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	if !bytes.Contains(serial, []byte("[fig3]")) || !bytes.Contains(serial, []byte("[fig5]")) {
 		t.Fatal("output missing experiment headers")
+	}
+}
+
+// TestExtractionGolden pins the paper's extraction outputs — the LAP
+// tables of Fig. 3, the phases of Fig. 4 and Tables VIII and XI — byte for
+// byte against `experiments -run fig3,fig4,table8,table11 -quick -j 1`
+// output recorded in testdata/extraction.golden.
+func TestExtractionGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	want, err := os.ReadFile("testdata/extraction.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected, err := selectExperiments("fig3,fig4,table8,table11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	runExperiments(selected, true, 1, &out, &bytes.Buffer{}, false)
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("output differs from testdata/extraction.golden:\n%s", got)
 	}
 }
 

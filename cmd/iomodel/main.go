@@ -8,13 +8,12 @@
 //	iomodel -traces traces/ -save model.json
 //	iomodel -traces traces/ -laps      # also print per-rank LAP tables
 //	iomodel -traces traces/ -pattern   # also print the access-pattern plot
-//	iomodel -traces traces/ -stream    # bounded-memory streaming extraction
 //
-// With -stream the traces are never materialized: events flow from the
-// per-rank files (text or binary) through the incremental miner, so memory
-// stays bounded by process count and pattern count. The model printed is
-// byte-identical to the in-memory path's. -memlimit N additionally checks
-// at exit that the heap stayed under N bytes (for the CI memory smoke).
+// The traces are never materialized: events flow from the per-rank files
+// (text or binary) through the incremental miner, so memory stays bounded
+// by process count and pattern count. Only -summary loads the events.
+// -memlimit N additionally checks at exit that the heap stayed under N
+// bytes (for the CI memory smoke).
 package main
 
 import (
@@ -37,44 +36,37 @@ func main() {
 	summary := flag.Bool("summary", false, "print a darshan-style aggregate summary")
 	ranks := flag.Int("lapranks", 4, "how many ranks to print LAPs for")
 	compare := flag.String("compare", "", "compare against another saved model (independence check)")
-	stream := flag.Bool("stream", false, "stream the traces through the bounded-memory pipeline")
 	memlimit := flag.Int64("memlimit", 0, "fail (exit 3) if the heap exceeded this many bytes at exit")
 	flag.Parse()
 
-	var m *iophases.Model
-	if *stream {
-		if *summary {
-			fail("-summary needs the events in memory; drop -stream")
+	src, err := iophases.OpenTraceDir(*dir)
+	if err != nil {
+		fail("opening traces: %v", err)
+	}
+	if *laps {
+		n := min(*ranks, src.Meta().NP)
+		for rank := 0; rank < n; rank++ {
+			miner := pattern.NewMiner(rank)
+			err := trace.Each(src, rank, func(evs []trace.Event) error {
+				miner.Feed(evs)
+				return nil
+			})
+			if err != nil {
+				fail("reading traces: %v", err)
+			}
+			fmt.Printf("Local access patterns, process %d:\n%s\n", rank, pattern.FormatTable(miner.Finish()))
 		}
-		if *laps {
-			fail("-laps needs the events in memory; drop -stream")
-		}
-		src, err := iophases.OpenTraceDir(*dir)
-		if err != nil {
-			fail("opening traces: %v", err)
-		}
-		if m, err = iophases.ExtractStream(src); err != nil {
-			fail("extracting: %v", err)
-		}
-	} else {
-		set, err := trace.Load(*dir)
+	}
+	if *summary {
+		set, err := trace.ReadSet(src)
 		if err != nil {
 			fail("loading traces: %v", err)
 		}
-		if *laps {
-			n := *ranks
-			if n > set.NP {
-				n = set.NP
-			}
-			for rank := 0; rank < n; rank++ {
-				ls := pattern.Extract(rank, set.DataEvents(rank))
-				fmt.Printf("Local access patterns, process %d:\n%s\n", rank, pattern.FormatTable(ls))
-			}
-		}
-		if *summary {
-			fmt.Println(trace.Summarize(set))
-		}
-		m = iophases.Extract(set)
+		fmt.Println(trace.Summarize(set))
+	}
+	m, err := iophases.ExtractStream(src)
+	if err != nil {
+		fail("extracting: %v", err)
 	}
 	fmt.Println(m)
 

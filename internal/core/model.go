@@ -150,8 +150,8 @@ func Build(set *trace.Set) *Model {
 
 // BuildStream extracts the model from a trace source without materializing
 // the events: phase.IdentifyStream keeps memory bounded by np and LAP
-// count, not trace length, and is pinned byte-identical to the in-memory
-// path. Use for traces too large to Load.
+// count, not trace length. Build runs the same pipeline over a resident
+// Set, so the two agree by construction. Use for traces too large to Load.
 func BuildStream(src trace.Source) (*Model, error) {
 	res, err := phase.IdentifyStream(src)
 	if err != nil {

@@ -88,120 +88,20 @@ func (l LAP) Bytes() int64 {
 	return unit * int64(l.Rep)
 }
 
-// Event returns the traced event of (rep, slot) given the rank's data
-// events.
-func (l LAP) Event(events []trace.Event, rep, slot int) trace.Event {
-	return events[l.Start+rep*len(l.Unit)+slot]
-}
-
-// ContiguousTicks reports whether the run's events occupy consecutive
-// ticks, i.e. no other MPI events were interleaved. This is the paper's
-// criterion for keeping repetitions inside one phase ("there are not other
-// MPI events between the reading operations") versus splitting them.
-func (l LAP) ContiguousTicks(events []trace.Event) bool {
-	n := l.Len()
-	if n <= 1 {
-		return true
-	}
-	first := events[l.Start].Tick
-	last := events[l.Start+n-1].Tick
-	return last-first == int64(n-1)
-}
-
-// RepTick reports the tick of repetition rep's first slot.
-func (l LAP) RepTick(events []trace.Event, rep int) int64 {
-	return l.Event(events, rep, 0).Tick
-}
-
-// Extract mines rank p's data events into LAPs, greedily left to right: at
-// each position it chooses the period k <= MaxPeriod maximizing covered
-// events (ties to the smallest k), requiring every slot to repeat with
-// identical (file, op, size) and a constant per-repetition offset delta.
-func Extract(rank int, events []trace.Event) []LAP {
-	var out []LAP
-	for i := 0; i < len(events); {
-		bestK, bestRep := 1, 1
-		maxK := MaxPeriod
-		if rem := len(events) - i; maxK > rem {
-			maxK = rem
-		}
-		for k := 1; k <= maxK; k++ {
-			rep := countReps(events, i, k)
-			if k > 1 && rep < 2 {
-				// A composite unit that never repeats is not a
-				// pattern — without this guard any k would
-				// trivially "cover" k events.
-				continue
-			}
-			if rep*k > bestRep*bestK {
-				bestK, bestRep = k, rep
-			}
-		}
-		out = append(out, buildLAP(rank, events, i, bestK, bestRep))
-		i += bestK * bestRep
-	}
-	return out
-}
-
-// countReps counts consecutive repetitions of the k-unit starting at i.
-func countReps(events []trace.Event, i, k int) int {
-	rep := 1
-	// Offset deltas are fixed by the first two repetitions, then must
-	// hold exactly for all subsequent ones. k never exceeds MaxPeriod,
-	// so the deltas live in a stack array — countReps runs once per
-	// (position, period) candidate and must not allocate.
-	var disp [MaxPeriod]int64
-	for {
-		base := i + rep*k
-		if base+k > len(events) {
-			return rep
-		}
-		ok := true
-		for m := 0; m < k && ok; m++ {
-			a, b := events[i+(rep-1)*k+m], events[base+m]
-			if a.File != b.File || a.Op != b.Op || a.Size != b.Size {
-				ok = false
-				break
-			}
-			d := b.Offset - a.Offset
-			if rep == 1 {
-				disp[m] = d
-			} else if d != disp[m] {
-				ok = false
-			}
-		}
-		if !ok {
-			return rep
-		}
-		rep++
-	}
-}
-
-// buildLAP assembles the LAP record for a confirmed run.
-func buildLAP(rank int, events []trace.Event, i, k, rep int) LAP {
-	unit := make([]Template, k)
-	for m := 0; m < k; m++ {
-		ev := events[i+m]
-		var disp int64
-		if rep > 1 {
-			disp = events[i+k+m].Offset - ev.Offset
-		}
-		unit[m] = Template{
-			File:       ev.File,
-			Op:         ev.Op,
-			Size:       ev.Size,
-			InitOffset: ev.Offset,
-			Disp:       disp,
-		}
-	}
-	return LAP{Rank: rank, Start: i, Unit: unit, Rep: rep}
+// Extract mines rank's events into LAPs: one Feed of a Miner, so in-memory
+// and streamed traces share one mining rule. Non-data events are skipped,
+// and LAP.Start indexes the rank's data events.
+func Extract(rank int, events []trace.Event) []StreamLAP {
+	m := NewMiner(rank)
+	m.Feed(events)
+	return m.Finish()
 }
 
 // Expand reconstructs the event skeleton (file, op, size, offset) a LAP
 // stands for, in order. It is the inverse used by the round-trip property
 // tests: Expand(Extract(events)) must reproduce events' data fields
 // exactly.
-func Expand(laps []LAP) []Template {
+func Expand(laps []StreamLAP) []Template {
 	var out []Template
 	for _, l := range laps {
 		for r := 0; r < l.Rep; r++ {
@@ -219,7 +119,7 @@ func Expand(laps []LAP) []Template {
 }
 
 // FormatTable renders LAPs in the column layout of Figure 3.
-func FormatTable(laps []LAP) string {
+func FormatTable(laps []StreamLAP) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-4s %-4s %-26s %-5s %-12s %-12s %s\n",
 		"IdP", "IdF", "MPI-Operation", "Rep", "RequestSize", "Disp", "OffsetInit")

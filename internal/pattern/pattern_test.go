@@ -31,7 +31,7 @@ func TestExtractSimpleRun(t *testing.T) {
 	if u.Disp != 265302 || u.InitOffset != 0 || u.Size != 10612080 {
 		t.Fatalf("unit %+v", u)
 	}
-	if l.ContiguousTicks(events) {
+	if l.Contiguous() {
 		t.Fatal("121-tick strides must not be contiguous")
 	}
 }
@@ -55,7 +55,7 @@ func TestExtractWriteThenRead(t *testing.T) {
 	if !laps[0].Unit[0].Op.IsWrite() || !laps[1].Unit[0].Op.IsRead() {
 		t.Fatalf("ops %s %s", laps[0].Unit[0].Op, laps[1].Unit[0].Op)
 	}
-	if !laps[1].ContiguousTicks(events) {
+	if !laps[1].Contiguous() {
 		t.Fatal("back-to-back reads should be tick-contiguous")
 	}
 }
@@ -209,27 +209,5 @@ func TestSignatureIgnoresInitOffset(t *testing.T) {
 	c := Template{File: 1, Op: trace.OpWrite, Size: 100, Disp: 11}
 	if a.Signature() == c.Signature() {
 		t.Fatal("signature must include Disp")
-	}
-}
-
-func TestEventAccessor(t *testing.T) {
-	var events []trace.Event
-	for i := int64(0); i < 6; i++ {
-		op := trace.OpWrite
-		if i%2 == 1 {
-			op = trace.OpRead
-		}
-		events = append(events, ev(op, i*10, 10, i+1))
-	}
-	laps := Extract(0, events)
-	if len(laps) != 1 || len(laps[0].Unit) != 2 || laps[0].Rep != 3 {
-		t.Fatalf("laps %+v", laps)
-	}
-	got := laps[0].Event(events, 2, 1)
-	if got.Offset != 50 || !got.Op.IsRead() {
-		t.Fatalf("event(2,1) = %+v", got)
-	}
-	if laps[0].RepTick(events, 1) != 3 {
-		t.Fatalf("reptick = %d", laps[0].RepTick(events, 1))
 	}
 }

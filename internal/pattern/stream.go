@@ -1,25 +1,31 @@
-// Incremental LAP mining — the streaming counterpart of Extract. A Miner is
-// fed a rank's events in arbitrary fixed-size chunks and produces the exact
-// LAP sequence Extract would produce on the concatenated stream, while
-// retaining O(1) state per rank: the first 2·MaxPeriod events of the current
-// position (the unit templates under construction) and a ring of the last
+// Incremental LAP mining — the package's one miner. A Miner is fed a rank's
+// events in arbitrary chunks (Extract feeds one chunk, phase identification
+// feeds trace.Each's) and mines them greedily left to right: at each
+// position it chooses the period k ≤ MaxPeriod maximizing covered events
+// (ties to the smallest k), requiring every slot to repeat with identical
+// (file, op, size) and a constant per-repetition offset delta. It retains
+// O(1) state per rank: the first MaxPeriod events of the current position
+// (the unit templates under construction) and a ring of the last
 // 2·MaxPeriod events (the comparison window and the partial tail carried
 // across chunk boundaries). Peak memory is therefore independent of trace
 // length — the property phase.IdentifyStream builds its bounded-memory
 // pipeline on.
 //
-// Equivalence argument (pinned by TestMinerMatchesExtract): Extract decides
-// each position by counting, for every period k ≤ MaxPeriod, the consecutive
-// repetitions of the k-unit. The Miner tracks the same candidates
-// event-by-event: event j of a position is slot j mod k of repetition
-// j div k, and is compared against event j−k, which is at most MaxPeriod
-// back — inside the ring. A candidate dies at its first failed comparison
-// with its repetition count frozen exactly where countReps would stop. When
-// every candidate is dead (or input ends) the winner is known — remaining
-// candidates can never improve — and the chosen coverage C satisfies
-// C > j − MaxPeriod (the last-dying candidate's complete repetitions reach
-// within one unit of j), so the ≤ MaxPeriod leftover events are still in
-// the window and are replayed as the next position's prefix.
+// Equivalence argument (pinned by TestMinerMatchesExtract against a greedy
+// whole-slice oracle): the greedy rule decides each position by counting,
+// for every period k ≤ MaxPeriod, the consecutive repetitions of the
+// k-unit. The Miner tracks the same candidates event-by-event: event j of a
+// position is slot j mod k of repetition j div k, and is compared against
+// event j−k, which is at most MaxPeriod back — inside the ring. A candidate
+// dies at its first failed comparison with its repetition count frozen
+// exactly where the whole-slice count would stop. When every candidate is
+// dead (or input ends) the winner is known — remaining candidates can never
+// improve — and the chosen coverage C satisfies C > j − MaxPeriod (the
+// last-dying candidate's complete repetitions reach within one unit of j),
+// so the ≤ MaxPeriod leftover events are still in the ring and are
+// replayed as the next position's prefix. (When input ends with a candidate
+// still inside its second repetition, j < 2·MaxPeriod and the ring holds
+// the whole position.)
 package pattern
 
 import (
@@ -27,8 +33,8 @@ import (
 	"iophases/internal/units"
 )
 
-// window is the bounded tail the Miner retains: head and ring each hold
-// 2·MaxPeriod events, the carry limit promised by the streaming design.
+// window is the bounded tail the Miner retains: the ring holds 2·MaxPeriod
+// events, the carry limit promised by the streaming design.
 const window = 2 * MaxPeriod
 
 // RepMeta is the measured timing of one repetition of a StreamLAP —
@@ -52,7 +58,10 @@ type StreamLAP struct {
 	Reps       []RepMeta      // per-repetition detail; nil unless rescanned
 }
 
-// Contiguous mirrors LAP.ContiguousTicks without needing the events.
+// Contiguous reports whether the run's events occupy consecutive ticks,
+// i.e. no other MPI events were interleaved. This is the paper's criterion
+// for keeping repetitions inside one phase ("there are not other MPI
+// events between the reading operations") versus splitting them.
 func (l *StreamLAP) Contiguous() bool {
 	n := l.Len()
 	if n <= 1 {
@@ -75,11 +84,12 @@ type Miner struct {
 
 	// Current-position state: j data events consumed since the position
 	// started at absolute data-event index start. head pins the first
-	// window events (unit templates), ring the last window events with
-	// position-relative cumulative durations.
+	// MaxPeriod events (unit templates); ring holds the last window events
+	// with position-relative cumulative durations, slotted by absolute
+	// index so that a decision's overrun is replayed in place.
 	j       int
 	start   int
-	head    [window]trace.Event
+	head    [MaxPeriod]trace.Event
 	ring    [window]trace.Event
 	ringCum [window]units.Duration
 	sum     units.Duration
@@ -121,21 +131,16 @@ func (m *Miner) BoundaryMerges() int { return m.merges }
 // ChunksFolded reports how many chunks have been fed.
 func (m *Miner) ChunksFolded() int { return m.feedSeq }
 
-// at returns event idx of the current position; idx must be < window or
-// within the last window events (decision-time accesses always are).
-func (m *Miner) at(idx int) trace.Event {
-	if idx < window {
-		return m.head[idx]
-	}
-	return m.ring[idx%window]
-}
+// at returns event idx of the current position, which must be among the
+// last window events (comparisons and decisions only read those).
+func (m *Miner) at(idx int) *trace.Event { return &m.ring[(m.start+idx)%window] }
 
 func (m *Miner) feedOne(ev trace.Event) {
 	j := m.j
 	if j == 0 {
 		m.posSeq = m.feedSeq
 	}
-	if j < window {
+	if j < MaxPeriod {
 		m.head[j] = ev
 	}
 	alive := false
@@ -171,8 +176,9 @@ func (m *Miner) feedOne(ev trace.Event) {
 		alive = true
 	}
 	m.sum += ev.Duration
-	m.ring[j%window] = ev
-	m.ringCum[j%window] = m.sum
+	slot := (m.start + j) % window
+	m.ring[slot] = ev
+	m.ringCum[slot] = m.sum
 	m.j = j + 1
 	if !alive {
 		m.decide()
@@ -180,8 +186,8 @@ func (m *Miner) feedOne(ev trace.Event) {
 }
 
 // decide picks the winning (period, repetitions) for the current position —
-// exactly Extract's rule: maximize covered events, ties to the smallest
-// period, composite units must repeat at least twice — emits the LAP, and
+// the greedy rule: maximize covered events, ties to the smallest period,
+// composite units must repeat at least twice — emits the LAP, and
 // replays the ≤ MaxPeriod leftover events as the next position's prefix.
 func (m *Miner) decide() {
 	if m.j == 0 {
@@ -214,23 +220,24 @@ func (m *Miner) decide() {
 		FirstTick:  m.head[0].Tick,
 		LastTick:   last.Tick,
 		FirstStart: m.head[0].Time,
-		Elapsed:    m.ringCum[(c-1)%window],
+		Elapsed:    m.ringCum[(m.start+c-1)%window],
 	})
 	if m.feedSeq > m.posSeq {
 		m.merges++
 	}
 
 	// Replay the overrun past the winner's coverage as a fresh position.
-	var tail [window]trace.Event
-	n := m.j - c
-	for i := 0; i < n; i++ {
-		tail[i] = m.at(c + i)
-	}
+	// An event's ring slot is its absolute index mod window, so the
+	// overrun is fed back in place: every write during the replay puts an
+	// event back into its own slot, including the writes of a decision
+	// nested in the replay, which re-feeds a suffix of the events replayed
+	// so far.
+	over := m.j - c
 	m.start += c
 	m.j = 0
 	m.sum = 0
 	m.cand = [MaxPeriod]minerCand{}
-	for i := 0; i < n; i++ {
-		m.feedOne(tail[i])
+	for i, base := 0, m.start; i < over; i++ {
+		m.feedOne(m.ring[(base+i)%window])
 	}
 }

@@ -10,12 +10,10 @@ package phase
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"iophases/internal/obs"
 	"iophases/internal/pattern"
-	"iophases/internal/sweep"
 	"iophases/internal/trace"
 	"iophases/internal/units"
 )
@@ -170,66 +168,74 @@ type Result struct {
 	Phases []*Phase
 }
 
-// rankLAPs is one rank's extraction result: its data events and the mined
-// patterns over them.
-type rankLAPs struct {
-	events []trace.Event
-	laps   []pattern.LAP
-}
-
 // Identify extracts LAPs per rank, groups similar LAPs across ranks, splits
 // repetition rounds separated by other MPI events into per-round phases,
-// fits offset functions, and returns phases ordered by tick.
-//
-// Per-rank extraction is embarrassingly parallel (each rank reads only its
-// own trace), so it fans out over the sweep pool; the cross-rank grouping
-// that follows consumes the results serially in rank order, which keeps the
-// group keys, phase order and every fitted function identical at any -j.
+// fits offset functions, and returns phases ordered by tick. It is
+// IdentifyStream over the set's own Source, which trace.Each reads from
+// the resident slices without copying; the returned Result's Set is set
+// itself, events included.
 func Identify(set *trace.Set) *Result {
-	perRank := sweep.Map(make([]struct{}, set.NP), func(p int, _ struct{}) rankLAPs {
-		events := set.DataEvents(p)
-		return rankLAPs{events: events, laps: pattern.Extract(p, events)}
-	})
+	res, err := identify(set.Source(), set)
+	if err != nil {
+		// A Set's Source only fails on an out-of-range rank, and
+		// identify asks for ranks [0, NP) alone.
+		panic(err)
+	}
+	return res
+}
 
-	g := groupMembers(set.NP, func(p int, emit func(member)) {
-		events := perRank[p].events
-		for _, l := range perRank[p].laps {
-			emit(member{rank: p, lap: l, events: events})
-		}
-	})
-	phases := buildPhases(set, g)
-	recordTelemetry(set, phases)
-	return &Result{Set: set, Phases: phases}
+// groupKey identifies a simLAP group: the occ-th LAP of its signature on
+// every rank. The signature stays a string so the key fits Go's inline
+// map-key limit; a comparable struct of the LAP's fields would not, and
+// every map entry would allocate.
+type groupKey struct {
+	occ int
+	sig string
 }
 
 // grouped is the cross-rank similarity grouping: simLAP groups in
 // first-seen order.
 type grouped struct {
-	groups map[string][]member
-	order  []string
+	groups map[groupKey][]member
+	order  []groupKey
 }
 
-// groupMembers buckets members by occurrence-counted similarity key. visit
-// is called once per rank in rank order and emits that rank's members in
-// LAP order — the serial consumption that keeps grouping deterministic at
-// any worker-pool width.
-func groupMembers(np int, visit func(p int, emit func(member))) grouped {
-	g := grouped{groups: make(map[string][]member)}
+// groupMembers buckets every rank's LAPs by occurrence-counted similarity
+// key, visiting ranks in rank order and each rank's LAPs in mining order —
+// the serial consumption that keeps grouping deterministic at any
+// worker-pool width.
+func groupMembers(perRank []streamRank) grouped {
+	g := grouped{groups: make(map[groupKey][]member)}
 	occ := make(map[string]int)
-	emit := func(m member) {
-		sig := m.lap.Signature()
-		key := strconv.Itoa(occ[sig]) + "#" + sig
-		occ[sig]++
-		if _, seen := g.groups[key]; !seen {
-			g.order = append(g.order, key)
-		}
-		g.groups[key] = append(g.groups[key], m)
-	}
-	for p := 0; p < np; p++ {
+	for p := range perRank {
 		clear(occ)
-		visit(p, emit)
+		laps := perRank[p].laps
+		for i := range laps {
+			sig := laps[i].Signature()
+			key := groupKey{occ[sig], sig}
+			occ[sig]++
+			if _, seen := g.groups[key]; !seen {
+				g.order = append(g.order, key)
+			}
+			g.groups[key] = append(g.groups[key], member{rank: p, lap: &laps[i]})
+		}
 	}
 	return g
+}
+
+// splits reports whether a group becomes a per-round phase family: its
+// LAPs repeat, and some member's repetitions are separated by other MPI
+// events.
+func splits(ms []member) bool {
+	if ms[0].lap.Rep == 1 {
+		return false
+	}
+	for i := range ms {
+		if !ms[i].lap.Contiguous() {
+			return true
+		}
+	}
+	return false
 }
 
 // buildPhases turns similarity groups into phases: contiguous (or
@@ -242,14 +248,7 @@ func buildPhases(set *trace.Set, g grouped) []*Phase {
 	for _, key := range g.order {
 		ms := g.groups[key]
 		l0 := ms[0].lap
-		contig := true
-		for i := range ms {
-			if !ms[i].contiguous() {
-				contig = false
-				break
-			}
-		}
-		if contig || l0.Rep == 1 {
+		if !splits(ms) {
 			phases = append(phases, buildPhase(set, ms, mergedSpec{rep: l0.Rep}, 0, 0))
 			continue
 		}
@@ -310,63 +309,38 @@ type mergedSpec struct {
 	round int // starting repetition (0-based) within the LAP
 }
 
-// member is one rank's contribution to a simLAP group — backed either by
-// the rank's in-memory events (Identify) or by the streaming aggregates a
-// Miner carries once the events are gone (IdentifyStream). Exactly one of
-// events/agg is set.
+// member is one rank's contribution to a simLAP group: the mined LAP and
+// the aggregates the Miner carries once the events are gone.
 type member struct {
-	rank   int
-	lap    pattern.LAP
-	events []trace.Event      // in-memory path
-	agg    *pattern.StreamLAP // streaming path
-}
-
-// contiguous reports whether the member's repetitions are tick-adjacent.
-func (m *member) contiguous() bool {
-	if m.agg != nil {
-		return m.agg.Contiguous()
-	}
-	return m.lap.ContiguousTicks(m.events)
+	rank int
+	lap  *pattern.StreamLAP
 }
 
 // firstOf returns the tick, start time, and logical offset of slot 0 of
-// repetition round. The streaming offset is exact, not reconstructed: the
-// miner only keeps a repetition alive while every slot advances by its
-// constant displacement, so slot 0 of round r is InitOffset + r·Disp by
-// the invariant that admitted the repetition.
+// repetition round. The offset is exact, not reconstructed: the miner only
+// keeps a repetition alive while every slot advances by its constant
+// displacement, so slot 0 of round r is InitOffset + r·Disp by the
+// invariant that admitted the repetition.
 func (m *member) firstOf(round int) (tick int64, start units.Duration, off int64) {
-	if m.agg == nil {
-		ev := m.lap.Event(m.events, round, 0)
-		return ev.Tick, ev.Time, ev.Offset
-	}
 	t := m.lap.Unit[0]
 	off = t.InitOffset + int64(round)*t.Disp
 	if round == 0 {
-		return m.agg.FirstTick, m.agg.FirstStart, off
+		return m.lap.FirstTick, m.lap.FirstStart, off
 	}
-	r := m.agg.Reps[round]
+	r := m.lap.Reps[round]
 	return r.Tick, r.Start, off
 }
 
 // elapsed sums the member's op durations over rep repetitions starting at
 // round. The whole-LAP case is answered from the running aggregate; split
-// rounds need the per-repetition detail the rescan pass fills in.
+// rounds need the per-repetition detail pass 2 fills in.
 func (m *member) elapsed(round, rep int) units.Duration {
-	if m.agg != nil {
-		if round == 0 && rep == m.lap.Rep {
-			return m.agg.Elapsed
-		}
-		var d units.Duration
-		for r := round; r < round+rep; r++ {
-			d += m.agg.Reps[r].Elapsed
-		}
-		return d
+	if round == 0 && rep == m.lap.Rep {
+		return m.lap.Elapsed
 	}
 	var d units.Duration
 	for r := round; r < round+rep; r++ {
-		for s := 0; s < len(m.lap.Unit); s++ {
-			d += m.lap.Event(m.events, r, s).Duration
-		}
+		d += m.lap.Reps[r].Elapsed
 	}
 	return d
 }

@@ -1,25 +1,25 @@
-// Streaming phase identification — the bounded-memory counterpart of
-// Identify for traces too large to materialize. Events flow from a
-// trace.Source through per-rank pattern.Miners in fixed-size chunks; only
-// the mined LAPs and their aggregates survive, so peak memory is
-// O(np · window + LAPs) instead of O(events).
+// The extraction pipeline behind Identify and IdentifyStream. Events flow
+// from a trace.Source through per-rank pattern.Miners, chunk by chunk via
+// trace.Each; only the mined LAPs and their aggregates survive, so peak
+// memory is O(np · window + LAPs) instead of O(events). A resident Set is
+// not a second path: trace.Each hands its slices to the same code whole.
 //
 // The decomposition is two-pass. Pass 1 mines every rank and aggregates
 // per-LAP boundary ticks, first start and total busy time — enough to
 // build every phase except the family-split case, where one repeated LAP
 // becomes one phase per repetition and each phase needs its own
-// repetition's tick, start and elapsed time. Pass 2 re-opens only the
+// repetition's tick, start and elapsed time. Pass 2 re-reads only the
 // ranks contributing to split groups (the Source contract makes OpenRank
 // restartable) and indexes events straight into the known LAP geometry:
 // event i of a LAP starting at s with period k is repetition (i−s)/k, slot
 // (i−s)%k — no re-mining. Both passes fan out over the sweep pool and are
-// consumed serially in rank order, so the result is byte-identical to
-// Identify's at any -j (pinned by TestIdentifyStreamMatchesIdentify).
+// consumed serially in rank order, so the result is identical at any -j
+// and from any source of the same events (pinned by identifyBoth and
+// TestIdentifyStreamFromDir).
 package phase
 
 import (
-	"io"
-	"sort"
+	"slices"
 
 	"iophases/internal/obs"
 	"iophases/internal/pattern"
@@ -27,11 +27,7 @@ import (
 	"iophases/internal/trace"
 )
 
-// streamChunk is the per-read event buffer; small enough that np buffers
-// are negligible, large enough to amortize Reader call overhead.
-const streamChunk = 2048
-
-// Streaming pipeline telemetry.
+// Extraction pipeline telemetry.
 var (
 	cEvents  = obs.Default().Counter("stream/events")
 	cChunks  = obs.Default().Counter("stream/chunks_folded")
@@ -48,15 +44,21 @@ type streamRank struct {
 	err    error
 }
 
-// IdentifyStream is Identify over a trace.Source: identical phases,
-// bounded memory. The returned Result's Set carries the source metadata
-// but no events.
+// IdentifyStream is Identify over a trace.Source: the same phases, memory
+// bounded by np and LAP count. The returned Result's Set carries the source
+// metadata but no events.
 func IdentifyStream(src trace.Source) (*Result, error) {
 	meta := src.Meta()
 	set := trace.NewSet(meta.App, meta.Config, meta.NP)
 	set.Files = meta.Files
+	return identify(src, set)
+}
 
-	perRank := sweep.Map(make([]struct{}, meta.NP), func(p int, _ struct{}) streamRank {
+// identify runs both passes over src. set describes src's trace — it is
+// the Set src reads, or an event-less one with src's metadata — and
+// becomes the Result's Set.
+func identify(src trace.Source, set *trace.Set) (*Result, error) {
+	perRank := sweep.Map(make([]struct{}, set.NP), func(p int, _ struct{}) streamRank {
 		return mineRank(src, p)
 	})
 	for p := range perRank {
@@ -68,13 +70,8 @@ func IdentifyStream(src trace.Source) (*Result, error) {
 		cMerges.Add(int64(perRank[p].merges))
 	}
 
-	g := groupMembers(meta.NP, func(p int, emit func(member)) {
-		laps := perRank[p].laps
-		for i := range laps {
-			emit(member{rank: p, lap: laps[i].LAP, agg: &laps[i]})
-		}
-	})
-	if err := fillSplitReps(src, g); err != nil {
+	g := groupMembers(perRank)
+	if err := fillSplitReps(src, g, perRank); err != nil {
 		return nil, err
 	}
 	phases := buildPhases(set, g)
@@ -84,65 +81,43 @@ func IdentifyStream(src trace.Source) (*Result, error) {
 
 // mineRank streams one rank through a Miner.
 func mineRank(src trace.Source, p int) streamRank {
-	r, err := src.OpenRank(p)
+	m := pattern.NewMiner(p)
+	var total int64
+	err := trace.Each(src, p, func(evs []trace.Event) error {
+		total += int64(len(evs))
+		m.Feed(evs)
+		return nil
+	})
 	if err != nil {
 		return streamRank{err: err}
-	}
-	defer r.Close()
-	m := pattern.NewMiner(p)
-	buf := make([]trace.Event, streamChunk)
-	var total int64
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			total += int64(n)
-			m.Feed(buf[:n])
-		}
-		if err != nil {
-			if err != io.EOF {
-				return streamRank{err: err}
-			}
-			break
-		}
 	}
 	return streamRank{laps: m.Finish(), events: total, chunks: m.ChunksFolded(), merges: m.BoundaryMerges()}
 }
 
-// fillSplitReps runs pass 2: for every group that will split into a phase
-// family (repeated, not tick-contiguous), fill the per-repetition RepMeta
-// of each member by re-streaming just those ranks.
-func fillSplitReps(src trace.Source, g grouped) error {
-	needs := make(map[int][]*pattern.StreamLAP)
+// fillSplitReps runs pass 2. It marks every LAP of a group that will split
+// into a phase family by allocating its per-repetition RepMeta, then
+// re-reads the ranks holding a marked LAP to fill them in.
+func fillSplitReps(src trace.Source, g grouped, perRank []streamRank) error {
+	marked := false
 	for _, key := range g.order {
 		ms := g.groups[key]
-		if ms[0].lap.Rep == 1 {
+		if !splits(ms) {
 			continue
 		}
-		contig := true
+		marked = true
+		// Members share the signature, hence Rep: one allocation serves
+		// the whole group.
+		rep := ms[0].lap.Rep
+		reps := make([]pattern.RepMeta, len(ms)*rep)
 		for i := range ms {
-			if !ms[i].contiguous() {
-				contig = false
-				break
-			}
-		}
-		if contig {
-			continue
-		}
-		for i := range ms {
-			needs[ms[i].rank] = append(needs[ms[i].rank], ms[i].agg)
+			ms[i].lap.Reps = reps[i*rep : (i+1)*rep : (i+1)*rep]
 		}
 	}
-	if len(needs) == 0 {
+	if !marked {
 		return nil
 	}
-	ranks := make([]int, 0, len(needs))
-	for p := range needs {
-		ranks = append(ranks, p)
-	}
-	sort.Ints(ranks)
-	errs := sweep.Map(ranks, func(_ int, p int) error {
-		cRescans.Inc()
-		return fillReps(src, p, needs[p])
+	errs := sweep.Map(perRank, func(p int, r streamRank) error {
+		return fillReps(src, p, r.laps)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -152,24 +127,19 @@ func fillSplitReps(src trace.Source, g grouped) error {
 	return nil
 }
 
-// fillReps re-streams rank p and indexes its data events into the laps'
-// repetition slots. laps arrive in mining order, which is Start order, and
-// positions never overlap, so a single cursor suffices.
-func fillReps(src trace.Source, p int, laps []*pattern.StreamLAP) error {
-	for _, l := range laps {
-		l.Reps = make([]pattern.RepMeta, l.Rep)
+// fillReps re-reads rank p, if any of its laps is marked (non-nil Reps),
+// and indexes its data events into the marked laps' repetition slots. laps
+// is the rank's whole mining output: positions tile the data events in
+// Start order, so a single cursor finds each event's LAP.
+func fillReps(src trace.Source, p int, laps []pattern.StreamLAP) error {
+	if !slices.ContainsFunc(laps, func(l pattern.StreamLAP) bool { return l.Reps != nil }) {
+		return nil
 	}
-	r, err := src.OpenRank(p)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	buf := make([]trace.Event, streamChunk)
-	i := 0 // data-event index within the rank
-	li := 0
-	for li < len(laps) {
-		n, err := r.Read(buf)
-		for _, ev := range buf[:n] {
+	cRescans.Inc()
+	i := 0  // data-event index within the rank
+	li := 0 // LAP holding event i
+	return trace.Each(src, p, func(evs []trace.Event) error {
+		for _, ev := range evs {
 			if !ev.Op.IsData() {
 				continue
 			}
@@ -179,10 +149,10 @@ func fillReps(src trace.Source, p int, laps []*pattern.StreamLAP) error {
 				li++
 			}
 			if li == len(laps) {
-				break
+				return nil
 			}
-			l := laps[li]
-			if idx < l.Start {
+			l := &laps[li]
+			if l.Reps == nil {
 				continue
 			}
 			k := len(l.Unit)
@@ -194,12 +164,6 @@ func fillReps(src trace.Source, p int, laps []*pattern.StreamLAP) error {
 			}
 			l.Reps[rep].Elapsed += ev.Duration
 		}
-		if err != nil {
-			if err != io.EOF {
-				return err
-			}
-			break
-		}
-	}
-	return nil
+		return nil
+	})
 }

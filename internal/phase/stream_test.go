@@ -12,13 +12,18 @@ import (
 	"iophases/internal/trace"
 )
 
-// identifyBoth runs the in-memory and streaming pipelines over the same
-// set (via its Source adapter) and requires deeply identical phases and a
-// byte-identical table — the tentpole equivalence at phase granularity.
+// readerPath hides a Source's dynamic type, so trace.Each reads it through
+// OpenRank in fixed-size chunks even when it wraps a Set's own Source.
+func readerPath(src trace.Source) trace.Source { return struct{ trace.Source }{src} }
+
+// identifyBoth runs the pipeline over the same set from both chunk
+// producers — the resident slices Identify hands over whole, and the
+// set's Source read through the reader path — and requires deeply
+// identical phases and a byte-identical table.
 func identifyBoth(t *testing.T, set *trace.Set) (*Result, *Result) {
 	t.Helper()
 	inMem := Identify(set)
-	streamed, err := IdentifyStream(set.Source())
+	streamed, err := IdentifyStream(readerPath(set.Source()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +86,13 @@ func TestIdentifyStreamFromDir(t *testing.T) {
 	}
 }
 
-// TestIdentifyStreamParallelismInvariance is the streaming counterpart of
-// the Identify -j pin: both passes fan out, so the result must be deeply
+// TestIdentifyStreamParallelismInvariance is the reader-path counterpart
+// of the Identify -j pin: both passes fan out, so the result must be deeply
 // identical at any worker-pool width.
 func TestIdentifyStreamParallelismInvariance(t *testing.T) {
 	set := btioSet(9, 5, 40*1024)
 	run := func() *Result {
-		res, err := IdentifyStream(set.Source())
+		res, err := IdentifyStream(readerPath(set.Source()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,62 +302,51 @@ func WriteDir(src Source, dstDir string, format Format) error {
 	if err := saveMeta(dstDir, setHeader{m.App, m.Config, m.NP, m.Files}); err != nil {
 		return err
 	}
-	buf := make([]Event, 4096)
 	for p := 0; p < m.NP; p++ {
-		if err := writeRankFrom(src, p, rankPath(dstDir, p, format), format, buf); err != nil {
+		if err := writeRankFrom(src, p, rankPath(dstDir, p, format), format); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeRankFrom(src Source, p int, path string, format Format, buf []Event) error {
-	r, err := src.OpenRank(p)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
+func writeRankFrom(src Source, p int, path string, format Format) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = copyRank(f, r, p, format, buf)
+	err = copyRank(f, src, p, format)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-func copyRank(f *os.File, r Reader, p int, format Format, buf []Event) error {
+func copyRank(f *os.File, src Source, p int, format Format) error {
 	if format == FormatBinary {
 		bw, err := NewBinaryWriter(f, p)
 		if err != nil {
 			return err
 		}
-		for {
-			n, err := r.Read(buf)
-			for _, ev := range buf[:n] {
-				if werr := bw.Write(ev); werr != nil {
-					return werr
+		err = Each(src, p, func(evs []Event) error {
+			for _, ev := range evs {
+				if err := bw.Write(ev); err != nil {
+					return err
 				}
 			}
-			if err == io.EOF {
-				return bw.Close()
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	tw := newTextEncoder(f)
-	for {
-		n, err := r.Read(buf)
-		tw.writeEvents(buf[:n])
-		if err == io.EOF {
-			return tw.close()
-		}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
+		return bw.Close()
 	}
+	tw := newTextEncoder(f)
+	if err := Each(src, p, func(evs []Event) error {
+		tw.writeEvents(evs)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return tw.close()
 }

@@ -37,7 +37,8 @@ type Source interface {
 }
 
 // Source adapts an in-memory Set to the streaming interface: the backend
-// used when the events are already resident (traced runs, tests).
+// used when the events are already resident (traced runs, tests). Each
+// recognizes it and hands out the resident slices without a reader.
 func (s *Set) Source() Source { return setSource{s} }
 
 type setSource struct{ s *Set }
@@ -88,17 +89,22 @@ func OpenDir(dir string) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
+	if hdr.NP < 1 {
+		return nil, fmt.Errorf("trace: %s: np is %d, want at least 1",
+			filepath.Join(dir, "meta.json"), hdr.NP)
+	}
 	d := &dirSource{
 		dir:  dir,
 		meta: Meta{App: hdr.App, Config: hdr.Config, NP: hdr.NP, Files: hdr.Files},
-		fmts: make([]Format, hdr.NP),
 	}
+	// fmts grows as rank files are found, so an absurd np fails at the
+	// first missing file instead of sizing an allocation.
 	for p := 0; p < hdr.NP; p++ {
 		switch {
 		case fileExists(rankPath(dir, p, FormatBinary)):
-			d.fmts[p] = FormatBinary
+			d.fmts = append(d.fmts, FormatBinary)
 		case fileExists(rankPath(dir, p, FormatText)):
-			d.fmts[p] = FormatText
+			d.fmts = append(d.fmts, FormatText)
 		default:
 			return nil, fmt.Errorf("trace: rank %d: neither %s nor %s exists",
 				p, rankPath(dir, p, FormatBinary), rankPath(dir, p, FormatText))
@@ -177,6 +183,50 @@ func (r *textReader) Read(buf []Event) (int, error) {
 
 func (r *textReader) Close() error { return r.f.Close() }
 
+// eachChunk is Each's read buffer length in events: small enough that one
+// buffer per concurrently read rank is negligible, large enough to
+// amortize the Reader call overhead.
+const eachChunk = 2048
+
+// Each calls fn with rank p's events in trace order, one chunk at a time,
+// and returns the first error from the source or from fn; an error from fn
+// stops the loop. fn is never called with an empty chunk. For a Set's own
+// Source the rank's resident slice is passed whole, in a single call, with
+// no reader and no copy; any other source is read in eachChunk-event chunks
+// through one reused buffer. fn must not retain or modify the slice.
+func Each(src Source, p int, fn func([]Event) error) (err error) {
+	if ss, ok := src.(setSource); ok && p >= 0 && p < ss.s.NP {
+		if evs := ss.s.Events[p]; len(evs) > 0 {
+			return fn(evs)
+		}
+		return nil
+	}
+	r, err := src.OpenRank(p)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	buf := make([]Event, eachChunk)
+	for {
+		n, rerr := r.Read(buf)
+		if n > 0 {
+			if err := fn(buf[:n]); err != nil {
+				return err
+			}
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
+}
+
 // ReadAll drains a Reader into a slice.
 func ReadAll(r Reader) ([]Event, error) {
 	var out []Event
@@ -199,19 +249,13 @@ func ReadSet(src Source) (*Set, error) {
 	s := NewSet(m.App, m.Config, m.NP)
 	s.Files = m.Files
 	for p := 0; p < m.NP; p++ {
-		r, err := src.OpenRank(p)
+		err := Each(src, p, func(evs []Event) error {
+			s.Events[p] = append(s.Events[p], evs...)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		evs, rerr := ReadAll(r)
-		cerr := r.Close()
-		if rerr != nil {
-			return nil, rerr
-		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		s.Events[p] = evs
 	}
 	return s, nil
 }

@@ -247,10 +247,8 @@ func (s *Set) TotalBytes() (written, read int64) {
 	return written, read
 }
 
-// DataEvents returns rank p's data-moving events in tick order. The result
-// is sized exactly (one counting pass, one allocation) — extraction calls
-// this per rank on every Identify and repeated append-growth of
-// multi-thousand-event slices showed up in heap profiles.
+// DataEvents returns rank p's data-moving events in tick order, in a slice
+// sized exactly (one counting pass, one allocation).
 func (s *Set) DataEvents(p int) []Event {
 	n := 0
 	for i := range s.Events[p] {

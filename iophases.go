@@ -202,9 +202,9 @@ func Extract(set *TraceSet) *Model { return core.Build(set) }
 // the input of the bounded-memory extraction path.
 type TraceSource = trace.Source
 
-// ExtractStream is Extract over a streaming trace source: identical model,
-// memory bounded by process count and pattern count instead of trace
-// length. Use for traces too large to LoadTraces.
+// ExtractStream is Extract over a streaming trace source: the same
+// pipeline and model, memory bounded by process count and pattern count
+// instead of trace length. Use for traces too large to LoadTraces.
 func ExtractStream(src TraceSource) (*Model, error) { return core.BuildStream(src) }
 
 // OpenTraceDir opens a saved trace directory (text or binary per-rank
