@@ -27,7 +27,7 @@ func streamext(e *env) {
 		return
 	}
 	defer os.RemoveAll(dir)
-	if err := run.Set.SaveBinary(dir); err != nil {
+	if err := iophases.WriteTraceDir(run.Set.Source(), dir, iophases.TraceBinary); err != nil {
 		fmt.Fprintf(e.out, "streamext: saving: %v\n", err)
 		return
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,5 +33,23 @@ func TestBuildCorpusBuiltinNP(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("np=%d: error %q, want it to contain %q", tc.np, err, tc.want)
 		}
+	}
+}
+
+// TestBuildCorpusRejectsBadModel pins that a -models file whose phase
+// cannot be replayed stops iod at startup with an error naming the file
+// and the phase, instead of serving and then panicking in the warm pass.
+func TestBuildCorpusRejectsBadModel(t *testing.T) {
+	params := iophases.DefaultMADBench()
+	params.RS = 1 << 20
+	m := iophases.Extract(iophases.TraceMADBench2(iophases.ConfigA(), 4, params, iophases.RunOptions{}).Set)
+	m.Phases[1].NP = 0
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := buildCorpus(path, false, 0)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "model phase 2: np 0") {
+		t.Fatalf("err = %v, want one naming %s and phase 2", err, path)
 	}
 }

@@ -3,7 +3,9 @@
 // per-rank trace files plus metadata — the characterization stage of the
 // paper (§III-A). It also converts saved trace directories between the
 // text and binary encodings and generates synthetic traces for
-// streaming-pipeline benchmarks.
+// streaming-pipeline benchmarks. Every directory it writes goes through
+// trace.WriteDir, and -format takes trace.ParseFormat's names: text or
+// binary.
 //
 // Usage:
 //
@@ -23,6 +25,7 @@ import (
 	"iophases"
 	"iophases/internal/apps/btio"
 	"iophases/internal/apps/madbench"
+	"iophases/internal/trace"
 	"iophases/internal/units"
 )
 
@@ -41,8 +44,8 @@ func main() {
 	events := flag.Int64("events", 1_000_000, "synthetic events per rank (-synth)")
 	flag.Parse()
 
-	f, err := iophases.TraceText, error(nil)
-	if f, err = parseFormat(*format); err != nil {
+	f, err := trace.ParseFormat(*format)
+	if err != nil {
 		fail("%v", err)
 	}
 
@@ -59,7 +62,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		if err := writeDir(src, *out, f); err != nil {
+		if err := iophases.WriteTraceDir(src, *out, f); err != nil {
 			fail("writing synthetic trace: %v", err)
 		}
 		fmt.Printf("synthetic trace saved to %s: np=%d, %d events/rank, %s format\n",
@@ -104,42 +107,13 @@ func main() {
 		fail("unknown app %q (madbench2 | btio | roms)", *app)
 	}
 
-	if err := saveSet(res.Set, *out, f); err != nil {
+	if err := iophases.WriteTraceDir(res.Set.Source(), *out, f); err != nil {
 		fail("saving traces: %v", err)
 	}
 	w, r := res.Set.TotalBytes()
 	fmt.Printf("run complete: %v virtual time, %s written, %s read\n",
 		res.Elapsed, units.FormatBytes(w), units.FormatBytes(r))
-	fmt.Printf("traces saved to %s (meta.json + trace.<rank>%s)\n", *out, fileExt(f))
-}
-
-func parseFormat(s string) (iophases.TraceFormat, error) {
-	switch s {
-	case "text":
-		return iophases.TraceText, nil
-	case "binary":
-		return iophases.TraceBinary, nil
-	}
-	return iophases.TraceText, fmt.Errorf("unknown format %q (want text or binary)", s)
-}
-
-func saveSet(set *iophases.TraceSet, dir string, f iophases.TraceFormat) error {
-	if f == iophases.TraceBinary {
-		return set.SaveBinary(dir)
-	}
-	return set.Save(dir)
-}
-
-// writeDir drains a source into a trace directory rank by rank.
-func writeDir(src iophases.TraceSource, dir string, f iophases.TraceFormat) error {
-	return iophases.WriteTraceDir(src, dir, f)
-}
-
-func fileExt(f iophases.TraceFormat) string {
-	if f == iophases.TraceBinary {
-		return ".bin"
-	}
-	return ".txt"
+	fmt.Printf("traces saved to %s (meta.json + trace.<rank>%s)\n", *out, f.Ext())
 }
 
 // madbenchParams is the MADBench2 run the -nbin and -kpix flags describe.

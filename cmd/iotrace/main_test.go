@@ -3,7 +3,30 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"iophases/internal/trace"
 )
+
+// TestFormatFlag pins -format's names, the extension the "traces saved"
+// line prints, and the line a bad value ends in: main prints
+// trace.ParseFormat's error after "iotrace: ", so the line reads
+// `iotrace: trace: unknown format "bogus" (want text or binary)`.
+func TestFormatFlag(t *testing.T) {
+	for name, ext := range map[string]string{"text": ".txt", "binary": ".bin"} {
+		f, err := trace.ParseFormat(name)
+		if err != nil {
+			t.Fatalf("-format %s: %v", name, err)
+		}
+		if f.String() != name || f.Ext() != ext {
+			t.Errorf("-format %s: parsed as %s with extension %s, want %s", name, f, f.Ext(), ext)
+		}
+	}
+	_, err := trace.ParseFormat("bogus")
+	const want = `trace: unknown format "bogus" (want text or binary)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("-format bogus: err %v, want %q", err, want)
+	}
+}
 
 // TestCheckFlags pins that every flag value the kernels cannot run is
 // refused up front with a diagnostic, and that valid runs pass.

@@ -163,13 +163,3 @@ func LoadSnapshot(dir string, patterns ...string) (*Snapshot, error) {
 	snap.Facts = buildFacts(snap)
 	return snap, nil
 }
-
-// Load is the legacy single-purpose loader: LoadSnapshot without the
-// snapshot wrapper. Kept for callers that only need syntax and types.
-func Load(dir string, patterns ...string) (pkgs []*Package, fset *token.FileSet, err error) {
-	snap, err := LoadSnapshot(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap.Pkgs, snap.Fset, nil
-}

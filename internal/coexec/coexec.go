@@ -244,12 +244,3 @@ func Run(spec Spec) (*Result, error) {
 	}
 	return res, nil
 }
-
-// RunIsolated replays one app alone on a fresh instance of the same
-// configuration — the contention-free baseline. The difference between an
-// app's contended TimeIO and its isolated TimeIO is the excess the
-// co-scheduling explorer attributes to interference.
-func RunIsolated(cfg cluster.Spec, a App) (*Result, error) {
-	a.OffsetSec = 0
-	return Run(Spec{Config: cfg, Apps: []App{a}})
-}

@@ -158,7 +158,7 @@ func TestDeterminism(t *testing.T) {
 // baseline, and adding a contender can only increase that app's Time_io.
 func TestIsolatedBaseline(t *testing.T) {
 	a := madbenchModel(t, 4, 4*units.MiB, "/a.dat")
-	solo, err := RunIsolated(cluster.ConfigA(), App{Name: "a", Model: a})
+	solo, err := Run(Spec{Config: cluster.ConfigA(), Apps: []App{{Name: "a", Model: a}}})
 	if err != nil {
 		t.Fatal(err)
 	}

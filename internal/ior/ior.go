@@ -262,12 +262,48 @@ func FromReplay(rs core.ReplaySpec) Params {
 	}
 	// Transfers must divide the block; phase weights are always
 	// rep·rs·np so block = rep·rs divides cleanly, but guard against
-	// degenerate models.
-	if p.BlockSize%p.Transfer != 0 {
+	// degenerate models. A non-positive transfer is left for Validate.
+	if p.Transfer > 0 && p.BlockSize%p.Transfer != 0 {
 		p.BlockSize = (p.BlockSize / p.Transfer) * p.Transfer
 		if p.BlockSize == 0 {
 			p.BlockSize = p.Transfer
 		}
 	}
 	return p
+}
+
+// ValidateModel reports the first phase of m that cannot be replayed,
+// naming its id: a phase needs np ≥ 1, at least one operation, rep ≥ 1,
+// and replay parameters that Validate accepts. The IOR replay transfers
+// slot 0's request size and the phase-faithful replay every slot's, so
+// each slot's size is checked as the transfer. A model read from JSON, or
+// extracted from a corrupt trace, can break any of these, and each would
+// otherwise panic mid-prediction.
+func ValidateModel(m *core.Model) error {
+	for i, pm := range m.Phases {
+		if pm == nil {
+			return fmt.Errorf("model phase entry %d is null", i)
+		}
+		var err error
+		switch {
+		case pm.NP < 1:
+			err = fmt.Errorf("np %d, want at least 1", pm.NP)
+		case len(pm.Ops) == 0:
+			err = fmt.Errorf("no operations")
+		case pm.Rep < 1:
+			err = fmt.Errorf("rep %d, want at least 1", pm.Rep)
+		default:
+			rs := pm.Replay(m.AccessType)
+			for _, op := range pm.Ops {
+				rs.Transfer = op.Size
+				if err = FromReplay(rs).Validate(); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("model phase %d: %w", pm.ID, err)
+		}
+	}
+	return nil
 }

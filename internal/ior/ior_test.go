@@ -1,10 +1,12 @@
 package ior
 
 import (
+	"strings"
 	"testing"
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
+	"iophases/internal/trace"
 	"iophases/internal/units"
 )
 
@@ -190,6 +192,50 @@ func TestFromReplayGuardsDegenerateBlock(t *testing.T) {
 	p := FromReplay(rs)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("guard failed: %v (%+v)", err, p)
+	}
+}
+
+// TestValidateModel pins the rule set every model passes before
+// prediction: each malformed shape is an error naming the phase, never a
+// panic, and a well-formed model passes.
+func TestValidateModel(t *testing.T) {
+	valid := func() *core.Model {
+		return &core.Model{App: "x", NP: 2, AccessType: "shared", Phases: []*core.PhaseModel{
+			{ID: 1, NP: 2, Rep: 1, Weight: 2 * units.MiB,
+				Ops: []core.OpModel{{Op: trace.OpWriteAt, Size: units.MiB}}},
+			{ID: 2, NP: 2, Rep: 4, Weight: 16 * units.MiB, Ops: []core.OpModel{
+				{Op: trace.OpWriteAt, Size: units.MiB, Disp: 2 * units.MiB},
+				{Op: trace.OpReadAt, Size: units.MiB, Disp: 2 * units.MiB}}},
+		}}
+	}
+	cases := []struct {
+		name   string
+		mutate func(m *core.Model)
+		want   string // "" = accepted
+	}{
+		{"valid", func(*core.Model) {}, ""},
+		{"no ops", func(m *core.Model) { m.Phases[0].Ops = nil }, "model phase 1: no operations"},
+		{"np 0", func(m *core.Model) { m.Phases[1].NP = 0 }, "model phase 2: np 0"},
+		{"rep 0", func(m *core.Model) { m.Phases[1].Rep = 0 }, "model phase 2: rep 0"},
+		{"negative request size", func(m *core.Model) {
+			m.Phases[0].Ops[0].Size, m.Phases[0].Weight = -5, -10
+		}, "model phase 1: ior: b=-5 t=-5 s=1"},
+		{"zero request size", func(m *core.Model) { m.Phases[0].Ops[0].Size = 0 }, "model phase 1: ior: b="},
+		{"negative later slot", func(m *core.Model) { m.Phases[1].Ops[1].Size = -5 }, "model phase 2: ior:"},
+		{"null phase", func(m *core.Model) { m.Phases[1] = nil }, "model phase entry 1 is null"},
+	}
+	for _, tc := range cases {
+		m := valid()
+		tc.mutate(m)
+		err := ValidateModel(m)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted, want error containing %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 

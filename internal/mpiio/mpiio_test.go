@@ -188,7 +188,7 @@ func TestTicksAdvancePerOperation(t *testing.T) {
 		f.Close(rk)                                          // tick 4
 	})
 	for p := 0; p < 2; p++ {
-		evs := r.sys.Tracer.RankTrace(p)
+		evs := r.sys.Tracer.Events[p]
 		for i, ev := range evs {
 			if ev.Tick != int64(i+1) {
 				t.Fatalf("rank %d event %d tick %d", p, i, ev.Tick)

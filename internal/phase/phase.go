@@ -357,9 +357,7 @@ func buildPhase(set *trace.Set, members []member, spec mergedSpec, familyID, fam
 	// Operation slots: physical per-repetition displacement and the
 	// slot's physical skew from slot 0 (e.g. MADBench2's steady-state
 	// reads run two bins ahead of its writes).
-	phys := func(off int64) int64 {
-		return set.View(ph.File, l0.Rank).Physical(off)
-	}
+	phys := set.View(ph.File, l0.Rank).Physical
 	slot0 := phys(l0.Unit[0].InitOffset)
 	for _, t := range l0.Unit {
 		ph.Ops = append(ph.Ops, OpSpec{

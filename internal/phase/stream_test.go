@@ -63,13 +63,7 @@ func TestIdentifyStreamFromDir(t *testing.T) {
 		set := btioSet(4, 10, 40*1024)
 		want := Identify(set)
 		dir := t.TempDir()
-		var err error
-		if f == trace.FormatBinary {
-			err = set.SaveBinary(dir)
-		} else {
-			err = set.Save(dir)
-		}
-		if err != nil {
+		if err := trace.WriteDir(set.Source(), dir, f); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 		src, err := trace.OpenDir(dir)

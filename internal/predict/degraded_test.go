@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,6 +67,40 @@ func TestEstimateTimeRejectsOversizedModel(t *testing.T) {
 	}
 	if _, err := Explore(m, StandardVariants(cluster.ConfigA())); err == nil {
 		t.Fatal("Explore accepted an oversized model")
+	}
+}
+
+// TestEstimateTimeRejectsNegativeRequestSize: an in-memory model, never
+// loaded from a file, is still validated before any replay runs. A
+// negative size in slot 0 breaks the IOR replay; one in a later slot of a
+// mixed phase breaks only the phase-faithful replay.
+func TestEstimateTimeRejectsNegativeRequestSize(t *testing.T) {
+	for _, slot := range []int{0, 1} {
+		m := measureMadbench(t, cluster.ConfigA(), 4, units.MiB)
+		var pm *core.PhaseModel
+		for _, p := range m.Phases {
+			if len(p.Ops) > slot {
+				pm = p
+				break
+			}
+		}
+		if pm == nil {
+			t.Fatalf("no phase with %d operations", slot+1)
+		}
+		pm.Ops[slot].Size = -5
+		want := fmt.Sprintf("model phase %d: ior:", pm.ID)
+		for _, opts := range []EstimateOptions{{}, {FaithfulMixed: true}} {
+			_, err := EstimateTimeOpts(m, cluster.ConfigA(), opts)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("slot %d %+v: err = %v, want one containing %q", slot, opts, err, want)
+			}
+		}
+		if _, _, err := SelectConfig(m, []cluster.Spec{cluster.ConfigA()}); err == nil {
+			t.Fatalf("slot %d: SelectConfig accepted a negative request size", slot)
+		}
+		if _, err := Explore(m, StandardVariants(cluster.ConfigA())); err == nil {
+			t.Fatalf("slot %d: Explore accepted a negative request size", slot)
+		}
 	}
 }
 

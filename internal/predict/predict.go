@@ -73,9 +73,13 @@ func EstimateTime(m *core.Model, spec cluster.Spec) (*Estimate, error) {
 // and reused. The deduplication happens before the fan-out, so IORRuns and
 // every per-phase bandwidth are identical at any concurrency.
 //
-// A model whose phases need more ranks than the configuration has cores
-// is reported as an error before any simulation runs.
+// A model with a phase IOR cannot replay (ior.ValidateModel), or whose
+// phases need more ranks than the configuration has cores, is reported as
+// an error before any simulation runs.
 func EstimateTimeOpts(m *core.Model, spec cluster.Spec, opts EstimateOptions) (*Estimate, error) {
+	if err := ior.ValidateModel(m); err != nil {
+		return nil, fmt.Errorf("predict: %s: %w", m.App, err)
+	}
 	for _, pm := range m.Phases {
 		if pm.NP > spec.MaxProcs() {
 			return nil, fmt.Errorf("predict: %s phase %d needs %d ranks but %s has capacity %d",

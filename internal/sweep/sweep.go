@@ -121,12 +121,3 @@ func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	wg.Wait()
 	return out
 }
-
-// ForEach applies fn to every item on the default pool, for callers that
-// only want side effects (fn writing into its own pre-allocated slot).
-func ForEach[T any](items []T, fn func(i int, item T)) {
-	MapN(Concurrency(), items, func(i int, item T) struct{} {
-		fn(i, item)
-		return struct{}{}
-	})
-}

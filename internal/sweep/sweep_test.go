@@ -46,8 +46,9 @@ func TestMapEmptyAndSingle(t *testing.T) {
 func TestMapCallsEachOnce(t *testing.T) {
 	counts := make([]atomic.Int64, 100)
 	items := make([]int, len(counts))
-	ForEach(items, func(i int, _ int) {
+	Map(items, func(i int, _ int) struct{} {
 		counts[i].Add(1)
+		return struct{}{}
 	})
 	for i := range counts {
 		if n := counts[i].Load(); n != 1 {

@@ -33,40 +33,6 @@ import (
 	"iophases/internal/units"
 )
 
-// Format identifies a per-rank trace file encoding.
-type Format int
-
-// Per-rank trace encodings.
-const (
-	FormatText   Format = iota // trace.<p>.txt, the Figure 2 column layout
-	FormatBinary               // trace.<p>.bin, delta-encoded varints
-)
-
-func (f Format) ext() string {
-	if f == FormatBinary {
-		return ".bin"
-	}
-	return ".txt"
-}
-
-func (f Format) String() string {
-	if f == FormatBinary {
-		return "binary"
-	}
-	return "text"
-}
-
-// ParseFormat resolves a -format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "text":
-		return FormatText, nil
-	case "binary":
-		return FormatBinary, nil
-	}
-	return 0, fmt.Errorf("trace: unknown format %q (want text or binary)", s)
-}
-
 var binMagic = []byte("IOBIN1")
 
 // maxOpLen bounds one dictionary entry; MPI-IO routine names are < 32
@@ -146,8 +112,8 @@ type binReader struct {
 	done bool
 }
 
-// newBinReader validates the header and returns a decoder. wantRank < 0
-// accepts any rank.
+// newBinReader validates the header and returns a decoder for the trace
+// of rank wantRank.
 func newBinReader(f *os.File, wantRank int, path string) (*binReader, error) {
 	r := bufio.NewReaderSize(f, 64*1024)
 	var magic [6]byte
@@ -164,7 +130,7 @@ func newBinReader(f *os.File, wantRank int, path string) (*binReader, error) {
 	if rank > 1<<30 {
 		return nil, fmt.Errorf("%s: trace: implausible rank %d", path, rank)
 	}
-	if wantRank >= 0 && int(rank) != wantRank {
+	if int(rank) != wantRank {
 		return nil, fmt.Errorf("%s: trace: header rank %d does not match rank %d of this trace file", path, rank, wantRank)
 	}
 	return &binReader{f: f, r: r, rank: int(rank), path: path}, nil
@@ -241,112 +207,3 @@ func (d *binReader) Read(buf []Event) (int, error) {
 }
 
 func (d *binReader) Close() error { return d.f.Close() }
-
-// SaveBinary writes a Set to dir in the binary per-rank format: meta.json
-// plus trace.<rank>.bin per rank.
-func (s *Set) SaveBinary(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := saveMeta(dir, setHeader{s.App, s.Config, s.NP, s.Files}); err != nil {
-		return err
-	}
-	for p := 0; p < s.NP; p++ {
-		if err := writeBinaryRank(rankPath(dir, p, FormatBinary), p, s.Events[p]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeBinaryRank(path string, p int, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw, err := NewBinaryWriter(f, p)
-	if err == nil {
-		for _, ev := range events {
-			if err = bw.Write(ev); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = bw.Close()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// ConvertDir re-encodes a saved trace directory into dst with the given
-// per-rank format, streaming rank by rank — memory stays bounded no matter
-// how large the trace is.
-func ConvertDir(srcDir, dstDir string, f Format) error {
-	src, err := OpenDir(srcDir)
-	if err != nil {
-		return err
-	}
-	return WriteDir(src, dstDir, f)
-}
-
-// WriteDir drains a Source into a trace directory in the given per-rank
-// format, one bounded-size chunk at a time.
-func WriteDir(src Source, dstDir string, format Format) error {
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return err
-	}
-	m := src.Meta()
-	if err := saveMeta(dstDir, setHeader{m.App, m.Config, m.NP, m.Files}); err != nil {
-		return err
-	}
-	for p := 0; p < m.NP; p++ {
-		if err := writeRankFrom(src, p, rankPath(dstDir, p, format), format); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeRankFrom(src Source, p int, path string, format Format) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = copyRank(f, src, p, format)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func copyRank(f *os.File, src Source, p int, format Format) error {
-	if format == FormatBinary {
-		bw, err := NewBinaryWriter(f, p)
-		if err != nil {
-			return err
-		}
-		err = Each(src, p, func(evs []Event) error {
-			for _, ev := range evs {
-				if err := bw.Write(ev); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		return bw.Close()
-	}
-	tw := newTextEncoder(f)
-	if err := Each(src, p, func(evs []Event) error {
-		tw.writeEvents(evs)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return tw.close()
-}

@@ -197,13 +197,7 @@ func TestSaveLoadAdversarialBothFormats(t *testing.T) {
 	want := adversarialSet()
 	for _, f := range []Format{FormatText, FormatBinary} {
 		dir := filepath.Join(t.TempDir(), f.String())
-		var err error
-		if f == FormatBinary {
-			err = want.SaveBinary(dir)
-		} else {
-			err = want.Save(dir)
-		}
-		if err != nil {
+		if err := WriteDir(want.Source(), dir, f); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 		got, err := Load(dir)
@@ -280,7 +274,7 @@ func TestLoadRejectsRankMismatch(t *testing.T) {
 
 func TestScannerTooLongHasContext(t *testing.T) {
 	long := strings.Repeat("x", maxLineLen+10)
-	_, err := ParseText(strings.NewReader("IdP header\n" + long + "\n"))
+	_, err := parseText(strings.NewReader("IdP header\n"+long+"\n"), 0)
 	if err == nil {
 		t.Fatal("overlong line accepted")
 	}

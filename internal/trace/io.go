@@ -14,6 +14,46 @@ import (
 	"iophases/internal/units"
 )
 
+// Format identifies a per-rank trace file encoding.
+type Format int
+
+// Per-rank trace encodings.
+const (
+	FormatText   Format = iota // trace.<p>.txt, the Figure 2 column layout
+	FormatBinary               // trace.<p>.bin, delta-encoded varints
+)
+
+// Ext is the per-rank file extension of the encoding.
+func (f Format) Ext() string {
+	if f == FormatBinary {
+		return ".bin"
+	}
+	return ".txt"
+}
+
+func (f Format) String() string {
+	if f == FormatBinary {
+		return "binary"
+	}
+	return "text"
+}
+
+// ParseFormat resolves a -format flag value.
+func ParseFormat(s string) (Format, error) {
+	switch s {
+	case "text":
+		return FormatText, nil
+	case "binary":
+		return FormatBinary, nil
+	}
+	return 0, fmt.Errorf("trace: unknown format %q (want text or binary)", s)
+}
+
+// rankPath returns the on-disk file for rank p in the given format.
+func rankPath(dir string, p int, f Format) string {
+	return filepath.Join(dir, fmt.Sprintf("trace.%d%s", p, f.Ext()))
+}
+
 // textEncoder streams events into the Figure 2 column format: header on
 // creation, rows in bounded chunks, buffered flush on close.
 type textEncoder struct {
@@ -61,9 +101,9 @@ func WriteText(w io.Writer, events []Event) error {
 const maxLineLen = 1024 * 1024
 
 // parseTextLine decodes one WriteText row. ok is false for blank and header
-// lines. wantRank >= 0 additionally requires the row's IdP to match the
-// per-rank file being read — a mismatched row would silently corrupt rank
-// attribution downstream (phases group by rank).
+// lines. The row's IdP must match wantRank, the rank of the per-rank file
+// being read — a mismatched row would silently corrupt rank attribution
+// downstream (phases group by rank).
 func parseTextLine(text string, line, wantRank int) (ev Event, ok bool, err error) {
 	text = strings.TrimSpace(text)
 	if text == "" || strings.HasPrefix(text, "IdP") {
@@ -76,7 +116,7 @@ func parseTextLine(text string, line, wantRank int) (ev Event, ok bool, err erro
 	if ev.Rank, err = strconv.Atoi(fields[0]); err != nil {
 		return Event{}, false, fmt.Errorf("trace: line %d IdP: %v", line, err)
 	}
-	if wantRank >= 0 && ev.Rank != wantRank {
+	if ev.Rank != wantRank {
 		return Event{}, false, fmt.Errorf("trace: line %d: IdP %d does not match rank %d of this trace file", line, ev.Rank, wantRank)
 	}
 	if ev.File, err = strconv.Atoi(fields[1]); err != nil {
@@ -118,89 +158,147 @@ func scanErr(err error, line int) error {
 	return fmt.Errorf("trace: line %d: %w", line, err)
 }
 
-// ParseText reads a trace rendered by WriteText. Rows may carry any IdP;
-// use ParseTextRank when reading a per-rank trace file.
-func ParseText(r io.Reader) ([]Event, error) {
-	return ParseTextRank(r, -1)
+// textReader incrementally parses a per-rank text trace, validating that
+// every row's IdP matches the rank the file claims to hold.
+type textReader struct {
+	rc   io.ReadCloser
+	sc   *bufio.Scanner
+	want int
+	line int
+	path string
 }
 
-// ParseTextRank reads a per-rank trace rendered by WriteText, rejecting
-// rows whose IdP differs from want (want < 0 disables the check).
-func ParseTextRank(r io.Reader, want int) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, maxLineLen), maxLineLen)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		ev, ok, err := parseTextLine(sc.Text(), line, want)
+func newTextReader(rc io.ReadCloser, want int, path string) *textReader {
+	sc := bufio.NewScanner(rc)
+	sc.Buffer(make([]byte, 64*1024), maxLineLen)
+	return &textReader{rc: rc, sc: sc, want: want, path: path}
+}
+
+func (r *textReader) Read(buf []Event) (int, error) {
+	n := 0
+	for n < len(buf) {
+		if !r.sc.Scan() {
+			if err := scanErr(r.sc.Err(), r.line+1); err != nil {
+				return n, fmt.Errorf("%s: %v", r.path, err)
+			}
+			if n == 0 {
+				return 0, io.EOF
+			}
+			return n, nil
+		}
+		r.line++
+		ev, ok, err := parseTextLine(r.sc.Text(), r.line, r.want)
 		if err != nil {
-			return nil, err
+			return n, fmt.Errorf("%s: %v", r.path, err)
 		}
 		if ok {
-			out = append(out, ev)
+			buf[n] = ev
+			n++
 		}
 	}
-	return out, scanErr(sc.Err(), line+1)
+	return n, nil
 }
 
-// setHeader is the JSON sidecar saved next to the per-rank trace files.
-type setHeader struct {
-	App    string     `json:"app"`
-	Config string     `json:"config"`
-	NP     int        `json:"np"`
-	Files  []FileMeta `json:"files"`
-}
+func (r *textReader) Close() error { return r.rc.Close() }
 
 // saveMeta writes the meta.json sidecar.
-func saveMeta(dir string, hdr setHeader) error {
-	raw, err := json.MarshalIndent(hdr, "", "  ")
+func saveMeta(dir string, m Meta) error {
+	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "meta.json"), raw, 0o644)
 }
 
-// Save writes a Set to dir: meta.json plus trace.<rank>.txt per rank.
-func (s *Set) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// WriteDir writes a trace directory: meta.json plus trace.<rank><ext> per
+// rank in the given encoding. It is the one writer of trace directories.
+// A Set's own Source hands each rank's resident slice to the encoder whole;
+// any other Source is drained one bounded chunk at a time, so memory stays
+// bounded no matter how large the trace is.
+func WriteDir(src Source, dstDir string, format Format) error {
+	if err := os.MkdirAll(dstDir, 0o755); err != nil {
 		return err
 	}
-	if err := saveMeta(dir, setHeader{s.App, s.Config, s.NP, s.Files}); err != nil {
+	m := src.Meta()
+	if err := saveMeta(dstDir, m); err != nil {
 		return err
 	}
-	for p := 0; p < s.NP; p++ {
-		f, err := os.Create(rankPath(dir, p, FormatText))
-		if err != nil {
+	for p := 0; p < m.NP; p++ {
+		if err := writeRank(src, p, rankPath(dstDir, p, format), format); err != nil {
 			return err
-		}
-		werr := WriteText(f, s.Events[p])
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
 		}
 	}
 	return nil
 }
 
-// loadMeta reads and decodes dir's meta.json sidecar.
-func loadMeta(dir string) (setHeader, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+// writeRank encodes rank p of src into a new file at path.
+func writeRank(src Source, p int, path string, format Format) (err error) {
+	f, err := os.Create(path)
 	if err != nil {
-		return setHeader{}, err
+		return err
 	}
-	var hdr setHeader
-	if err := json.Unmarshal(raw, &hdr); err != nil {
-		return setHeader{}, fmt.Errorf("trace: meta.json: %v", err)
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if format == FormatBinary {
+		bw, err := NewBinaryWriter(f, p)
+		if err != nil {
+			return err
+		}
+		err = Each(src, p, func(evs []Event) error {
+			for _, ev := range evs {
+				if err := bw.Write(ev); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return bw.Close()
 	}
-	return hdr, nil
+	tw := newTextEncoder(f)
+	if err := Each(src, p, func(evs []Event) error {
+		tw.writeEvents(evs)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return tw.close()
 }
 
-// Load reads a Set saved by Save or SaveBinary (per-rank format
-// auto-detected, binary preferred when both exist).
+// ConvertDir re-encodes a saved trace directory into dst with the given
+// per-rank format, streaming rank by rank through WriteDir.
+func ConvertDir(srcDir, dstDir string, f Format) error {
+	src, err := OpenDir(srcDir)
+	if err != nil {
+		return err
+	}
+	return WriteDir(src, dstDir, f)
+}
+
+// Save writes a Set to dir in the text format: meta.json plus
+// trace.<rank>.txt per rank.
+func (s *Set) Save(dir string) error { return WriteDir(s.Source(), dir, FormatText) }
+
+// loadMeta reads and decodes dir's meta.json sidecar.
+func loadMeta(dir string) (Meta, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		return Meta{}, err
+	}
+	var m Meta
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return Meta{}, fmt.Errorf("trace: meta.json: %v", err)
+	}
+	return m, nil
+}
+
+// Load reads a Set written by WriteDir (per-rank format auto-detected,
+// binary preferred when both exist).
 func Load(dir string) (*Set, error) {
 	src, err := OpenDir(dir)
 	if err != nil {

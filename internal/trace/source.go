@@ -1,21 +1,20 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 )
 
-// Meta describes a trace set without its events: the meta.json sidecar in
-// struct form. Sources expose it so consumers can size per-rank work before
-// reading a single event.
+// Meta describes a trace set without its events; it is also the meta.json
+// sidecar written next to the per-rank trace files. Sources expose it so
+// consumers can size per-rank work before reading a single event.
 type Meta struct {
-	App    string
-	Config string
-	NP     int
-	Files  []FileMeta
+	App    string     `json:"app"`
+	Config string     `json:"config"`
+	NP     int        `json:"np"`
+	Files  []FileMeta `json:"files"`
 }
 
 // Reader streams one rank's events in trace order. Read fills buf and
@@ -68,11 +67,6 @@ func (r *sliceReader) Read(buf []Event) (int, error) {
 
 func (r *sliceReader) Close() error { return nil }
 
-// rankPath returns the on-disk file for rank p in the given format.
-func rankPath(dir string, p int, f Format) string {
-	return filepath.Join(dir, fmt.Sprintf("trace.%d%s", p, f.ext()))
-}
-
 // dirSource streams a saved trace directory rank by rank, auto-detecting
 // the per-rank encoding (binary preferred when both files exist).
 type dirSource struct {
@@ -81,25 +75,22 @@ type dirSource struct {
 	fmts []Format
 }
 
-// OpenDir opens a trace directory saved by Save or SaveBinary as a
-// streaming Source. Only meta.json is read eagerly; per-rank files are
+// OpenDir opens a trace directory written by WriteDir as a streaming
+// Source. Only meta.json is read eagerly; per-rank files are
 // opened (and their rank headers validated) on OpenRank.
 func OpenDir(dir string) (Source, error) {
-	hdr, err := loadMeta(dir)
+	m, err := loadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.NP < 1 {
+	if m.NP < 1 {
 		return nil, fmt.Errorf("trace: %s: np is %d, want at least 1",
-			filepath.Join(dir, "meta.json"), hdr.NP)
+			filepath.Join(dir, "meta.json"), m.NP)
 	}
-	d := &dirSource{
-		dir:  dir,
-		meta: Meta{App: hdr.App, Config: hdr.Config, NP: hdr.NP, Files: hdr.Files},
-	}
+	d := &dirSource{dir: dir, meta: m}
 	// fmts grows as rank files are found, so an absurd np fails at the
 	// first missing file instead of sizing an allocation.
-	for p := 0; p < hdr.NP; p++ {
+	for p := 0; p < m.NP; p++ {
 		switch {
 		case fileExists(rankPath(dir, p, FormatBinary)):
 			d.fmts = append(d.fmts, FormatBinary)
@@ -139,49 +130,6 @@ func (d *dirSource) OpenRank(p int) (Reader, error) {
 	}
 	return newTextReader(f, p, path), nil
 }
-
-// textReader incrementally parses a per-rank text trace, validating that
-// every row's IdP matches the rank the file claims to hold.
-type textReader struct {
-	f    *os.File
-	sc   *bufio.Scanner
-	want int
-	line int
-	path string
-}
-
-func newTextReader(f *os.File, want int, path string) *textReader {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), maxLineLen)
-	return &textReader{f: f, sc: sc, want: want, path: path}
-}
-
-func (r *textReader) Read(buf []Event) (int, error) {
-	n := 0
-	for n < len(buf) {
-		if !r.sc.Scan() {
-			if err := scanErr(r.sc.Err(), r.line+1); err != nil {
-				return n, fmt.Errorf("%s: %v", r.path, err)
-			}
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		r.line++
-		ev, ok, err := parseTextLine(r.sc.Text(), r.line, r.want)
-		if err != nil {
-			return n, fmt.Errorf("%s: %v", r.path, err)
-		}
-		if ok {
-			buf[n] = ev
-			n++
-		}
-	}
-	return n, nil
-}
-
-func (r *textReader) Close() error { return r.f.Close() }
 
 // eachChunk is Each's read buffer length in events: small enough that one
 // buffer per concurrently read rank is negligible, large enough to

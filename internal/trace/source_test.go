@@ -15,11 +15,13 @@ func TestOpenDirMixedFormats(t *testing.T) {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBinaryRank(rankPath(dir, 1, FormatBinary), 1, s.Events[1]); err != nil {
+	if err := WriteDir(s.Source(), dir, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(rankPath(dir, 1, FormatText)); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{rankPath(dir, 0, FormatBinary), rankPath(dir, 1, FormatText)} {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := Load(dir)
 	if err != nil {
@@ -49,7 +51,7 @@ func TestSourceRestartable(t *testing.T) {
 	// property the streaming rescan pass depends on.
 	dir := t.TempDir()
 	s := adversarialSet()
-	if err := s.SaveBinary(dir); err != nil {
+	if err := WriteDir(s.Source(), dir, FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	src, err := OpenDir(dir)
@@ -132,73 +134,17 @@ func TestSynthValidation(t *testing.T) {
 	}
 }
 
-func TestViewMatchesViewOf(t *testing.T) {
-	s := NewSet("x", "c", 4)
-	s.AddFile(FileMeta{ID: 0, Name: "/a", Views: []ViewInfo{
-		{Rank: 0, Disp: 10, Etype: 40, Block: 100, Stride: 400},
-		{Rank: 2, Disp: 20, Etype: 40},
-		{Rank: 2, Disp: 99, Etype: 8}, // duplicate: first wins, like ViewOf
-	}})
-	s.AddFile(FileMeta{ID: 5, Name: "/b"})
-	for _, id := range []int{0, 5, 7} {
-		for p := 0; p < 4; p++ {
-			want := ViewInfo{Rank: p, Etype: 1}
-			if m := s.FileMetaByID(id); m != nil {
-				want = m.ViewOf(p)
-			}
-			if got := s.View(id, p); got != want {
-				t.Fatalf("View(%d,%d) = %+v, want %+v", id, p, got, want)
-			}
-		}
-	}
-}
-
-func TestViewIndexInvalidatedByAddFile(t *testing.T) {
+func TestAddFileReplacementVisibleToView(t *testing.T) {
 	s := NewSet("x", "c", 1)
 	s.AddFile(FileMeta{ID: 0, Views: []ViewInfo{{Rank: 0, Disp: 1, Etype: 1}}})
 	if got := s.View(0, 0).Disp; got != 1 {
 		t.Fatalf("disp = %d", got)
 	}
-	// Replacing the file after a lookup must rebuild the index.
+	// Replacing the file after a lookup must show in the next one.
 	s.AddFile(FileMeta{ID: 0, Views: []ViewInfo{{Rank: 0, Disp: 2, Etype: 1}}})
 	if got := s.View(0, 0).Disp; got != 2 {
-		t.Fatalf("stale index: disp = %d, want 2", got)
+		t.Fatalf("stale view: disp = %d, want 2", got)
 	}
-}
-
-// BenchmarkViewIndexed pins the satellite perf fix: the indexed lookup
-// must stay O(1) in files and views.
-func BenchmarkViewIndexed(b *testing.B) {
-	s := manyFileSet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := s.View(63, 63); v.Etype != 40 {
-			b.Fatal("bad view")
-		}
-	}
-}
-
-// BenchmarkViewScan is the pre-index double linear scan, for comparison.
-func BenchmarkViewScan(b *testing.B) {
-	s := manyFileSet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := s.FileMetaByID(63).ViewOf(63); v.Etype != 40 {
-			b.Fatal("bad view")
-		}
-	}
-}
-
-func manyFileSet() *Set {
-	s := NewSet("bench", "c", 64)
-	for id := 0; id < 64; id++ {
-		m := FileMeta{ID: id}
-		for p := 0; p < 64; p++ {
-			m.Views = append(m.Views, ViewInfo{Rank: p, Etype: 40})
-		}
-		s.AddFile(m)
-	}
-	return s
 }
 
 func BenchmarkBinaryEncode(b *testing.B) {
@@ -223,11 +169,13 @@ func BenchmarkBinaryEncode(b *testing.B) {
 
 func BenchmarkBinaryDecode(b *testing.B) {
 	events := synthRankEvents(b, 100_000)
+	set := NewSet("bench", "c", 1)
+	set.Events[0] = events
 	dir := b.TempDir()
-	path := rankPath(dir, 0, FormatBinary)
-	if err := writeBinaryRank(path, 0, events); err != nil {
+	if err := WriteDir(set.Source(), dir, FormatBinary); err != nil {
 		b.Fatal(err)
 	}
+	path := rankPath(dir, 0, FormatBinary)
 	b.SetBytes(int64(len(events)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,11 +10,7 @@
 // analyze anywhere.
 package trace
 
-import (
-	"sync"
-
-	"iophases/internal/units"
-)
+import "iophases/internal/units"
 
 // Op names an MPI-IO operation, using the MPI-2 routine names.
 type Op string
@@ -142,45 +138,6 @@ type Set struct {
 	Files  []FileMeta `json:"files"`
 	// Events holds one slice per rank, each sorted by tick.
 	Events [][]Event `json:"events"`
-
-	mu  sync.Mutex // guards idx
-	idx *setIndex  // lazy metadata index; nil until first lookup, reset by AddFile
-}
-
-// setIndex accelerates the per-event metadata lookups (file id → FileMeta,
-// (file, rank) → ViewInfo). Both were linear scans called once per event
-// translation; replay and phase building over wide traces made them O(events
-// × files) and O(events × views).
-type setIndex struct {
-	file map[int]int        // file ID → position in Files
-	view []map[int]ViewInfo // per Files position: rank → first recorded view
-}
-
-// index returns the metadata index, building it on first use. AddFile
-// invalidates it, so the index always reflects the current Files slice.
-func (s *Set) index() *setIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx == nil {
-		ix := &setIndex{file: make(map[int]int, len(s.Files)), view: make([]map[int]ViewInfo, len(s.Files))}
-		for i := range s.Files {
-			if _, dup := ix.file[s.Files[i].ID]; !dup {
-				ix.file[s.Files[i].ID] = i
-			}
-			if len(s.Files[i].Views) > 0 {
-				vm := make(map[int]ViewInfo, len(s.Files[i].Views))
-				for _, v := range s.Files[i].Views {
-					// First recorded view wins, matching ViewOf's scan.
-					if _, dup := vm[v.Rank]; !dup {
-						vm[v.Rank] = v
-					}
-				}
-				ix.view[i] = vm
-			}
-		}
-		s.idx = ix
-	}
-	return s.idx
 }
 
 // NewSet allocates a Set for np ranks.
@@ -193,36 +150,29 @@ func (s *Set) Record(ev Event) {
 	s.Events[ev.Rank] = append(s.Events[ev.Rank], ev)
 }
 
-// RankTrace returns rank p's events.
-func (s *Set) RankTrace(p int) []Event { return s.Events[p] }
-
-// FileMetaByID returns metadata for file id, or nil.
+// FileMetaByID returns metadata for file id, or nil. The first entry with
+// that id wins.
 func (s *Set) FileMetaByID(id int) *FileMeta {
-	if i, ok := s.index().file[id]; ok {
-		return &s.Files[i]
+	for i := range s.Files {
+		if s.Files[i].ID == id {
+			return &s.Files[i]
+		}
 	}
 	return nil
 }
 
 // View returns rank p's recorded view of file id, or a byte-contiguous
-// default — the indexed equivalent of FileMetaByID(id).ViewOf(p), O(1)
-// instead of a double linear scan per event translation.
+// default when none is recorded.
 func (s *Set) View(id, p int) ViewInfo {
-	ix := s.index()
-	if i, ok := ix.file[id]; ok {
-		if v, ok := ix.view[i][p]; ok {
-			return v
-		}
+	if m := s.FileMetaByID(id); m != nil {
+		return m.ViewOf(p)
 	}
 	return ViewInfo{Rank: p, Etype: 1}
 }
 
 // AddFile registers file metadata, replacing an existing entry for the same
-// id. Any metadata index built so far is invalidated.
+// id.
 func (s *Set) AddFile(m FileMeta) {
-	s.mu.Lock()
-	s.idx = nil
-	s.mu.Unlock()
 	for i := range s.Files {
 		if s.Files[i].ID == m.ID {
 			s.Files[i] = m

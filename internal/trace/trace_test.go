@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -41,13 +42,19 @@ func TestOpClassification(t *testing.T) {
 	}
 }
 
+// parseText decodes one rank's text trace through the reader behind
+// OpenDir.
+func parseText(r io.Reader, rank int) ([]Event, error) {
+	return ReadAll(newTextReader(io.NopCloser(r), rank, "trace.txt"))
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := sampleEvents()
 	if err := WriteText(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseText(&buf)
+	out, err := parseText(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +78,7 @@ func TestTextRoundTripQuick(t *testing.T) {
 		if err := WriteText(&buf, []Event{ev}); err != nil {
 			return false
 		}
-		out, err := ParseText(&buf)
+		out, err := parseText(&buf, int(rank))
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -83,10 +90,10 @@ func TestTextRoundTripQuick(t *testing.T) {
 }
 
 func TestParseRejectsBadLines(t *testing.T) {
-	if _, err := ParseText(bytes.NewBufferString("1 2 3\n")); err == nil {
+	if _, err := parseText(bytes.NewBufferString("1 2 3\n"), 1); err == nil {
 		t.Fatal("short line accepted")
 	}
-	if _, err := ParseText(bytes.NewBufferString("a b c d e f g h\n")); err == nil {
+	if _, err := parseText(bytes.NewBufferString("a b c d e f g h\n"), 0); err == nil {
 		t.Fatal("non-numeric line accepted")
 	}
 }
@@ -156,5 +163,20 @@ func TestFileMetaByID(t *testing.T) {
 	}
 	if len(s.Files) != 1 {
 		t.Fatalf("duplicate meta entries: %d", len(s.Files))
+	}
+	// A meta.json may repeat an id or a rank's view: the first one wins,
+	// and a file or rank without a recorded view reads as contiguous.
+	s.Files[0].Views = []ViewInfo{{Rank: 0, Disp: 10, Etype: 40}, {Rank: 0, Disp: 99, Etype: 8}}
+	s.Files = append(s.Files, FileMeta{ID: 3, Name: "/dup"})
+	if m := s.FileMetaByID(3); m.Name != "/b" {
+		t.Fatalf("duplicate id: got %q, want the first entry", m.Name)
+	}
+	if v := s.View(3, 0); v.Disp != 10 || v.Etype != 40 {
+		t.Fatalf("duplicate view: got %+v, want the first", v)
+	}
+	for _, id := range []int{3, 9} {
+		if v := s.View(id, 1); v != (ViewInfo{Rank: 1, Etype: 1}) {
+			t.Fatalf("View(%d, 1) = %+v, want the contiguous default", id, v)
+		}
 	}
 }

@@ -23,6 +23,8 @@
 package iophases
 
 import (
+	"fmt"
+
 	"iophases/internal/apps/btio"
 	"iophases/internal/apps/madbench"
 	"iophases/internal/apps/roms"
@@ -241,11 +243,22 @@ type SynthSpec = trace.SynthSpec
 // of the spec'd size at O(1) memory.
 func SynthTraces(spec SynthSpec) (TraceSource, error) { return trace.Synth(spec) }
 
-// LoadModel reads a model saved with Model.Save.
-func LoadModel(path string) (*Model, error) { return core.Load(path) }
+// LoadModel reads a model saved with Model.Save. A model with a phase IOR
+// cannot replay (ior.ValidateModel) is an error naming the file and the
+// phase.
+func LoadModel(path string) (*Model, error) {
+	m, err := core.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := ior.ValidateModel(m); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
 
-// LoadTraces reads a trace set saved with TraceSet.Save (the iotrace
-// output directory).
+// LoadTraces reads a trace directory written by WriteTraceDir or
+// TraceSet.Save (the iotrace output directory, in either encoding).
 func LoadTraces(dir string) (*TraceSet, error) { return trace.Load(dir) }
 
 // TraceSummary is a Darshan-style aggregate characterization of a trace.

@@ -6,6 +6,7 @@ package iophases_test
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iophases"
@@ -65,6 +66,53 @@ func TestWorkflowModelPersistence(t *testing.T) {
 	}
 	if !loaded.SameShape(m) {
 		t.Fatal("persistence changed the model")
+	}
+}
+
+// TestLoadModelRejectsMalformed pins the model-file boundary: a phase
+// with no operations, with np 0, or with a negative request size (from a
+// trace row whose RequestSize is -5) is a load error naming the file and
+// the phase, not a panic later in prediction.
+func TestLoadModelRejectsMalformed(t *testing.T) {
+	params := iophases.DefaultMADBench()
+	params.RS = 1 << 20
+	traced := func() *iophases.TraceSet {
+		return iophases.TraceMADBench2(iophases.ConfigA(), 4, params, iophases.RunOptions{}).Set
+	}
+	valid, negative := traced(), traced()
+	for i, ev := range negative.Events[0] {
+		if ev.Op.IsWrite() {
+			negative.Events[0][i].Size = -5
+			break
+		}
+	}
+	cases := []struct {
+		name string
+		set  *iophases.TraceSet
+		edit func(m *iophases.Model)
+		want string // "" = accepted
+	}{
+		{"valid", valid, func(*iophases.Model) {}, ""},
+		{"no ops", valid, func(m *iophases.Model) { m.Phases[0].Ops = m.Phases[0].Ops[:0] }, "model phase 1: no operations"},
+		{"np 0", valid, func(m *iophases.Model) { m.Phases[1].NP = 0 }, "model phase 2: np 0"},
+		{"negative request size", negative, func(*iophases.Model) {}, "model phase 1: ior: b=-5 t=-5 s=1"},
+	}
+	for _, tc := range cases {
+		m := iophases.Extract(tc.set)
+		tc.edit(m)
+		path := filepath.Join(t.TempDir(), "m.json")
+		if err := m.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err := iophases.LoadModel(path)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted, want error containing %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 
