@@ -33,10 +33,10 @@ func Run(dir string, patterns []string, analyzers []*Analyzer, known []string) (
 // allow-comment hygiene over every package, runs each analyzer's Init
 // once against the snapshot's facts, then applies the analyzers to
 // every package. Suppressions are collected globally before any
-// analyzer runs, because interprocedural analyzers (cachekey) report at
-// positions in packages other than the one driving the check — an
-// allow comment must work wherever the diagnostic lands, not only when
-// the "current" package happens to contain it.
+// analyzer runs, because a pass sees the module-wide Facts and may
+// report at a position in any package of the snapshot, not only in the
+// one it is passed over (no analyzer does so today) — an allow comment
+// must work wherever the diagnostic lands.
 func RunSnapshot(snap *Snapshot, analyzers []*Analyzer, known []string) (*Result, error) {
 	knownSet := map[string]bool{}
 	for _, n := range known {

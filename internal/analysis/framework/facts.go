@@ -1,8 +1,7 @@
 // facts.go is phase 1 of the two-phase driver: after the loader has
 // parsed and type-checked every matched package (in dependency order),
 // buildFacts walks all of them once and derives module-wide facts the
-// phase-2 analyzers consume — a call graph over every function body, a
-// struct-field declaration index (for field-level marker comments), and
+// phase-2 analyzers consume — a call graph over every function body and
 // a generic reachability/taint propagator over the graph.
 //
 // Identity across packages is by name, not by types.Object: each target
@@ -81,49 +80,6 @@ type Facts struct {
 	// Callees records identity metadata for every FuncID referenced
 	// anywhere, including functions with no loaded body.
 	Callees map[FuncID]CalleeMeta
-	// fields indexes struct field declarations by
-	// "pkgpath.TypeName.FieldName" for marker-comment lookups.
-	fields map[string]*ast.Field
-	// pkgs indexes loaded packages by import path.
-	pkgs map[string]*Package
-}
-
-// PackageByPath reports the loaded package with the given import path,
-// or nil when the path was not among the load targets.
-func (f *Facts) PackageByPath(path string) *Package { return f.pkgs[path] }
-
-// FieldDecl reports the ast.Field declaring pkgPath.typeName.fieldName,
-// or nil when the declaring package was not loaded (its struct came in
-// through export data only).
-func (f *Facts) FieldDecl(pkgPath, typeName, fieldName string) *ast.Field {
-	return f.fields[pkgPath+"."+typeName+"."+fieldName]
-}
-
-// FieldMarker scans a field declaration's doc and line comments for an
-// //iovet:<marker> comment (e.g. //iovet:cosmetic <reason>) and reports
-// whether it is present and the text after the marker word. found is
-// false when the declaring package was not loaded.
-func (f *Facts) FieldMarker(pkgPath, typeName, fieldName, marker string) (found, marked bool, reason string) {
-	fd := f.FieldDecl(pkgPath, typeName, fieldName)
-	if fd == nil {
-		return false, false, ""
-	}
-	prefix := "iovet:" + marker
-	for _, group := range []*ast.CommentGroup{fd.Doc, fd.Comment} {
-		if group == nil {
-			continue
-		}
-		for _, c := range group.List {
-			if !strings.HasPrefix(c.Text, "//") {
-				continue
-			}
-			body := strings.TrimLeft(c.Text[2:], " \t")
-			if rest, ok := strings.CutPrefix(body, prefix); ok {
-				return true, true, strings.TrimSpace(rest)
-			}
-		}
-	}
-	return true, false, ""
 }
 
 // Chain is one function's witness that it reaches a seed: Why is the
@@ -202,17 +158,13 @@ func (f *Facts) Reaches(seeds map[FuncID]string, barrier func(*FuncInfo) bool) m
 
 // buildFacts derives the module-wide facts from a loaded snapshot. One
 // AST pass per package: function declarations contribute call-graph
-// nodes, package-level value specs fold into a synthetic init node, and
-// struct type declarations feed the field index.
+// nodes, and package-level value specs fold into a synthetic init node.
 func buildFacts(snap *Snapshot) *Facts {
 	f := &Facts{
 		Funcs:   map[FuncID]*FuncInfo{},
 		Callees: map[FuncID]CalleeMeta{},
-		fields:  map[string]*ast.Field{},
-		pkgs:    map[string]*Package{},
 	}
 	for _, pkg := range snap.Pkgs {
-		f.pkgs[pkg.PkgPath] = pkg
 		base := pkg.PkgPath
 		if i := strings.LastIndexByte(base, '/'); i >= 0 {
 			base = base[i+1:]
@@ -239,7 +191,6 @@ func buildFacts(snap *Snapshot) *Facts {
 					f.collectCalls(pkg, d.Body, info)
 					f.Funcs[info.ID] = info
 				case *ast.GenDecl:
-					f.indexStructs(pkg, d)
 					// Package-level initializers (composite literals
 					// registering callbacks, etc.) fold into one
 					// synthetic init node per package.
@@ -309,27 +260,4 @@ func (f *Facts) collectCalls(pkg *Package, node ast.Node, info *FuncInfo) {
 		}
 		return true
 	})
-}
-
-// indexStructs records the field declarations of every struct type in a
-// GenDecl under "pkgpath.Type.Field" keys.
-func (f *Facts) indexStructs(pkg *Package, d *ast.GenDecl) {
-	if d.Tok != token.TYPE {
-		return
-	}
-	for _, spec := range d.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok || st.Fields == nil {
-			continue
-		}
-		for _, field := range st.Fields.List {
-			for _, name := range field.Names {
-				f.fields[pkg.PkgPath+"."+ts.Name.Name+"."+name.Name] = field
-			}
-		}
-	}
 }

@@ -113,24 +113,6 @@ func TestReaches(t *testing.T) {
 	})
 }
 
-func TestFieldMarker(t *testing.T) {
-	f := loadFactgraph(t).Facts
-	helperPkg := strings.TrimSuffix(corpusPrefix, "/") + "/helper"
-
-	found, marked, reason := f.FieldMarker(helperPkg, "Config", "Label", "cosmetic")
-	if !found || !marked || reason != "display-only name" {
-		t.Errorf("Config.Label marker = (%v, %v, %q), want (true, true, \"display-only name\")", found, marked, reason)
-	}
-	found, marked, _ = f.FieldMarker(helperPkg, "Config", "Nodes", "cosmetic")
-	if !found || marked {
-		t.Errorf("Config.Nodes marker = (%v, %v), want found and unmarked", found, marked)
-	}
-	found, _, _ = f.FieldMarker("not/loaded", "T", "F", "cosmetic")
-	if found {
-		t.Error("unloaded package must report found=false")
-	}
-}
-
 // TestSingleListInvocationPerRun pins the tentpole loader property: one
 // driver invocation spawns exactly one `go list` subprocess, no matter
 // how many analyzers run over the snapshot.

@@ -31,10 +31,10 @@ type Analyzer struct {
 	// rest explains the invariant the analyzer enforces.
 	Doc string
 	// Init, when non-nil, runs once per driver invocation before any
-	// Run call, receiving the phase-1 interprocedural facts (call
-	// graph, struct-field index). Its result is handed to every Pass of
-	// this analyzer via Pass.Init — the place to precompute module-wide
-	// state like taint reachability, instead of per package.
+	// Run call, receiving the phase-1 interprocedural facts (the call
+	// graph). Its result is handed to every Pass of this analyzer via
+	// Pass.Init — the place to precompute module-wide state like taint
+	// reachability, instead of per package.
 	Init func(*Facts) (any, error)
 	// Run applies the analyzer to one package, reporting findings
 	// through the Pass. A non-nil error aborts the whole iovet run —

@@ -20,11 +20,3 @@ func (g *Gauge) Mark() { g.n = int(Stamp()) }
 // Seam is a sanctioned boundary: it touches the clock but its callers
 // are clean by design (the barrier test cuts propagation here).
 func Seam() int64 { return time.Now().UnixNano() }
-
-// Config exercises the struct-field index and marker lookup.
-type Config struct {
-	Nodes int
-	// Label has no effect on results.
-	//iovet:cosmetic display-only name
-	Label string
-}

@@ -4,7 +4,6 @@
 package iovet
 
 import (
-	"iophases/internal/analysis/cachekey"
 	"iophases/internal/analysis/detwall"
 	"iophases/internal/analysis/detwalltrans"
 	"iophases/internal/analysis/dtopure"
@@ -19,7 +18,6 @@ import (
 // All returns the full suite in stable (alphabetical) order.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		cachekey.Analyzer,
 		detwall.Analyzer,
 		detwalltrans.Analyzer,
 		dtopure.Analyzer,

@@ -50,12 +50,11 @@ type StorageSpec struct {
 
 // Spec is a complete cluster description.
 type Spec struct {
-	// Name labels the configuration in reports and error messages; it
-	// has no effect on simulated physics, so renaming a config must not
-	// re-key the replay cache.
-	//iovet:cosmetic display label, excluded from the simcache fingerprint
-	Name string
-	//iovet:cosmetic display text, excluded from the simcache fingerprint
+	// Name labels the configuration in reports and error messages. It
+	// also prefixes the name of every simulated link and the filesystem
+	// ("configA/cn00/up"), which a fault effect's Match selects on, so
+	// a renamed configuration is a different input to the simulation.
+	Name         string
 	Description  string
 	ComputeNodes int
 	CoresPerNode int

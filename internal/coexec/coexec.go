@@ -35,8 +35,7 @@ import (
 // App is one application in a co-execution: an extracted model plus the
 // start offset the schedule assigns it.
 type App struct {
-	//iovet:cosmetic label for reports (defaults to Model.App), not part of the fingerprint
-	Name      string
+	Name      string // label for reports and results (defaults to Model.App)
 	Model     *core.Model
 	OffsetSec float64 // start delay relative to the co-execution's t=0
 }

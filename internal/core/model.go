@@ -125,15 +125,11 @@ func (pm *PhaseModel) Replay(accessType string) ReplaySpec {
 
 // Model is the application I/O abstract model.
 type Model struct {
-	//iovet:cosmetic provenance label, no effect on replayed physics
-	App string `json:"app"`
-	//iovet:cosmetic provenance label, no effect on replayed physics
+	App          string `json:"app"`
 	SourceConfig string `json:"sourceConfig"`
 	NP           int    `json:"np"`
-	// Files carries trace-time file names the replayer never uses: it
-	// opens per-app synthetic paths, and fsim placement rotates on
-	// creation order, not names.
-	//iovet:cosmetic trace-time names unused by replay
+	// Files carries the traced files' metadata; model replays open their
+	// own per-phase files, not these names.
 	Files      []trace.FileMeta `json:"files"`
 	Phases     []*PhaseModel    `json:"phases"`
 	AccessMode string           `json:"accessMode"` // sequential | strided | random

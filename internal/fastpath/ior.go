@@ -9,15 +9,11 @@ import (
 // RunIOR computes an IOR run analytically. ok is false when the workload
 // is inadmissible or the walk hit a dynamic bailout; the caller must then
 // run the full DES. When ok, the Result is bit-identical to ior.Run's —
-// every field, including the Params echo with the default file name filled
-// in — which ModeVerify asserts.
+// every field — which ModeVerify asserts.
 func RunIOR(spec cluster.Spec, p ior.Params) (ior.Result, bool) {
 	if admitIOR(spec, p) != "" {
 		cBailouts.Inc()
 		return ior.Result{}, false
-	}
-	if p.FileName == "" {
-		p.FileName = "/ior.testfile"
 	}
 	w := newWalker(spec)
 	chunks := int(p.BlockSize / p.Transfer)

@@ -46,17 +46,13 @@ type Params struct {
 	Fsync bool
 	// TraceRun records the benchmark's own MPI-IO activity in PAS2P
 	// format — used to extract the I/O model *of IOR* (the paper's
-	// Figure 6 example). Traced runs never enter the replay cache
-	// (their value is the per-run mutable trace), so the flag is
-	// legitimately outside the fingerprint.
-	//iovet:cosmetic traced runs bypass the cache entirely
+	// Figure 6 example). Traced runs never enter the replay cache:
+	// their value is the per-run mutable trace.
 	TraceRun bool
-	// FileName only keys the simulated filesystem's metadata map;
-	// placement rotates on creation order, never on the name, so a
-	// renamed-but-identical replay may share a cache entry.
-	//iovet:cosmetic placement is name-independent
-	FileName string
 }
+
+// testFile is the one file every IOR run writes and reads.
+const testFile = "/ior.testfile"
 
 // Validate checks parameter consistency.
 func (p Params) Validate() error {
@@ -139,9 +135,6 @@ func RunOn(c *cluster.Cluster, p Params) Result {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if p.FileName == "" {
-		p.FileName = "/ior.testfile"
-	}
 	nodes := make([]string, p.NP)
 	for i := range nodes {
 		nodes[i] = c.NodeOfRank(i, p.NP)
@@ -160,7 +153,7 @@ func RunOn(c *cluster.Cluster, p Params) Result {
 		access = mpiio.Unique
 	}
 	w.Run(func(r *mpi.Rank) {
-		f := sys.Open(r, p.FileName, access)
+		f := sys.Open(r, testFile, access)
 		chunkOrder := p.ChunkOrder(r.ID())
 		pass := func(write bool) (units.Duration, units.Duration) {
 			r.Barrier()
@@ -250,7 +243,6 @@ func FromReplay(rs core.ReplaySpec) Params {
 		FilePerProc: rs.FilePerProc,
 		Collective:  rs.Collective,
 		Fsync:       true,
-		FileName:    fmt.Sprintf("/ior.phase%d", rs.PhaseID),
 	}
 	switch rs.Direction {
 	case core.Write:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -229,5 +230,36 @@ func TestPhaseLog(t *testing.T) {
 	}
 	if _, _, ok := PeakFor("Z"); ok {
 		t.Fatal("PeakFor invented a peak")
+	}
+}
+
+// TestPhasesTotalOrder pins that Phases sorts on every field. Rows that
+// tie on app, config, source, np, phase and estimated time — the same
+// phase of two different traces — come out in one order whatever order
+// they were recorded in, and an exact duplicate collapses even when it
+// was not recorded next to its twin.
+func TestPhasesTotalOrder(t *testing.T) {
+	SetEnabled(true)
+	defer func() { SetEnabled(false); ResetTelemetry() }()
+	base := PhaseRecord{App: "btio", Config: "configA", Source: "measured",
+		Phase: 1, NP: 16, RS: 10628800, Weight: 1 << 30, Dir: "W"}
+	smallRS := base
+	smallRS.RS = 640 << 10
+	heavier := base
+	heavier.Weight = 2 << 30
+	record := func(rows ...PhaseRecord) []PhaseRecord {
+		ResetTelemetry()
+		for _, r := range rows {
+			RecordPhase(r)
+		}
+		return Phases()
+	}
+	a := record(base, smallRS, base, heavier)
+	b := record(heavier, smallRS, base, base)
+	if len(a) != 3 {
+		t.Fatalf("got %d rows, want 3 (duplicate collapsed): %+v", len(a), a)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("row order depends on recording order:\n%+v\n%+v", a, b)
 	}
 }

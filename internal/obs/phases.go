@@ -8,7 +8,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -74,38 +75,33 @@ func PeakFor(config string) (writeMBps, readMBps float64, ok bool) {
 	return p[0], p[1], ok
 }
 
-// Phases returns the recorded rows sorted deterministically — by app,
-// config, source, np, phase id — with exact duplicates collapsed. Sorting
-// here (rather than relying on append order) keeps the dump stable under
-// concurrent recording at any -j.
+// Phases returns the recorded rows sorted on every field — app, config,
+// source, np and phase id first — with exact duplicates collapsed. A total
+// order makes the result independent of recording order, so the dump is
+// the same at any -j: rows that tie on the leading fields (the same phase
+// of two different traces) sort on their remaining fields, and every
+// duplicate ends up next to its twin.
 func Phases() []PhaseRecord {
 	phaseMu.Lock()
 	rows := append([]PhaseRecord(nil), phaseLog...)
 	phaseMu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		switch {
-		case a.App != b.App:
-			return a.App < b.App
-		case a.Config != b.Config:
-			return a.Config < b.Config
-		case a.Source != b.Source:
-			return a.Source < b.Source
-		case a.NP != b.NP:
-			return a.NP < b.NP
-		case a.Phase != b.Phase:
-			return a.Phase < b.Phase
-		default:
-			return a.TimeCHSec < b.TimeCHSec
-		}
+	slices.SortFunc(rows, func(a, b PhaseRecord) int {
+		return cmp.Or(
+			cmp.Compare(a.App, b.App),
+			cmp.Compare(a.Config, b.Config),
+			cmp.Compare(a.Source, b.Source),
+			cmp.Compare(a.NP, b.NP),
+			cmp.Compare(a.Phase, b.Phase),
+			cmp.Compare(a.RS, b.RS),
+			cmp.Compare(a.Weight, b.Weight),
+			cmp.Compare(a.Dir, b.Dir),
+			cmp.Compare(a.BWMDMBps, b.BWMDMBps),
+			cmp.Compare(a.BWCHMBps, b.BWCHMBps),
+			cmp.Compare(a.TimeMDSec, b.TimeMDSec),
+			cmp.Compare(a.TimeCHSec, b.TimeCHSec),
+		)
 	})
-	out := rows[:0]
-	for i, r := range rows {
-		if i == 0 || r != rows[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
+	return slices.Compact(rows)
 }
 
 // ResetTelemetry clears the phase log and peak registrations (tests).

@@ -53,10 +53,9 @@ func (c *DegradedComparison) Slowdown() float64 {
 // peakFileSize and peakRS parameterize the IOzone peak measurement
 // (Eq. 3–4) used for the usage columns.
 //
-// The degraded run uses a spec renamed to "<config>+<scenario>": the name
-// is cosmetic to the simulation (simcache skips it; the schedule itself
-// keys the cache), but it keeps obs peak records, link counters and
-// timeline tracks from colliding with the healthy run's.
+// The degraded run uses a spec renamed to "<config>+<scenario>", which
+// keeps obs peak records, link counters and timeline tracks from
+// colliding with the healthy run's.
 func CompareDegraded(m *core.Model, spec cluster.Spec, sch *faults.Schedule, peakFileSize, peakRS int64) (*DegradedComparison, error) {
 	if err := sch.Validate(); err != nil {
 		return nil, err

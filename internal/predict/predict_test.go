@@ -107,8 +107,8 @@ func TestEstimationErrorWithinPaperBound(t *testing.T) {
 			t.Fatalf("%s: %d groups", spec.Name, len(groups))
 		}
 		for _, g := range groups {
-			if g.RelErr > 15 {
-				t.Errorf("%s %s: error %.1f%% (CH %v, MD %v)",
+			if g.RelErr >= 10 {
+				t.Errorf("%s %s: error %.2f%%, the paper's bound is 10%% (CH %v, MD %v)",
 					spec.Name, g.Label, g.RelErr, g.TimeCH, g.TimeMD)
 			}
 		}

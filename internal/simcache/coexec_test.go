@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"strings"
 	"testing"
 
 	"iophases/internal/apps/madbench"
@@ -30,20 +29,6 @@ func coexecPair(m *core.Model, off float64) coexec.Spec {
 		{Name: "a", Model: m},
 		{Name: "b", Model: m, OffsetSec: off},
 	}}
-}
-
-func TestCoexecKeyIgnoresLabels(t *testing.T) {
-	m := coexecModel(t, units.MiB)
-	relabeled := *m
-	relabeled.App = "renamed"
-	relabeled.SourceConfig = "elsewhere"
-	a := coexecPair(m, 1)
-	b := coexecPair(&relabeled, 1)
-	b.Apps[0].Name = "x"
-	b.Apps[1].Name = "y"
-	if CanonicalCoexec(a) != CanonicalCoexec(b) {
-		t.Fatal("cosmetic labels changed the coexec key")
-	}
 }
 
 func TestCoexecKeySeparatesPhysicalFields(t *testing.T) {
@@ -81,9 +66,6 @@ func TestCoexecKeySeparatesPhysicalFields(t *testing.T) {
 
 	swapped := base // app order fixes core allocation and launch order
 	swapped.Apps = []coexec.App{base.Apps[1], base.Apps[0]}
-	if !strings.Contains(CanonicalCoexec(base), "off=0") {
-		t.Fatal("canonical missing offset encoding")
-	}
 	if FingerprintCoexec(base) == FingerprintCoexec(swapped) {
 		t.Fatal("app reordering did not re-key")
 	}
@@ -115,6 +97,26 @@ func TestRunCoexecCachesAndMatches(t *testing.T) {
 	}
 	if direct.TotalTimeIO != r1.TotalTimeIO || direct.FSWritten != r1.FSWritten {
 		t.Fatalf("cached result diverges from direct run: %+v vs %+v", r1, direct)
+	}
+}
+
+// An app's name labels its result and its filesystem account, so a
+// relabelled spec is a different input: its result must carry its own
+// names, not those of the first spec's cached run.
+func TestRunCoexecRelabelledSpecGetsItsOwnNames(t *testing.T) {
+	Reset()
+	defer Reset()
+	if _, err := RunCoexec(coexecBase()); err != nil {
+		t.Fatal(err)
+	}
+	spec := coexecBase()
+	spec.Apps[0].Name = "other"
+	res, err := RunCoexec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Apps[0]; got.Name != "other" || got.Acct.Name != "other" {
+		t.Fatalf("relabelled spec got app name %q, account %q; want \"other\" for both", got.Name, got.Acct.Name)
 	}
 }
 

@@ -1,10 +1,12 @@
 package simcache
 
 import (
+	"reflect"
 	"testing"
 
 	"iophases/internal/cluster"
 	"iophases/internal/faults"
+	"iophases/internal/ior"
 )
 
 // A fault schedule is part of a configuration's physical identity: the
@@ -30,15 +32,26 @@ func TestKeySeparatesFaultSchedules(t *testing.T) {
 	if Fingerprint(degraded, p) == Fingerprint(worse, p) {
 		t.Fatal("schedules with different factors share a fingerprint")
 	}
+}
 
-	// The schedule name itself is physical here (distinct scenarios), but
-	// two identical schedules fingerprint identically regardless of the
-	// spec's cosmetic fields.
-	renamed := degraded
-	renamed.Name = "configA+s"
-	renamed.Description = "degraded copy"
-	if Fingerprint(degraded, p) != Fingerprint(renamed, p) {
-		t.Fatal("cosmetic rename changed a degraded fingerprint")
+// A spec's name prefixes its link names, and a fault effect's Match
+// selects links by substring, so a renamed copy of a spec under a link
+// fault that names the configuration runs healthy. Each spec must get its
+// own run's result, never the other's cached one.
+func TestRenamedSpecUnderLinkFaultGetsItsOwnRun(t *testing.T) {
+	Reset()
+	defer Reset()
+	p := testParams()
+	spec := cluster.ConfigA()
+	spec.Faults = &faults.Schedule{Name: "link", Effects: []faults.Effect{
+		{Kind: faults.LinkDegraded, Match: "configA/", Factor: 8},
+	}}
+	renamed := spec
+	renamed.Name = "configA-renamed"
+	for _, s := range []cluster.Spec{spec, renamed} {
+		if got, want := RunIOR(s, p), ior.Run(s, p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunIOR write time %v, a fresh ior.Run gives %v", s.Name, got.WriteTime, want.WriteTime)
+		}
 	}
 }
 

@@ -1,24 +1,22 @@
 // Package simcache memoizes replay simulations behind a content-addressed
 // key. The paper's analysis stage replays application phases with IOR
 // (Eq. 1–2), and the same (configuration, IOR parameters) pair recurs
-// heavily: every StandardVariants sweep re-replays the baseline, Tables
-// IX/X/XII/XIII re-characterize identical phases, and BT-IO's fifty write
-// rounds collapse to one distinct replay. Because every simulation is
-// deterministic — identical inputs produce bit-identical results — a cache
-// hit can return the stored result and skip the whole cluster build and
-// event loop.
+// heavily: Tables IX/X/XII/XIII re-characterize identical phases, and
+// BT-IO's fifty write rounds collapse to one distinct replay. Because every
+// simulation is deterministic — identical inputs produce bit-identical
+// results — a cache hit can return the stored result and skip the whole
+// cluster build and event loop.
 //
-// Keys are canonical fingerprints of (cluster.Spec, ior.Params): a
-// deterministic field-by-field encoding (pointers dereferenced, so two
-// specs that describe the same hardware through different pointer
-// identities fingerprint equally) hashed with SHA-256. Cosmetic fields are
-// excluded — Spec.Name and Spec.Description label a configuration without
-// changing its physics, and Params.FileName only keys the simulated
-// filesystem's metadata map (placement rotates on creation order, never on
-// the name) — so renamed-but-identical replays share one entry, while any
-// physical difference (disks, network, RAID, request sizes, …) changes the
-// encoding and therefore the key. Traced runs (Params.TraceRun) bypass the
-// cache: their value is the trace, which is per-run mutable state.
+// Keys are canonical fingerprints of the whole input value — (cluster.Spec,
+// ior.Params) for a replay, the coexec.Spec for a co-execution — encoded
+// field by field (pointers dereferenced, so two specs that describe the
+// same hardware through different pointer identities fingerprint equally)
+// and hashed with SHA-256. No field is excluded. Even names reach the
+// result: Spec.Name prefixes every link name, which a fault's Match
+// selects on, and co-execution results carry their apps' names. So two
+// inputs share an entry only when they are equal. Traced runs
+// (Params.TraceRun) bypass the cache: their value is the trace, which is
+// per-run mutable state.
 //
 // The cache is safe for concurrent use and deduplicates in-flight work:
 // when several sweep workers miss on one key simultaneously, a single
@@ -44,27 +42,20 @@ import (
 	"iophases/internal/units"
 )
 
-// specSkip are cluster.Spec fields with no physical effect on a replay.
-var specSkip = map[string]bool{"Name": true, "Description": true}
-
-// iorSkip are ior.Params fields with no physical effect on a replay
-// result. TraceRun is skipped because traced runs never enter the cache.
-var iorSkip = map[string]bool{"FileName": true, "TraceRun": true}
-
-// Canonical renders the physically relevant content of (spec, p) as a
-// deterministic string. The fast-path admission decision is folded in as a
-// trailing tag: it is a pure function of (spec, p) — never of the execution
-// mode — so entries stay mode-independent (a result cached with the fast
-// path off is reused with it on, and vice versa, which is sound because
-// verify mode pins the two paths to bit-identical results), yet a revision
-// of the admission rule re-keys the cache instead of aliasing entries
-// across rule versions. Exported for key-canonicalization tests.
+// Canonical renders (spec, p) as a deterministic string. The fast-path
+// admission decision is folded in as a trailing tag: it is a pure function
+// of (spec, p) — never of the execution mode — so entries stay
+// mode-independent (a result cached with the fast path off is reused with
+// it on, and vice versa, which is sound because verify mode pins the two
+// paths to bit-identical results), yet a revision of the admission rule
+// re-keys the cache instead of aliasing entries across rule versions.
+// Exported for key-canonicalization tests.
 func Canonical(spec cluster.Spec, p ior.Params) string {
 	var b strings.Builder
 	b.WriteString("ior/")
-	encodeValue(&b, reflect.ValueOf(spec), specSkip)
+	encodeValue(&b, reflect.ValueOf(spec))
 	b.WriteByte('|')
-	encodeValue(&b, reflect.ValueOf(p), iorSkip)
+	encodeValue(&b, reflect.ValueOf(p))
 	b.WriteString("|fp=")
 	b.WriteString(fastpath.DecisionTag(spec, p))
 	return b.String()
@@ -80,11 +71,11 @@ func hashKey(canon string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// encodeValue writes a canonical encoding of v. skip drops fields by name
-// at this struct level only; nested structs encode every field, so any
-// future physical knob added anywhere in the spec tree automatically
-// extends the fingerprint.
-func encodeValue(b *strings.Builder, v reflect.Value, skip map[string]bool) {
+// encodeValue writes a canonical encoding of v: every field of every
+// struct, every slice element in order, pointers by their targets. No
+// field is left out, so any field added anywhere in the tree
+// automatically extends the fingerprint.
+func encodeValue(b *strings.Builder, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
@@ -92,25 +83,21 @@ func encodeValue(b *strings.Builder, v reflect.Value, skip map[string]bool) {
 			return
 		}
 		b.WriteByte('&')
-		encodeValue(b, v.Elem(), nil)
+		encodeValue(b, v.Elem())
 	case reflect.Struct:
 		b.WriteString(v.Type().Name())
 		b.WriteByte('{')
 		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			if skip[f.Name] {
-				continue
-			}
-			b.WriteString(f.Name)
+			b.WriteString(v.Type().Field(i).Name)
 			b.WriteByte(':')
-			encodeValue(b, v.Field(i), nil)
+			encodeValue(b, v.Field(i))
 			b.WriteByte(';')
 		}
 		b.WriteByte('}')
 	case reflect.Slice, reflect.Array:
 		fmt.Fprintf(b, "[%d:", v.Len())
 		for i := 0; i < v.Len(); i++ {
-			encodeValue(b, v.Index(i), nil)
+			encodeValue(b, v.Index(i))
 			b.WriteByte(',')
 		}
 		b.WriteByte(']')
@@ -286,37 +273,15 @@ func computeIOR(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result 
 	}
 }
 
-// coexecModelSkip are core.Model fields with no physical effect on a
-// co-execution replay: App and SourceConfig label where a model came
-// from, and Files carries trace-time file names the replayer never uses
-// (it opens per-app synthetic paths; fsim placement rotates on creation
-// order, not names). Every phase field is encoded — offsets, reps, sizes,
-// NP, and the measured timing that schedules the phase starts.
-var coexecModelSkip = map[string]bool{"App": true, "SourceConfig": true, "Files": true}
-
-// CanonicalCoexec renders the physically relevant content of a
-// co-execution spec: the shared cluster, then each application's offset
-// and model in order. App order matters (it fixes core allocation and
-// launch order), so it is part of the key. Exported for
-// key-canonicalization tests.
-func CanonicalCoexec(spec coexec.Spec) string {
+// FingerprintCoexec is the content-addressed key for a co-execution spec:
+// SHA-256 over the encoding of the whole spec — the shared cluster, then
+// each application in order. App order is part of the key, because it
+// fixes core allocation and launch order.
+func FingerprintCoexec(spec coexec.Spec) string {
 	var b strings.Builder
 	b.WriteString("coexec/")
-	encodeValue(&b, reflect.ValueOf(spec.Config), specSkip)
-	for _, a := range spec.Apps {
-		fmt.Fprintf(&b, "|off=%g;", a.OffsetSec)
-		if a.Model != nil {
-			encodeValue(&b, reflect.ValueOf(*a.Model), coexecModelSkip)
-		} else {
-			b.WriteString("nil")
-		}
-	}
-	return b.String()
-}
-
-// FingerprintCoexec is the content-addressed key for a co-execution spec.
-func FingerprintCoexec(spec coexec.Spec) string {
-	return hashKey(CanonicalCoexec(spec))
+	encodeValue(&b, reflect.ValueOf(spec))
+	return hashKey(b.String())
 }
 
 // coexecSlot stores a completed co-execution (result and error together,
@@ -358,7 +323,7 @@ type peaks struct {
 func PeakBandwidth(spec cluster.Spec, fileSize, requestSize int64) (write, read units.Bandwidth) {
 	var b strings.Builder
 	b.WriteString("iozone-peak/")
-	encodeValue(&b, reflect.ValueOf(spec), specSkip)
+	encodeValue(&b, reflect.ValueOf(spec))
 	fmt.Fprintf(&b, "|fz=%d;rs=%d", fileSize, requestSize)
 	e := lookup(hashKey(b.String()))
 	e.once.Do(func() {

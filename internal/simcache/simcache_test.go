@@ -21,24 +21,6 @@ func testParams() ior.Params {
 	}
 }
 
-// Renaming a configuration does not change its physics, so the fingerprint
-// must be identical: a sweep's "baseline" variant (same hardware, new name)
-// shares the base configuration's cached replays.
-func TestKeyIgnoresCosmeticFields(t *testing.T) {
-	a := cluster.ConfigA()
-	b := cluster.ConfigA()
-	b.Name = "configA+baseline"
-	b.Description = "renamed copy"
-	if Fingerprint(a, testParams()) != Fingerprint(b, testParams()) {
-		t.Fatal("specs differing only in Name/Description fingerprint differently")
-	}
-	p2 := testParams()
-	p2.FileName = "/some/other/file"
-	if Fingerprint(a, testParams()) != Fingerprint(a, p2) {
-		t.Fatal("params differing only in FileName fingerprint differently")
-	}
-}
-
 // Two specs that describe different hardware must never collide, even when
 // they share a Name — otherwise a cache hit would return the wrong
 // configuration's bandwidth.
