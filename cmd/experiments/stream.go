@@ -8,18 +8,20 @@ import (
 )
 
 // streamext demonstrates the bounded-memory extraction path: save a BT-IO
-// trace in the binary on-disk format, re-extract it by streaming, and show
-// the model is identical to the in-memory extraction — the property that
-// lets traces far larger than memory be characterized.
+// trace in the binary on-disk format, extract the model from the decoded
+// files, and show it is identical to the model of the resident trace —
+// the property that lets traces far larger than memory be characterized.
+// Both extractions stream through the same miner; only the source differs.
 func streamext(e *env) {
 	fmt.Fprintln(e.out, "Extension — streaming extraction over the binary trace format. The")
-	fmt.Fprintln(e.out, "trace is saved as delta-encoded per-rank binary files, then the model")
-	fmt.Fprintln(e.out, "is extracted twice: materialized in memory, and streamed through the")
-	fmt.Fprintln(e.out, "incremental miner with memory bounded by np, not trace length.")
+	fmt.Fprintln(e.out, "trace is saved as delta-encoded per-rank binary files (IOBIN1). The")
+	fmt.Fprintln(e.out, "model is extracted twice by the same incremental miner, with memory")
+	fmt.Fprintln(e.out, "bounded by np, not trace length. Only the source differs: the trace's")
+	fmt.Fprintln(e.out, "resident per-rank slices, then the decoded IOBIN1 files.")
 	fmt.Fprintln(e.out)
 
 	run := iophases.TraceBTIO(iophases.ConfigA(), 16, iophases.DefaultBTIO(iophases.ClassA), iophases.RunOptions{})
-	inMem := iophases.Extract(run.Set)
+	resident := iophases.Extract(run.Set)
 
 	dir, err := os.MkdirTemp("", "streamext")
 	if err != nil {
@@ -36,18 +38,18 @@ func streamext(e *env) {
 		fmt.Fprintf(e.out, "streamext: opening: %v\n", err)
 		return
 	}
-	streamed, err := iophases.ExtractStream(src)
+	decoded, err := iophases.ExtractStream(src)
 	if err != nil {
 		fmt.Fprintf(e.out, "streamext: extracting: %v\n", err)
 		return
 	}
 
-	fmt.Fprint(e.out, streamed)
-	if streamed.String() == inMem.String() && streamed.SameShape(inMem) {
-		fmt.Fprintln(e.out, "\nstreamed extraction is byte-identical to the in-memory model.")
+	fmt.Fprint(e.out, decoded)
+	if decoded.String() == resident.String() && decoded.SameShape(resident) {
+		fmt.Fprintln(e.out, "\nthe model from the IOBIN1 files is byte-identical to the resident trace's.")
 	} else {
-		fmt.Fprintln(e.out, "\nstreamed extraction DIVERGES from the in-memory model:")
-		for _, line := range streamed.Diff(inMem) {
+		fmt.Fprintln(e.out, "\nthe model from the IOBIN1 files DIVERGES from the resident trace's:")
+		for _, line := range decoded.Diff(resident) {
 			fmt.Fprintln(e.out, "  -", line)
 		}
 	}

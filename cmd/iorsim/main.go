@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,34 +40,50 @@ func parseSize(s string) (int64, error) {
 }
 
 func main() {
-	config := flag.String("config", "configA", "target configuration")
-	np := flag.Int("np", 4, "number of processes")
-	b := flag.String("b", "64m", "block size per process (-b)")
-	t := flag.String("t", "4m", "transfer size (-t)")
-	s := flag.Int("s", 1, "segments (-s)")
-	write := flag.Bool("w", true, "write pass (-w)")
-	read := flag.Bool("r", true, "read pass (-r)")
-	fpp := flag.Bool("F", false, "file per process (-F)")
-	coll := flag.Bool("c", false, "collective I/O (-c)")
-	fsync := flag.Bool("e", false, "fsync in timed write pass (-e)")
-	reorder := flag.Bool("C", false, "reorder read tasks (-C)")
-	inter := flag.Bool("z", false, "transfer-interleaved layout")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point. Exit codes: 0 success, 1 a flag
+// value the simulation cannot run, 2 a flag that does not parse.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iorsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	config := fs.String("config", "configA", "target configuration")
+	np := fs.Int("np", 4, "number of processes")
+	b := fs.String("b", "64m", "block size per process (-b)")
+	t := fs.String("t", "4m", "transfer size (-t)")
+	s := fs.Int("s", 1, "segments (-s)")
+	write := fs.Bool("w", true, "write pass (-w)")
+	read := fs.Bool("r", true, "read pass (-r)")
+	fpp := fs.Bool("F", false, "file per process (-F)")
+	coll := fs.Bool("c", false, "collective I/O (-c)")
+	fsync := fs.Bool("e", false, "fsync in timed write pass (-e)")
+	reorder := fs.Bool("C", false, "reorder read tasks (-C)")
+	inter := fs.Bool("z", false, "transfer-interleaved layout")
+	if err := fs.Parse(argv); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "iorsim: "+format+"\n", args...)
+		return 1
+	}
 
 	cfg, ok := iophases.ConfigByName(*config)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "iorsim: unknown configuration %q\n", *config)
-		os.Exit(1)
+		return fail("unknown configuration %q", *config)
+	}
+	if *np > cfg.MaxProcs() {
+		return fail("%d processes exceed %s capacity (%d)", *np, cfg.Name, cfg.MaxProcs())
 	}
 	bs, err := parseSize(*b)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iorsim: -b: %v\n", err)
-		os.Exit(1)
+		return fail("-b: %v", err)
 	}
 	ts, err := parseSize(*t)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iorsim: -t: %v\n", err)
-		os.Exit(1)
+		return fail("-t: %v", err)
 	}
 	p := iophases.IORParams{
 		NP: *np, BlockSize: bs, Transfer: ts, Segments: *s,
@@ -75,19 +92,19 @@ func main() {
 		Interleaved: *inter,
 	}
 	if err := p.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "iorsim: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
-	fmt.Printf("IOR on %s: np=%d b=%s t=%s s=%d F=%v c=%v e=%v (aggregate %s/pass)\n",
+	fmt.Fprintf(stdout, "IOR on %s: np=%d b=%s t=%s s=%d F=%v c=%v e=%v (aggregate %s/pass)\n",
 		cfg.Name, *np, units.FormatBytes(bs), units.FormatBytes(ts), *s,
 		*fpp, *coll, *fsync, units.FormatBytes(p.AggregateBytes()))
 	res := iophases.RunIOR(cfg, p)
 	if p.DoWrite {
-		fmt.Printf("write: %10.2f MB/s  %8.0f IOPS  %10.4f s\n",
+		fmt.Fprintf(stdout, "write: %10.2f MB/s  %8.0f IOPS  %10.4f s\n",
 			res.WriteBW.MBpsValue(), res.IOPSw, res.WriteTime.Seconds())
 	}
 	if p.DoRead {
-		fmt.Printf("read:  %10.2f MB/s  %8.0f IOPS  %10.4f s\n",
+		fmt.Fprintf(stdout, "read:  %10.2f MB/s  %8.0f IOPS  %10.4f s\n",
 			res.ReadBW.MBpsValue(), res.IOPSr, res.ReadTime.Seconds())
 	}
+	return 0
 }

@@ -1,34 +1,37 @@
 // Package detwall implements the iovet analyzer that keeps wall-clock
-// time and unseeded randomness out of the simulation packages.
+// time and unseeded randomness out of the module's library packages.
 //
 // The simulator's core guarantee — the same inputs produce bit-identical
 // tables at any -j, with telemetry on or off, across runs (DESIGN.md §5)
-// — holds only if nothing inside the simulation reads a source that
+// — holds only if nothing the simulation can call reads a source that
 // varies between runs: the wall clock, the global math/rand stream,
-// crypto entropy, or process identity. Seeded randomness is legal, but
-// only through an explicit *rand.Rand carried by faults.Schedule
-// (DESIGN.md §9); rand.New/rand.NewSource therefore pass while every
-// global-stream function is flagged.
+// crypto entropy, or process identity. The check runs where the source
+// is read, in every non-main package, so a helper cannot launder a
+// clock read for a caller in another package. The exemptions are the
+// packages that measure the process rather than the simulation (obs,
+// sweep) and serve's one wall-clock seam file. Seeded randomness is
+// legal, but only through an explicit *rand.Rand carried by
+// faults.Schedule (DESIGN.md §9); rand.New/rand.NewSource therefore
+// pass while every global-stream function is flagged.
 package detwall
 
 import (
-	"go/token"
 	"go/types"
+	"path"
 	"path/filepath"
-	"sort"
 
 	"iophases/internal/analysis/framework"
-	"iophases/internal/analysis/simpkgs"
 )
 
-// Analyzer flags wall-clock and global-randomness sources in simulation
+// Analyzer flags wall-clock and global-randomness sources in library
 // packages.
 var Analyzer = &framework.Analyzer{
 	Name: "detwall",
-	Doc: "forbid wall-clock time and unseeded randomness in simulation packages\n\n" +
-		"Simulation code may consult only virtual time (des.Engine.Now) and the\n" +
+	Doc: "forbid wall-clock time and unseeded randomness in library packages\n\n" +
+		"Library code may consult only virtual time (des.Engine.Now) and the\n" +
 		"seeded per-schedule rand stream (faults.Schedule); anything else breaks\n" +
-		"run-to-run bit-determinism (DESIGN.md §5, §9).",
+		"run-to-run bit-determinism (DESIGN.md §5, §9). Commands (package main),\n" +
+		"the measurement packages obs and sweep, and serve/clock.go are exempt.",
 	Run: run,
 }
 
@@ -76,54 +79,32 @@ var forbidden = map[string]map[string]string{
 	},
 }
 
+// measureOnly are the packages whose job is measuring the process
+// itself — telemetry timelines (obs) and sweep-pool utilization
+// (sweep). Their wall-clock reads never feed simulated state. Keyed by
+// package base name, like wallSeams, so corpus packages under
+// testdata/src/<name> exercise the same exemption.
+var measureOnly = map[string]bool{"obs": true, "sweep": true}
+
 // wallSeams allowlists the one file per package that is allowed to read
 // the wall clock: a sanctioned seam whose callers measure the *server*
 // (latency histograms, access-log timestamps), never the simulation.
-// Keyed by package base name then file base name, so corpus packages
-// under testdata/src/<name> exercise the same exemption. Everything
-// outside the seam file — including the rest of its package — is still
+// Keyed by package base name then file base name. Everything outside
+// the seam file — including the rest of its package — is still
 // flagged, which forces new wall-clock reads through the seam where
 // they stay greppable and out of response bodies.
 var wallSeams = map[string]map[string]bool{
 	"serve": {"clock.go": true},
 }
 
-// Forbidden reports whether pkgPath.name is a nondeterminism source and
-// why — the shared seed table for the transitive analyzer, so direct
-// and interprocedural detection can never drift apart.
-func Forbidden(pkgPath, name string) (why string, ok bool) {
-	byName, ok := forbidden[pkgPath]
-	if !ok {
-		return "", false
-	}
-	if why, ok := byName[name]; ok {
-		return why, true
-	}
-	why, ok = byName[anyName]
-	return why, ok
-}
-
-// SeamFile reports whether fileBase is the sanctioned wall-clock seam
-// of the package with base name pkgBase.
-func SeamFile(pkgBase, fileBase string) bool {
-	return wallSeams[pkgBase][fileBase]
-}
-
 func run(pass *framework.Pass) error {
-	if !simpkgs.IsSim(pass.Pkg.Path()) {
+	base := path.Base(pass.Pkg.Path())
+	if pass.Pkg.Name() == "main" || measureOnly[base] {
 		return nil
 	}
-	seam := wallSeams[simpkgs.Base(pass.Pkg.Path())]
-	// info.Uses iterates in map order; collect and sort so the report
-	// order is stable (the driver re-sorts, but stable input keeps
-	// duplicate handling predictable).
-	type hit struct {
-		pos  token.Pos
-		pkg  string
-		name string
-		why  string
-	}
-	var hits []hit
+	seam := wallSeams[base]
+	// Uses iterates in map order; the driver sorts every diagnostic, so
+	// findings are reported as they are met.
 	for ident, obj := range pass.TypesInfo.Uses {
 		pkg := obj.Pkg()
 		if pkg == nil {
@@ -144,17 +125,10 @@ func run(pass *framework.Pass) error {
 		if !ok {
 			why, ok = byName[anyName]
 		}
-		if !ok {
+		if !ok || seam[filepath.Base(pass.Fset.Position(ident.Pos()).Filename)] {
 			continue
 		}
-		if seam != nil && seam[filepath.Base(pass.Fset.Position(ident.Pos()).Filename)] {
-			continue
-		}
-		hits = append(hits, hit{ident.Pos(), pkg.Path(), obj.Name(), why})
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].pos < hits[j].pos })
-	for _, h := range hits {
-		pass.Reportf(h.pos, "%s.%s %s: simulation packages may use only virtual time and seeded faults.Schedule randomness", h.pkg, h.name, h.why)
+		pass.Reportf(ident.Pos(), "%s.%s %s: library packages may use only virtual time and seeded faults.Schedule randomness (wall-clock measurement belongs in obs, sweep or serve/clock.go)", pkg.Path(), obj.Name(), why)
 	}
 	return nil
 }

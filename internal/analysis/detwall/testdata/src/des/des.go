@@ -1,5 +1,6 @@
-// Package des is a detwall corpus: its import-path base name opts it
-// into simulation-package scoping.
+// Package des is a detwall corpus for the forbidden-source table: every
+// wall-clock, global-stream, entropy and process-identity source is
+// flagged; seeded *rand.Rand methods and time.Duration values are not.
 package des
 
 import (

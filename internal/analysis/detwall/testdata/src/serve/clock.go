@@ -1,6 +1,6 @@
-// Package serve is a detwall corpus for the wall-clock seam: the
-// package is in simpkgs scope, but clock.go is its allowlisted seam
-// file, so the wall-clock reads here must NOT be flagged.
+// Package serve is a detwall corpus for the wall-clock seam: clock.go
+// is the package's allowlisted seam file, so the wall-clock reads here
+// must NOT be flagged.
 package serve
 
 import "time"

@@ -21,11 +21,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"path"
 	"strings"
 
 	"iophases/internal/analysis/framework"
-	"iophases/internal/analysis/simpkgs"
 )
 
 // Analyzer forbids nondeterministic-marshal field shapes in serve DTOs.
@@ -40,15 +39,9 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	if simpkgs.Base(pass.Pkg.Path()) != "serve" {
+	if path.Base(pass.Pkg.Path()) != "serve" {
 		return nil
 	}
-
-	type diag struct {
-		pos token.Pos
-		msg string
-	}
-	var diags []diag
 
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -71,27 +64,17 @@ func run(pass *framework.Pass) error {
 						continue
 					}
 					names := fieldNames(field)
-					if why, path := unsafeShape(t, nil); why != "" {
+					if why, via := unsafeShape(t, nil); why != "" {
 						where := ""
-						if path != "" {
-							where = " (via " + path + ")"
+						if via != "" {
+							where = " (via " + via + ")"
 						}
-						diags = append(diags, diag{field.Pos(),
-							ts.Name.Name + "." + names + where + ": " + why + " — DTOs must stay deterministic-marshal-safe (DESIGN.md §13)"})
+						pass.Reportf(field.Pos(), "%s.%s%s: %s — DTOs must stay deterministic-marshal-safe (DESIGN.md §13)",
+							ts.Name.Name, names, where, why)
 					}
 				}
 			}
 		}
-	}
-
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].pos != diags[j].pos {
-			return diags[i].pos < diags[j].pos
-		}
-		return diags[i].msg < diags[j].msg
-	})
-	for _, d := range diags {
-		pass.Reportf(d.pos, "%s", d.msg)
 	}
 	return nil
 }

@@ -15,10 +15,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"path"
 
 	"iophases/internal/analysis/framework"
-	"iophases/internal/analysis/simpkgs"
 )
 
 // Analyzer forbids locally-derived cost expressions in the fast path.
@@ -51,7 +50,7 @@ func costType(t types.Type) (string, bool) {
 		return "", false
 	}
 	obj := n.Obj()
-	if obj.Pkg() == nil || simpkgs.Base(obj.Pkg().Path()) != "units" {
+	if obj.Pkg() == nil || path.Base(obj.Pkg().Path()) != "units" {
 		return "", false
 	}
 	if obj.Name() == "Duration" || obj.Name() == "Bandwidth" {
@@ -61,16 +60,11 @@ func costType(t types.Type) (string, bool) {
 }
 
 func run(pass *framework.Pass) error {
-	if simpkgs.Base(pass.Pkg.Path()) != "fastpath" {
+	if path.Base(pass.Pkg.Path()) != "fastpath" {
 		return nil
 	}
 
-	type diag struct {
-		pos token.Pos
-		msg string
-	}
-	var diags []diag
-	report := func(pos token.Pos, msg string) { diags = append(diags, diag{pos, msg}) }
+	report := func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) }
 
 	typeOf := func(e ast.Expr) types.Type {
 		if tv, ok := pass.TypesInfo.Types[e]; ok {
@@ -118,7 +112,7 @@ func run(pass *framework.Pass) error {
 					return true
 				}
 				fn := calleeFunc(pass.TypesInfo, e)
-				if fn == nil || fn.Pkg() == nil || simpkgs.Base(fn.Pkg().Path()) != "units" {
+				if fn == nil || fn.Pkg() == nil || path.Base(fn.Pkg().Path()) != "units" {
 					return true
 				}
 				sig, ok := fn.Type().(*types.Signature)
@@ -166,22 +160,12 @@ func run(pass *framework.Pass) error {
 	// and stay legal.
 	for ident, obj := range pass.TypesInfo.Uses {
 		c, ok := obj.(*types.Const)
-		if !ok || c.Pkg() == nil || simpkgs.Base(c.Pkg().Path()) != "units" {
+		if !ok || c.Pkg() == nil || path.Base(c.Pkg().Path()) != "units" {
 			continue
 		}
 		if name, ok := costType(c.Type()); ok {
 			report(ident.Pos(), "units."+c.Name()+" is a raw "+name+" constant: the fast path must take costs from the "+seams)
 		}
-	}
-
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].pos != diags[j].pos {
-			return diags[i].pos < diags[j].pos
-		}
-		return diags[i].msg < diags[j].msg
-	})
-	for _, d := range diags {
-		pass.Reportf(d.pos, "%s", d.msg)
 	}
 	return nil
 }

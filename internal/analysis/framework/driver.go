@@ -3,6 +3,7 @@ package framework
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
 	"io"
 	"sort"
 )
@@ -29,76 +30,43 @@ func Run(dir string, patterns []string, analyzers []*Analyzer, known []string) (
 	return RunSnapshot(snap, analyzers, known)
 }
 
-// RunSnapshot is phase 2 of a driver invocation: it folds in
-// allow-comment hygiene over every package, runs each analyzer's Init
-// once against the snapshot's facts, then applies the analyzers to
-// every package. Suppressions are collected globally before any
-// analyzer runs, because a pass sees the module-wide Facts and may
-// report at a position in any package of the snapshot, not only in the
-// one it is passed over (no analyzer does so today) — an allow comment
-// must work wherever the diagnostic lands.
+// RunSnapshot applies the analyzers to every package of a loaded
+// snapshot. Allow comments are collected and checked over every file
+// first, then each analyzer runs once per package, and only findings
+// no allow covers survive.
 func RunSnapshot(snap *Snapshot, analyzers []*Analyzer, known []string) (*Result, error) {
 	knownSet := map[string]bool{}
 	for _, n := range known {
 		knownSet[n] = true
 	}
 
-	res := &Result{}
-	sup := &suppressions{byFileLine: map[string]map[int]map[string]bool{}}
+	var files []*ast.File
 	for _, pkg := range snap.Pkgs {
-		pkgSup, allowDiags := collectAllows(snap.Fset, pkg.Syntax, knownSet)
-		res.Diagnostics = append(res.Diagnostics, allowDiags...)
-		for file, lines := range pkgSup.byFileLine {
-			sup.byFileLine[file] = lines
-		}
+		files = append(files, pkg.Syntax...)
 	}
+	sup, allowDiags := collectAllows(snap.Fset, files, knownSet)
+	res := &Result{Diagnostics: allowDiags}
 
-	inits := make([]any, len(analyzers))
-	for i, a := range analyzers {
-		if a.Init == nil {
-			continue
-		}
-		v, err := a.Init(snap.Facts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: init: %v", a.Name, err)
-		}
-		inits[i] = v
-	}
-
-	var found []Diagnostic
 	for _, pkg := range snap.Pkgs {
-		for i, a := range analyzers {
+		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      snap.Fset,
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Facts:     snap.Facts,
-				Init:      inits[i],
-				report:    func(d Diagnostic) { found = append(found, d) },
+				report: func(d Diagnostic) {
+					if sup.covers(d) {
+						res.Suppressed++
+						return
+					}
+					res.Diagnostics = append(res.Diagnostics, d)
+				},
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: analyzing %s: %v", a.Name, pkg.PkgPath, err)
 			}
 		}
-	}
-	seen := map[string]bool{}
-	for _, d := range found {
-		if sup.covers(d) {
-			res.Suppressed++
-			continue
-		}
-		// Interprocedural analyzers can rediscover the same fact from
-		// several packages' views; a diagnostic is one (position,
-		// analyzer, message) triple regardless of how many passes
-		// reported it.
-		key := fmt.Sprintf("%s:%d:%d:%s:%s", d.Position.Filename, d.Position.Line, d.Position.Column, d.Analyzer, d.Message)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		res.Diagnostics = append(res.Diagnostics, d)
 	}
 
 	sort.Slice(res.Diagnostics, func(i, j int) bool {

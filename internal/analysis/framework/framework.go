@@ -30,12 +30,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: first line is a summary, the
 	// rest explains the invariant the analyzer enforces.
 	Doc string
-	// Init, when non-nil, runs once per driver invocation before any
-	// Run call, receiving the phase-1 interprocedural facts (the call
-	// graph). Its result is handed to every Pass of this analyzer via
-	// Pass.Init — the place to precompute module-wide state like taint
-	// reachability, instead of per package.
-	Init func(*Facts) (any, error)
 	// Run applies the analyzer to one package, reporting findings
 	// through the Pass. A non-nil error aborts the whole iovet run —
 	// reserve it for "cannot analyze", not for findings.
@@ -50,13 +44,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts is the whole invocation's phase-1 product — shared by every
-	// analyzer and every package of the run.
-	Facts *Facts
-	// Init is what this analyzer's Init function returned (nil when the
-	// analyzer has no Init).
-	Init   any
-	report func(Diagnostic)
+	report    func(Diagnostic)
 }
 
 // Reportf records a finding at pos.

@@ -81,3 +81,52 @@ func TestLoadRejectsBadPattern(t *testing.T) {
 		t.Fatal("expected an error for a nonexistent pattern")
 	}
 }
+
+// loadCorpus is every framework corpus package, loaded by the
+// single-load test and benchmark below.
+const loadCorpus = "./testdata/src/..."
+
+// nopAnalyzers returns four analyzers that report nothing.
+func nopAnalyzers() ([]*framework.Analyzer, []string) {
+	names := []string{"a", "b", "c", "d"}
+	analyzers := make([]*framework.Analyzer, len(names))
+	for i, name := range names {
+		analyzers[i] = &framework.Analyzer{Name: name, Doc: "no-op", Run: func(*framework.Pass) error { return nil }}
+	}
+	return analyzers, names
+}
+
+// TestSingleListInvocationPerRun pins the loader property: one driver
+// invocation spawns exactly one `go list` subprocess, no matter how
+// many analyzers run over the snapshot.
+func TestSingleListInvocationPerRun(t *testing.T) {
+	analyzers, names := nopAnalyzers()
+	before := framework.ListInvocations()
+	if _, err := framework.Run(".", []string{loadCorpus}, analyzers, names); err != nil {
+		t.Fatal(err)
+	}
+	if got := framework.ListInvocations() - before; got != 1 {
+		t.Errorf("driver run spawned %d `go list` subprocesses, want exactly 1", got)
+	}
+}
+
+// BenchmarkDriverSingleLoad benchmarks a full driver invocation with
+// four analyzers over the corpus and reports go-list subprocesses per
+// operation — the metric must stay at 1.00 (the loader is the dominant
+// cost of an iovet run; a per-analyzer reload would quadruple it here).
+func BenchmarkDriverSingleLoad(b *testing.B) {
+	analyzers, names := nopAnalyzers()
+	before := framework.ListInvocations()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := framework.Run(".", []string{loadCorpus}, analyzers, names); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	delta := framework.ListInvocations() - before
+	b.ReportMetric(float64(delta)/float64(b.N), "go-list/op")
+	if delta != int64(b.N) {
+		b.Fatalf("%d driver runs spawned %d `go list` subprocesses, want one each", b.N, delta)
+	}
+}

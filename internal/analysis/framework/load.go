@@ -27,15 +27,12 @@ type Package struct {
 }
 
 // Snapshot is one driver invocation's view of the module: every matched
-// package, loaded once, in dependency order (a package appears after
-// everything it imports), plus the interprocedural facts phase 1 derives
-// from the whole set. All analyzers of a run share one Snapshot — the
-// `go list` subprocess and the type-check behind it happen exactly once
-// per invocation (pinned by TestSingleListInvocationPerRun).
+// package, loaded once. All analyzers of a run share one Snapshot —
+// the `go list` subprocess and the type-check behind it happen exactly
+// once per invocation (pinned by TestSingleListInvocationPerRun).
 type Snapshot struct {
-	Pkgs  []*Package
-	Fset  *token.FileSet
-	Facts *Facts
+	Pkgs []*Package
+	Fset *token.FileSet
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -63,21 +60,14 @@ var listInvocations atomic.Int64
 func ListInvocations() int64 { return listInvocations.Load() }
 
 // LoadSnapshot resolves patterns (e.g. "./...") relative to dir, parses
-// the matched packages' non-test Go files, type-checks them against the
-// compiled export data of their dependencies, and builds the
-// interprocedural facts over the whole set.
+// the matched packages' non-test Go files, and type-checks them against
+// the compiled export data of their dependencies.
 //
 // The pipeline is one `go list -export -deps -json` invocation, which
 // compiles (or reuses from the build cache) export data for every
 // dependency, then go/types with a gc-importer lookup over those files —
 // the stdlib equivalent of go/packages.Load(NeedSyntax|NeedTypes|NeedDeps).
 // It works fully offline; only the go toolchain is required.
-//
-// Packages come back in dependency order: `go list -deps` emits a
-// package only after all of its dependencies, and filtering to the
-// non-dep targets preserves that order. Phase-1 fact building and any
-// analyzer that folds results bottom-up can therefore walk Pkgs front to
-// back and meet every callee before its callers.
 //
 // Test files are deliberately excluded: iovet guards the invariants of
 // shipped simulation code, and tests routinely (and legitimately) use
@@ -160,6 +150,5 @@ func LoadSnapshot(dir string, patterns ...string) (*Snapshot, error) {
 			TypesInfo: info,
 		})
 	}
-	snap.Facts = buildFacts(snap)
 	return snap, nil
 }

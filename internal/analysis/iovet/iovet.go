@@ -5,7 +5,6 @@ package iovet
 
 import (
 	"iophases/internal/analysis/detwall"
-	"iophases/internal/analysis/detwalltrans"
 	"iophases/internal/analysis/dtopure"
 	"iophases/internal/analysis/errdrop"
 	"iophases/internal/analysis/fpfidelity"
@@ -19,7 +18,6 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		detwall.Analyzer,
-		detwalltrans.Analyzer,
 		dtopure.Analyzer,
 		errdrop.Analyzer,
 		fpfidelity.Analyzer,

@@ -13,13 +13,39 @@
 package obspure
 
 import (
-	"go/token"
 	"go/types"
-	"sort"
+	"path"
 
 	"iophases/internal/analysis/framework"
-	"iophases/internal/analysis/simpkgs"
 )
+
+// simPkgs are the final import-path elements of the simulation
+// packages: the layers whose behavior feeds simulated results. Matching
+// on the last element (rather than the full iophases/internal/ prefix)
+// lets analyzer corpora under testdata/src/<name> opt into the same
+// scoping rules the real packages get.
+var simPkgs = map[string]bool{
+	"des":      true,
+	"disksim":  true,
+	"netsim":   true,
+	"fsim":     true,
+	"mpiio":    true,
+	"phase":    true,
+	"predict":  true,
+	"replay":   true,
+	"faults":   true,
+	"simcache": true,
+	"fastpath": true,
+	"coexec":   true,
+	"schedule": true,
+	"trace":    true,
+	"pattern":  true,
+	// The prediction service: not a simulation layer itself, but its
+	// byte-identical-response invariant (DESIGN.md §13) imposes the same
+	// purity rules — no stray output, and telemetry handles come from
+	// the shared registry.
+	"serve": true,
+}
 
 // Analyzer flags direct output and private obs registries in simulation
 // packages.
@@ -32,14 +58,9 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	if !simpkgs.IsSim(pass.Pkg.Path()) {
+	if !simPkgs[path.Base(pass.Pkg.Path())] {
 		return nil
 	}
-	type hit struct {
-		pos token.Pos
-		msg string
-	}
-	var hits []hit
 	for ident, obj := range pass.TypesInfo.Uses {
 		pkg := obj.Pkg()
 		if pkg == nil {
@@ -52,28 +73,20 @@ func run(pass *framework.Pass) error {
 		case "fmt":
 			switch obj.Name() {
 			case "Print", "Printf", "Println":
-				hits = append(hits, hit{ident.Pos(),
-					"fmt." + obj.Name() + " writes to stdout from a simulation package; route output through internal/report"})
+				pass.Reportf(ident.Pos(), "fmt.%s writes to stdout from a simulation package; route output through internal/report", obj.Name())
 			}
 		case "log":
-			hits = append(hits, hit{ident.Pos(),
-				"log." + obj.Name() + " writes to stderr from a simulation package; route output through internal/report"})
+			pass.Reportf(ident.Pos(), "log.%s writes to stderr from a simulation package; route output through internal/report", obj.Name())
 		case "os":
 			switch obj.Name() {
 			case "Stdout", "Stderr":
-				hits = append(hits, hit{ident.Pos(),
-					"os." + obj.Name() + " used from a simulation package; route output through internal/report"})
+				pass.Reportf(ident.Pos(), "os.%s used from a simulation package; route output through internal/report", obj.Name())
 			}
 		case "iophases/internal/obs":
 			if obj.Name() == "NewRegistry" {
-				hits = append(hits, hit{ident.Pos(),
-					"obs.NewRegistry constructs a private registry in a simulation package; fetch nil-safe handles from obs.Hot() or obs.Default()"})
+				pass.Reportf(ident.Pos(), "obs.NewRegistry constructs a private registry in a simulation package; fetch nil-safe handles from obs.Hot() or obs.Default()")
 			}
 		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].pos < hits[j].pos })
-	for _, h := range hits {
-		pass.Reportf(h.pos, "%s", h.msg)
 	}
 	return nil
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"iophases/internal/units"
 )
@@ -114,8 +113,8 @@ type binReader struct {
 
 // newBinReader validates the header and returns a decoder for the trace
 // of rank wantRank.
-func newBinReader(f *os.File, wantRank int, path string) (*binReader, error) {
-	r := bufio.NewReaderSize(f, 64*1024)
+func newBinReader(rc io.ReadCloser, wantRank int, path string) (*binReader, error) {
+	r := bufio.NewReaderSize(rc, 64*1024)
 	var magic [6]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%s: trace: bad binary header: %v", path, err)
@@ -133,7 +132,7 @@ func newBinReader(f *os.File, wantRank int, path string) (*binReader, error) {
 	if int(rank) != wantRank {
 		return nil, fmt.Errorf("%s: trace: header rank %d does not match rank %d of this trace file", path, rank, wantRank)
 	}
-	return &binReader{f: f, r: r, rank: int(rank), path: path}, nil
+	return &binReader{f: rc, r: r, rank: int(rank), path: path}, nil
 }
 
 // corrupt wraps a decode failure; a bare io.EOF mid-record means the file

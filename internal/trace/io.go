@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -96,6 +97,27 @@ func WriteText(w io.Writer, events []Event) error {
 	return e.close()
 }
 
+// maxTextMicros bounds a text time column: up to 2^53 ns (about 104
+// days) the writer's %.6f of Duration.Seconds prints every whole
+// microsecond exactly, so whatever parseSeconds returns reads back
+// unchanged after a rewrite.
+const maxTextMicros = (1 << 53) / 1000
+
+// parseSeconds decodes a time column of decimal seconds, rounded to the
+// microsecond the writer prints. NaN, infinities and times beyond
+// ±maxTextMicros are errors.
+func parseSeconds(s string) (units.Duration, error) {
+	sec, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	us := math.Round(sec * 1e6)
+	if !(math.Abs(us) <= maxTextMicros) { // NaN fails this too
+		return 0, fmt.Errorf("%q seconds is out of range", s)
+	}
+	return units.Duration(us) * units.Microsecond, nil
+}
+
 // maxLineLen bounds one trace line; the widest legitimate row (all int64
 // fields at full width) is well under 1 KiB, so 1 MiB means corrupt input.
 const maxLineLen = 1024 * 1024
@@ -132,16 +154,12 @@ func parseTextLine(text string, line, wantRank int) (ev Event, ok bool, err erro
 	if ev.Size, err = strconv.ParseInt(fields[5], 10, 64); err != nil {
 		return Event{}, false, fmt.Errorf("trace: line %d size: %v", line, err)
 	}
-	tsec, err := strconv.ParseFloat(fields[6], 64)
-	if err != nil {
+	if ev.Time, err = parseSeconds(fields[6]); err != nil {
 		return Event{}, false, fmt.Errorf("trace: line %d time: %v", line, err)
 	}
-	ev.Time = units.FromSeconds(tsec)
-	dsec, err := strconv.ParseFloat(fields[7], 64)
-	if err != nil {
+	if ev.Duration, err = parseSeconds(fields[7]); err != nil {
 		return Event{}, false, fmt.Errorf("trace: line %d duration: %v", line, err)
 	}
-	ev.Duration = units.FromSeconds(dsec)
 	return ev, true, nil
 }
 

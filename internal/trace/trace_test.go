@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"path/filepath"
 	"reflect"
@@ -86,6 +87,38 @@ func TestTextRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSecondsColumn pins the text time columns: below 2^53 ns every
+// whole microsecond the writer prints with %.6f reads back exactly,
+// finer digits round to the nearest microsecond, and NaN, infinities
+// and times past that bound are refused.
+func TestSecondsColumn(t *testing.T) {
+	readBack := func(d int64) bool {
+		us := units.Duration(d%(1<<53)) / units.Microsecond * units.Microsecond
+		got, err := parseSeconds(fmt.Sprintf("%.6f", us.Seconds()))
+		return err == nil && got == us
+	}
+	if err := quick.Check(readBack, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"", ".", "-", "--1", "1.2.3", "NaN", "Inf", "-Inf", "1e300", "9007199.254741", "-9007199.254741"} {
+		if d, err := parseSeconds(s); err == nil {
+			t.Errorf("parseSeconds(%q) = %v, want an error", s, d)
+		}
+	}
+	for s, want := range map[string]units.Duration{
+		"-.5": -500 * units.Millisecond, "5.": 5 * units.Second,
+		"+0.000001": units.Microsecond, "-0.000000": 0,
+		"1e-3": units.Millisecond, "0.0000010": units.Microsecond,
+		"0.0000004": 0, "0.0000016": 2 * units.Microsecond,
+		"0.000001000000001": units.Microsecond,
+		"9007199.254740":    9007199254740 * units.Microsecond,
+	} {
+		if d, err := parseSeconds(s); err != nil || d != want {
+			t.Errorf("parseSeconds(%q) = %d, %v; want %d", s, d, err, want)
+		}
 	}
 }
 
