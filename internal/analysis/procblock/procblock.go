@@ -1,12 +1,13 @@
 // Package procblock implements the iovet analyzer that keeps real
 // blocking primitives out of des.Proc bodies.
 //
-// The coroutine engine hands control to exactly one process at a time
-// through its own wake/park channel pair; a Proc body that blocks on a
-// raw channel, a sync.Mutex, a WaitGroup or real time escapes that
-// handoff — the engine believes the process is running while the
-// goroutine is actually parked in the runtime, which wedges the
-// scheduler or races it (DESIGN.md §5). Inside a Proc body the legal
+// The coroutine engine hands control to exactly one process at a time:
+// a process that blocks runs the event loop itself and wakes the next one
+// over that process's wake channel. A Proc body that blocks on a raw
+// channel, a sync.Mutex, a WaitGroup or real time escapes that handoff —
+// the engine believes the process is running while the goroutine is
+// actually parked in the runtime, which wedges the simulation or races it
+// (DESIGN.md §5). Inside a Proc body the legal
 // blocking operations are the virtual ones: Proc.Sleep, Proc.Park /
 // Proc.Yield and the des.Resource / des.Barrier / des.WaitGroup
 // abstractions built on them.
@@ -45,7 +46,7 @@ var blockingMethods = map[string]map[string]bool{
 }
 
 func run(pass *framework.Pass) error {
-	// The engine package implements the wake/park rendezvous itself.
+	// The engine package implements the handoff itself.
 	if path := pass.Pkg.Path(); path == "iophases/internal/des" || strings.HasSuffix(path, "/des") {
 		return nil
 	}

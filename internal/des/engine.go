@@ -8,10 +8,11 @@
 // Running the same program twice produces bit-identical traces.
 //
 // Each Engine is single-threaded: all of its events and processes execute
-// on one goroutine chain with explicit handoff. Independent engines share
-// nothing, so distinct simulations may run concurrently on separate
-// goroutines (see internal/sweep) without locks and without perturbing
-// each other's event order.
+// on one goroutine chain with explicit handoff, the goroutine that holds
+// control running the event loop until it hands control on. Independent
+// engines share nothing, so distinct simulations may run concurrently on
+// separate goroutines (see internal/sweep) without locks and without
+// perturbing each other's event order.
 package des
 
 import (
@@ -100,10 +101,14 @@ type Engine struct {
 	queue    eventQueue
 	seq      uint64
 	live     map[*Proc]struct{}
-	pool     []*Proc // recycled procs: goroutine + channels ready for reuse
+	pool     []*Proc // recycled procs: goroutine + channel ready for reuse
 	running  bool
 	elided   uint64 // blocking calls that advanced the clock inline instead of parking
-	switches uint64 // park/resume handoffs actually performed
+	switches uint64 // goroutine switches: control handed to another process's goroutine
+	// done carries control back to Run once the queue drains on a process
+	// goroutine. Made on Run's first handoff, so NewEngine stays inlinable
+	// and an engine that never runs a process allocates no channel.
+	done chan struct{}
 
 	// Run-telemetry handles, nil unless obs was enabled when the engine
 	// was built. Every method on the nil struct is a no-op branch, so the
@@ -179,9 +184,9 @@ func (e *Engine) noteElision() {
 	}
 }
 
-// elisionDisabled forces every Sleep/Yield through the park/resume slow
-// path. Test-and-benchmark-only: BenchmarkEngineSwitchHeavyParkResume uses
-// it to keep the counterfactual cost of the elided rendezvous measurable.
+// elisionDisabled forces every Sleep/Yield through the event queue.
+// Test-and-benchmark-only: BenchmarkEngineSwitchHeavyParkResume uses it to
+// keep the counterfactual cost of the elided queue round trip measurable.
 var elisionDisabled = false
 
 // canElide reports whether a process may advance the clock to target inline
@@ -197,6 +202,12 @@ func (e *Engine) canElide(target units.Duration) bool {
 
 // Schedule arranges for fn to run after delay. A negative delay panics:
 // causality violations are programming errors.
+//
+// fn runs on whichever goroutine holds control when its event comes up:
+// Run's, or that of the process whose blocking or return reached it. Only
+// event order decides when fn runs; the goroutine matters only to a panic
+// in fn, which may surface on a process goroutine as one in a process
+// body does.
 func (e *Engine) Schedule(delay units.Duration, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
@@ -217,6 +228,22 @@ func (e *Engine) scheduleResume(delay units.Duration, p *Proc) {
 	e.met.noteScheduled(len(e.queue))
 }
 
+// dispatch pops events in queue order, running callbacks inline, and
+// returns the first process due to resume, or nil once the queue drains.
+// The goroutine that holds control calls it: Run to start a simulation, a
+// process when it blocks or finishes (see Proc.handoff).
+func (e *Engine) dispatch() *Proc {
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
+		e.now = ev.at
+		if ev.proc != nil {
+			return ev.proc
+		}
+		ev.fn()
+	}
+	return nil
+}
+
 // Run executes events until the queue drains. If processes are still alive
 // when the queue empties, the simulation has deadlocked and Run panics with
 // the blocked processes' names and states — silent hangs would otherwise be
@@ -227,20 +254,25 @@ func (e *Engine) Run() {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		e.now = ev.at
-		if ev.proc != nil {
-			e.resume(ev.proc)
-		} else {
-			ev.fn()
+	if p := e.dispatch(); p != nil {
+		// From here the processes pass control among themselves; the
+		// one that finds the queue empty hands it back on done.
+		if e.done == nil {
+			e.done = make(chan struct{})
 		}
+		e.switches++
+		p.wake <- struct{}{}
+		<-e.done
 	}
 	e.drainPool()
 	if len(e.live) > 0 {
 		names := make([]string, 0, len(e.live))
 		for p := range e.live {
-			names = append(names, fmt.Sprintf("%s[%s]", p.name, p.state))
+			state := p.reason
+			if p.on != "" {
+				state += " " + p.on
+			}
+			names = append(names, fmt.Sprintf("%s[%s]", p.name, state))
 		}
 		sort.Strings(names)
 		// The virtual timestamp plus the engine's elision/switch counters

@@ -45,8 +45,9 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkEngineProcs measures the process-handoff path: many Procs
 // sleeping in lockstep, the pattern mpi.World produces. Lockstep sleeps
-// tie at every instant, so switch elision never applies here — this is the
-// park/resume rendezvous cost, on purpose.
+// tie at every instant, so switch elision never applies here and nearly
+// every resume hands control to another process's goroutine — this is the
+// goroutine switch cost, on purpose.
 func BenchmarkEngineProcs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -66,8 +67,10 @@ func BenchmarkEngineProcs(b *testing.B) {
 // short sleeps with no event due before each wake target — the shape of an
 // uncontended disk transfer chain or inter-phase busy-work. A far-future
 // sentinel keeps the queue non-empty so the fast path pays its real cost
-// (a heap-top check per sleep). Every sleep would cost four channel
-// operations without elision; with it, the loop is inline time advances.
+// (a heap-top check per sleep). Without elision each sleep is a queue push
+// and pop, after which the lone process finds its own resume and keeps
+// running with no channel operation (Proc.handoff); with it, the loop is
+// inline time advances.
 func switchHeavy(e *Engine) {
 	e.Schedule(3600*units.Second, func() {})
 	e.Spawn("p", func(p *Proc) {
@@ -80,8 +83,8 @@ func switchHeavy(e *Engine) {
 
 // BenchmarkEngineSwitchHeavy measures the switch-elision fast path (see
 // Sleep). Compare with BenchmarkEngineSwitchHeavyParkResume, the same
-// workload forced through the park/resume slow path — the ratio is the
-// rendezvous overhead elision removes.
+// workload forced through the event queue — the difference is the queue
+// round trip elision removes.
 func BenchmarkEngineSwitchHeavy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -90,8 +93,10 @@ func BenchmarkEngineSwitchHeavy(b *testing.B) {
 }
 
 // BenchmarkEngineSwitchHeavyParkResume is BenchmarkEngineSwitchHeavy with
-// elision disabled: the engine's pre-elision behavior, kept measurable so
-// BENCH_<n>.json snapshots record the fast path's effect in one file.
+// elision disabled, kept measurable so BENCH_<n>.json snapshots record the
+// fast path's effect in one file. The name is kept for those snapshots: a
+// lone process never hands control to another goroutine here, so this
+// measures the queue round trip, not a goroutine switch.
 func BenchmarkEngineSwitchHeavyParkResume(b *testing.B) {
 	elisionDisabled = true
 	defer func() { elisionDisabled = false }()

@@ -7,23 +7,28 @@ import (
 )
 
 // Proc is a simulated process: a goroutine that runs in virtual time,
-// cooperatively interleaved by the engine. At most one Proc executes at any
-// instant; control transfers through the wake/park channel pair, so Procs
-// may freely share state without data races.
+// cooperatively interleaved by the engine. At most one goroutine of an
+// engine executes at any instant. Control passes like a baton: a process
+// that blocks runs the event loop itself and wakes the next process due
+// over that process's wake channel (see handoff), so every transfer is a
+// channel rendezvous and Procs may freely share state without data races.
 type Proc struct {
-	eng   *Engine
-	name  string
-	wake  chan struct{}
-	park  chan struct{}
-	state string // human-readable blocking reason for deadlock reports
-	fn    func(p *Proc)
+	eng  *Engine
+	name string
+	wake chan struct{}
+	// reason and on say what the process last blocked on, for deadlock
+	// reports: a verb and the primitive's name ("acquire", "disk0"). They
+	// are joined only when a report is built, so blocking builds no string.
+	reason string
+	on     string
+	fn     func(p *Proc)
 }
 
 // Spawn starts fn as a new simulated process. The process begins at the
 // current virtual time (via a zero-delay event) and runs until fn returns.
 //
 // Procs are recycled: a terminated process returns its goroutine and
-// channels to the engine's free list, so the simulators' per-request
+// channel to the engine's free list, so the simulators' per-request
 // helper processes (RAID member chunks, parallel-FS stripe fan-out) cost
 // no allocation and no goroutine creation in steady state. No caller may
 // retain the returned *Proc past fn's return — the identity is reused.
@@ -34,16 +39,13 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 		p.name = name
-		p.state = "starting"
 		p.fn = fn
 	} else {
 		p = &Proc{
-			eng:   e,
-			name:  name,
-			wake:  make(chan struct{}),
-			park:  make(chan struct{}),
-			state: "starting",
-			fn:    fn,
+			eng:  e,
+			name: name,
+			wake: make(chan struct{}),
+			fn:   fn,
 		}
 		go p.loop()
 	}
@@ -52,45 +54,53 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is the recycled goroutine body: run one process function per wake,
-// park back into the engine's free list between lives, exit when woken
-// with no function (drainPool's termination signal).
+// loop is the recycled goroutine body: run one process function per life,
+// then join the engine's free list and pass control on. handoff returns
+// when the goroutine is resumed again, either for a new life (Spawn reused
+// it) or with no function, drainPool's termination signal.
 func (p *Proc) loop() {
-	for {
-		<-p.wake
+	<-p.wake
+	for p.fn != nil {
 		fn := p.fn
-		if fn == nil {
-			return
-		}
 		p.fn = nil
 		fn(p)
 		e := p.eng
-		delete(e.live, p) // engine is parked in resume(); safe to touch
+		delete(e.live, p) // this goroutine holds control; safe to touch
 		e.pool = append(e.pool, p)
-		p.park <- struct{}{}
+		p.handoff()
 	}
 }
 
-// resume transfers control to p and blocks until p parks again (either by
-// blocking on a primitive or by terminating). Only event callbacks call
-// resume, so process wake-ups inherit the event queue's deterministic order.
-func (e *Engine) resume(p *Proc) {
-	e.switches++
-	p.wake <- struct{}{}
-	<-p.park
+// handoff passes control on from p, which has just blocked or finished,
+// and returns when p holds it again. p's own goroutine runs the event loop
+// (Engine.dispatch). If the next process due is p itself, p keeps running
+// with no goroutine switch. If it is another process, p wakes it directly
+// and waits on its own wake channel: one switch per resume. If the queue
+// drains, p signals Run and waits, for drainPool if p is pooled, forever
+// if the simulation deadlocked with p blocked.
+func (p *Proc) handoff() {
+	e := p.eng
+	next := e.dispatch()
+	if next == p {
+		return
+	}
+	if next == nil {
+		e.done <- struct{}{}
+	} else {
+		e.switches++
+		next.wake <- struct{}{}
+	}
+	<-p.wake
 }
 
-// block parks the calling process, handing control back to the engine, and
-// returns when some event resumes it. reason is recorded for deadlock
-// diagnostics.
-func (p *Proc) block(reason string) {
-	p.state = reason
+// block parks the calling process and returns when some event resumes it.
+// reason and on are recorded for deadlock diagnostics.
+func (p *Proc) block(reason, on string) {
+	p.reason, p.on = reason, on
 	if m := p.eng.met; m != nil {
 		m.parks.Inc()
 	}
-	p.park <- struct{}{}
-	<-p.wake
-	p.state = "running"
+	p.handoff()
 }
 
 // Name reports the process name given at Spawn.
@@ -106,11 +116,11 @@ func (p *Proc) Now() units.Duration { return p.eng.now }
 //
 // Fast path (switch elision): when no queued event fires at or before
 // now+d, the scheduled resume would be the next event popped — so the
-// park/resume rendezvous is pure overhead and Sleep instead advances the
-// engine clock inline and keeps running on the same goroutine. Any tie
-// (an event at exactly now+d has a smaller seq than a resume scheduled
-// now, so it must run first) falls back to the park path, which keeps
-// event order — and therefore every simulation result — bit-identical.
+// queue round trip is pure overhead and Sleep instead advances the
+// engine clock inline and keeps running. Any tie (an event at exactly
+// now+d has a smaller seq than a resume scheduled now, so it must run
+// first) falls back to the queue, which keeps event order — and therefore
+// every simulation result — bit-identical.
 func (p *Proc) Sleep(d units.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: %s sleeping negative duration %v", p.name, d))
@@ -125,14 +135,14 @@ func (p *Proc) Sleep(d units.Duration) {
 		return
 	}
 	e.scheduleResume(d, p)
-	p.block("sleep")
+	p.block("sleep", "")
 }
 
 // Park blocks the process until some event calls Engine.Unpark on it.
 // It is the extension point for building custom blocking abstractions
 // (caches, servers) outside this package; reason appears in deadlock
 // reports.
-func (p *Proc) Park(reason string) { p.block(reason) }
+func (p *Proc) Park(reason string) { p.block(reason, "") }
 
 // Unpark schedules p to resume at the current virtual time. It must pair
 // with a Park; unparking a running process corrupts the control handoff.
@@ -151,5 +161,5 @@ func (p *Proc) Yield() {
 		return
 	}
 	e.scheduleResume(0, p)
-	p.block("yield")
+	p.block("yield", "")
 }

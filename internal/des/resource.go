@@ -43,7 +43,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		return
 	}
 	r.waiters = append(r.waiters, resWaiter{p, n})
-	p.block("acquire " + r.name)
+	p.block("acquire", r.name)
 }
 
 // Release returns n units and admits as many queued waiters as now fit, in

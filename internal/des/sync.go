@@ -37,7 +37,7 @@ func (b *Barrier) Wait(p *Proc) {
 		return
 	}
 	b.arrived = append(b.arrived, p)
-	p.block("barrier " + b.name)
+	p.block("barrier", b.name)
 }
 
 // Mailbox is a blocking point-to-point channel in virtual time, used for
@@ -81,7 +81,7 @@ func (m *Mailbox) Put(p *Proc, v interface{}) {
 		return
 	}
 	m.putters = append(m.putters, mboxPut{p, v})
-	p.block("put " + m.name)
+	p.block("put", m.name)
 }
 
 // Get receives the oldest value, blocking while the mailbox is empty.
@@ -91,7 +91,7 @@ func (m *Mailbox) Get(p *Proc) interface{} {
 	}
 	for len(m.items) == 0 {
 		m.getters = append(m.getters, p)
-		p.block("get " + m.name)
+		p.block("get", m.name)
 	}
 	v := m.items[0]
 	m.items = m.items[1:]
@@ -150,5 +150,5 @@ func (w *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	w.waiters = append(w.waiters, p)
-	p.block("waitgroup")
+	p.block("waitgroup", "")
 }

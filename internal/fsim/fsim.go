@@ -116,6 +116,9 @@ type FS struct {
 	read    int64
 	met     fsMetrics
 	flt     *faults.Injector // nil on a healthy cluster
+	// chunkName is the stripe helper procs' name, built once here rather
+	// than on every fanned-out request.
+	chunkName string
 }
 
 type fileMeta struct {
@@ -144,7 +147,7 @@ func New(eng *des.Engine, fab *netsim.Fabric, params Params) *FS {
 		params.MetaCost = DefaultMetaCost
 	}
 	return &FS{eng: eng, fab: fab, params: params, files: make(map[string]*fileMeta),
-		met: newFSMetrics(), flt: faults.For(eng)}
+		met: newFSMetrics(), flt: faults.For(eng), chunkName: params.Name + "/chunk"}
 }
 
 // Name reports the filesystem instance name.
@@ -366,7 +369,7 @@ func (fs *FS) runChunks(p *des.Proc, client string, targets []int, chunks []exte
 	if fs.flt == nil {
 		for _, c := range chunks {
 			c := c
-			fs.eng.Spawn(fs.params.Name+"/chunk", func(hp *des.Proc) {
+			fs.eng.Spawn(fs.chunkName, func(hp *des.Proc) {
 				fs.chunkOp(hp, client, targets, c, write)
 				wg.Done()
 			})
@@ -377,7 +380,7 @@ func (fs *FS) runChunks(p *des.Proc, client string, targets []int, chunks []exte
 	errs := make([]error, len(chunks))
 	for i, c := range chunks {
 		i, c := i, c
-		fs.eng.Spawn(fs.params.Name+"/chunk", func(hp *des.Proc) {
+		fs.eng.Spawn(fs.chunkName, func(hp *des.Proc) {
 			errs[i] = fs.chunkOp(hp, client, targets, c, write)
 			wg.Done()
 		})
