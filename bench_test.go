@@ -8,6 +8,8 @@ package iophases
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"iophases/internal/apps/btio"
@@ -194,6 +196,47 @@ func BenchmarkStreamIdentSynth(b *testing.B) {
 		b.Fatal("no phases")
 	}
 	b.ReportMetric(float64(len(res.Phases)), "phases")
+}
+
+// BenchmarkStreamIdentBinary is perfbench extract-bin's op in-repo:
+// core.BuildStream over a freshly opened IOBIN1 directory of 2^19 synthetic
+// events (8 ranks × 64k), so IOBIN1 decoding, which runs again on every
+// rank that pass 2 rescans, shares the time with mining and identification.
+// MB/s is trace-file bytes.
+func BenchmarkStreamIdentBinary(b *testing.B) {
+	src, err := trace.Synth(trace.SynthSpec{NP: 8, EventsPerRank: 64 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := trace.WriteDir(src, dir, trace.FormatBinary); err != nil {
+		b.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "trace.*.bin"))
+	if err != nil || len(files) != 8 {
+		b.Fatalf("rank files %v: %v", files, err)
+	}
+	var size int64
+	for _, f := range files {
+		st, err := os.Stat(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size += st.Size()
+	}
+	b.SetBytes(size)
+	b.ResetTimer()
+	var m *core.Model
+	for i := 0; i < b.N; i++ {
+		src, err := trace.OpenDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m, err = core.BuildStream(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(m.Phases)), "phases")
 }
 
 // BenchmarkStreamIdentVsInMemory runs the one extraction pipeline over the

@@ -23,7 +23,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -100,12 +99,32 @@ func (bw *BinaryWriter) Close() error {
 	return bw.flush()
 }
 
-// binReader decodes the binary format as a streaming Reader.
+// binWindow is the decoder's byte window over the rank file, one per open
+// reader.
+const binWindow = 64 * 1024
+
+// maxRecordLen bounds an event record: a code and six varints. Before each
+// record the decoder refills its window to hold at least this many bytes
+// unless the file ends first, so a record never has to wait for a read
+// part-way.
+const maxRecordLen = 7 * binary.MaxVarintLen64
+
+// errOverflow is binary.ReadUvarint's error for a varint that does not fit
+// 64 bits, with the same text.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// binReader decodes the binary format as a streaming Reader straight out of
+// a byte window over the file: buf[pos:end] holds what has been read but not
+// yet decoded.
 type binReader struct {
-	f    io.Closer
-	r    *bufio.Reader
-	ops  []Op
-	prev Event
+	f        io.ReadCloser
+	buf      []byte
+	pos, end int
+	rerr     error // what ended reading f: io.EOF at the end of the file
+	ops      []Op
+	// last holds the previous event's File, Offset, Tick, Size, Time and
+	// Duration, against which the next event's deltas apply.
+	last [6]int64
 	rank int
 	path string
 	done bool
@@ -114,25 +133,87 @@ type binReader struct {
 // newBinReader validates the header and returns a decoder for the trace
 // of rank wantRank.
 func newBinReader(rc io.ReadCloser, wantRank int, path string) (*binReader, error) {
-	r := bufio.NewReaderSize(rc, 64*1024)
-	var magic [6]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("%s: trace: bad binary header: %v", path, err)
+	d := &binReader{f: rc, buf: make([]byte, binWindow), path: path}
+	buf, _ := d.fill(0, len(binMagic)+binary.MaxVarintLen64)
+	if len(buf) < len(binMagic) {
+		return nil, fmt.Errorf("%s: trace: bad binary header: %v", path, d.short(len(buf)))
 	}
-	if string(magic[:]) != string(binMagic) {
-		return nil, fmt.Errorf("%s: trace: bad magic %q (want %q)", path, magic[:], binMagic)
+	if magic := buf[:len(binMagic)]; string(magic) != string(binMagic) {
+		return nil, fmt.Errorf("%s: trace: bad magic %q (want %q)", path, magic, binMagic)
 	}
-	rank, err := binary.ReadUvarint(r)
+	rank, k, err := d.uvarint(buf[len(binMagic):])
 	if err != nil {
 		return nil, fmt.Errorf("%s: trace: reading rank: %v", path, err)
 	}
+	d.pos = len(binMagic) + k
 	if rank > 1<<30 {
 		return nil, fmt.Errorf("%s: trace: implausible rank %d", path, rank)
 	}
 	if int(rank) != wantRank {
 		return nil, fmt.Errorf("%s: trace: header rank %d does not match rank %d of this trace file", path, rank, wantRank)
 	}
-	return &binReader{f: rc, r: r, rank: int(rank), path: path}, nil
+	d.rank = int(rank)
+	return d, nil
+}
+
+// maxEmptyReads is how many reads in a row may return neither bytes nor an
+// error before fill fails with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// fill makes the window hold at least need (<= binWindow) undecoded bytes
+// from pos on, unless reading f stops first: it slides them to the front
+// and reads f until they are there. It returns the filled part of the
+// window and where pos's byte now is in it.
+func (d *binReader) fill(pos, need int) ([]byte, int) {
+	if d.end-pos < need && d.rerr == nil {
+		d.end = copy(d.buf, d.buf[pos:d.end])
+		pos = 0
+		for empty := 0; d.end < need && d.rerr == nil; {
+			n, err := d.f.Read(d.buf[d.end:])
+			d.end += n
+			d.rerr = err
+			if n > 0 {
+				empty = 0
+			} else if empty++; empty == maxEmptyReads && err == nil {
+				d.rerr = io.ErrNoProgress
+			}
+		}
+	}
+	return d.buf[:d.end], pos
+}
+
+// short is the error of a read that found only avail of the bytes it needed
+// because reading f stopped, by io.ReadFull's rules: io.EOF when the file
+// ended before any of them, io.ErrUnexpectedEOF when it ended part-way, and
+// any other read error as it is.
+func (d *binReader) short(avail int) error {
+	if d.rerr == io.EOF && avail > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return d.rerr
+}
+
+// uvarint decodes the uvarint at the front of b, the rest of the window. It
+// accepts and rejects exactly what binary.ReadUvarint does, with the same
+// errors. b is cut short of MaxVarintLen64 bytes only where the file ends.
+func (d *binReader) uvarint(b []byte) (uint64, int, error) {
+	v, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, 0, d.varintErr(k, len(b))
+	}
+	return v, k, nil
+}
+
+// varintErr is binary.ReadUvarint's error for a varint on which
+// binary.Uvarint returned k <= 0, given the avail bytes the window held
+// from its start.
+func (d *binReader) varintErr(k, avail int) error {
+	if k < 0 || avail >= binary.MaxVarintLen64 {
+		// ReadUvarint gives up after MaxVarintLen64 continuation bytes,
+		// where Uvarint would ask for one more.
+		return errOverflow
+	}
+	return d.short(avail)
 }
 
 // corrupt wraps a decode failure; a bare io.EOF mid-record means the file
@@ -144,65 +225,105 @@ func (d *binReader) corrupt(what string, err error) error {
 	return fmt.Errorf("%s: trace: %s: %v", d.path, what, err)
 }
 
-func (d *binReader) Read(buf []Event) (int, error) {
+// Read decodes records until out is full or the trace ends. The window
+// cursor and the delta state stay in locals for the whole call and go back
+// to d on return.
+func (d *binReader) Read(out []Event) (int, error) {
 	if d.done {
 		return 0, io.EOF
 	}
+	file := int(d.last[0])
+	off, tick, size, tm, du := d.last[1], d.last[2], d.last[3], d.last[4], d.last[5]
+	buf, pos := d.buf[:d.end], d.pos
 	n := 0
-	for n < len(buf) {
-		code, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return n, d.corrupt("record code", err)
+	var err error
+decode:
+	for n < len(out) {
+		if len(buf)-pos < maxRecordLen {
+			buf, pos = d.fill(pos, maxRecordLen)
+		}
+		var code uint64
+		if pos < len(buf) && buf[pos] < 0x80 {
+			code = uint64(buf[pos])
+			pos++
+		} else {
+			c, k, e := d.uvarint(buf[pos:])
+			if e != nil {
+				err = d.corrupt("record code", e)
+				break decode
+			}
+			code = c
+			pos += k
 		}
 		switch {
 		case code == 0:
-			if _, err := d.r.ReadByte(); err != io.EOF {
-				return n, fmt.Errorf("%s: trace: trailing data after end-of-trace sentinel", d.path)
+			buf, pos = d.fill(pos, 1)
+			switch {
+			case pos < len(buf):
+				err = fmt.Errorf("%s: trace: trailing data after end-of-trace sentinel", d.path)
+			case d.rerr != io.EOF:
+				err = fmt.Errorf("%s: trace: reading after end-of-trace sentinel: %w", d.path, d.rerr)
+			default:
+				d.done = true
+				if n == 0 {
+					err = io.EOF
+				}
 			}
-			d.done = true
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
+			break decode
 		case code == 1:
-			l, err := binary.ReadUvarint(d.r)
-			if err != nil {
-				return n, d.corrupt("op length", err)
+			l, k, e := d.uvarint(buf[pos:])
+			if e != nil {
+				err = d.corrupt("op length", e)
+				break decode
 			}
+			pos += k
 			if l == 0 || l > maxOpLen {
-				return n, fmt.Errorf("%s: trace: implausible op name length %d", d.path, l)
+				err = fmt.Errorf("%s: trace: implausible op name length %d", d.path, l)
+				break decode
 			}
-			name := make([]byte, l)
-			if _, err := io.ReadFull(d.r, name); err != nil {
-				return n, d.corrupt("op name", err)
+			if buf, pos = d.fill(pos, int(l)); len(buf)-pos < int(l) {
+				err = d.corrupt("op name", d.short(len(buf)-pos))
+				break decode
 			}
-			d.ops = append(d.ops, Op(name))
+			d.ops = append(d.ops, Op(buf[pos:pos+int(l)]))
+			pos += int(l)
 		default:
 			idx := code - 2
 			if idx >= uint64(len(d.ops)) {
-				return n, fmt.Errorf("%s: trace: event references undefined op code %d (dictionary has %d)", d.path, code, len(d.ops))
+				err = fmt.Errorf("%s: trace: event references undefined op code %d (dictionary has %d)", d.path, code, len(d.ops))
+				break decode
 			}
-			ev := Event{Rank: d.rank, Op: d.ops[idx]}
-			var deltas [6]int64
-			for i := range deltas {
-				v, err := binary.ReadVarint(d.r)
-				if err != nil {
-					return n, d.corrupt("event field", err)
+			var delta [6]int64
+			for i := range delta {
+				var u uint64
+				if pos < len(buf) && buf[pos] < 0x80 {
+					u = uint64(buf[pos])
+					pos++
+				} else {
+					v, k := binary.Uvarint(buf[pos:])
+					if k <= 0 {
+						err = d.corrupt("event field", d.varintErr(k, len(buf)-pos))
+						break decode
+					}
+					u = v
+					pos += k
 				}
-				deltas[i] = v
+				delta[i] = int64(u>>1) ^ -int64(u&1) // zigzag, as binary.ReadVarint
 			}
-			ev.File = int(int64(d.prev.File) + deltas[0])
-			ev.Offset = d.prev.Offset + deltas[1]
-			ev.Tick = d.prev.Tick + deltas[2]
-			ev.Size = d.prev.Size + deltas[3]
-			ev.Time = d.prev.Time + units.Duration(deltas[4])
-			ev.Duration = d.prev.Duration + units.Duration(deltas[5])
-			d.prev = ev
-			buf[n] = ev
+			file = int(int64(file) + delta[0])
+			off += delta[1]
+			tick += delta[2]
+			size += delta[3]
+			tm += delta[4]
+			du += delta[5]
+			out[n] = Event{Rank: d.rank, File: file, Op: d.ops[idx], Offset: off, Tick: tick,
+				Size: size, Time: units.Duration(tm), Duration: units.Duration(du)}
 			n++
 		}
 	}
-	return n, nil
+	d.pos = pos
+	d.last = [6]int64{int64(file), off, tick, size, tm, du}
+	return n, err
 }
 
 func (d *binReader) Close() error { return d.f.Close() }

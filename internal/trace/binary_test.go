@@ -3,12 +3,17 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"iophases/internal/units"
@@ -174,11 +179,131 @@ func TestBinaryCorruptInputs(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+	t.Run("read error after sentinel", func(t *testing.T) {
+		// The file reads to its last byte, the sentinel, then the read
+		// fails: that is the read error, not trailing data.
+		boom := errors.New("disk on fire")
+		r := io.MultiReader(bytes.NewReader(good), iotest.ErrReader(boom))
+		d, err := newBinReader(io.NopCloser(r), 1, "rank1.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadAll(d)
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "rank1.bin") ||
+			strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("reader stalls", func(t *testing.T) {
+		// Past the header the reader returns neither bytes nor an error
+		// forever: the decoder gives up instead of spinning.
+		r := io.MultiReader(bytes.NewReader(good[:len(good)/2]), stalledReader{})
+		d, err := newBinReader(io.NopCloser(r), 1, "rank1.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadAll(d); err == nil || !strings.Contains(err.Error(), io.ErrNoProgress.Error()) {
+			t.Fatalf("err = %v", err)
+		}
+	})
 	t.Run("header rank mismatch", func(t *testing.T) {
 		if _, err := decodeFile(t, good, 2); err == nil || !strings.Contains(err.Error(), "does not match rank 2") {
 			t.Fatalf("err = %v", err)
 		}
 	})
+}
+
+type stalledReader struct{}
+
+func (stalledReader) Read([]byte) (int, error) { return 0, nil }
+
+// decodeBytes drains raw through the binary decoder reading via wrap.
+func decodeBytes(raw []byte, wrap func(io.Reader) io.Reader) ([]Event, error) {
+	d, err := newBinReader(io.NopCloser(wrap(bytes.NewReader(raw))), 0, "trace.0.bin")
+	if err != nil {
+		return nil, err
+	}
+	return ReadAll(d)
+}
+
+func plainReader(r io.Reader) io.Reader { return r }
+
+// readerWraps are the read patterns the window must not depend on: whole
+// windows, one byte per read, and half of what was asked for.
+var readerWraps = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"plain", plainReader},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+}
+
+func TestBinaryWindowRefills(t *testing.T) {
+	events := synthRankEvents(t, 30_000)
+	raw := encodeRank(t, 0, events)
+	if len(raw) <= 2*binWindow {
+		t.Fatalf("trace is %d bytes, want more than two %d-byte windows", len(raw), binWindow)
+	}
+	for _, rw := range readerWraps {
+		got, err := decodeBytes(raw, rw.wrap)
+		if err != nil {
+			t.Fatalf("%s: %v", rw.name, err)
+		}
+		if !slices.Equal(got, events) {
+			t.Fatalf("%s: decoded events differ from the encoded ones", rw.name)
+		}
+	}
+}
+
+func TestBinaryTruncatedAtRefill(t *testing.T) {
+	raw := encodeRank(t, 0, synthRankEvents(t, 30_000))
+	buf := make([]Event, eachChunk)
+	// Refill k starts at most k·maxRecordLen bytes before k·binWindow;
+	// cut every byte of the records around the first two.
+	for k := 1; k <= 2; k++ {
+		for cut := k*binWindow - (k+1)*maxRecordLen; cut <= k*binWindow+maxRecordLen; cut++ {
+			d, err := newBinReader(io.NopCloser(bytes.NewReader(raw[:cut])), 0, "trace.0.bin")
+			for err == nil {
+				_, err = d.Read(buf)
+			}
+			if !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("cut at %d: err = %v", cut, err)
+			}
+		}
+	}
+}
+
+func TestBinaryOpDefineAcrossRefill(t *testing.T) {
+	// An op-define record, whose 200-byte name is longer than any event
+	// record, placed at every offset from well inside the first window
+	// to past its end.
+	long := Op(strings.Repeat("MPI_File_write_at_all_begin_", 8)[:200])
+	base := synthRankEvents(t, 8_000)
+	start := func(k int) int { return len(encodeRank(t, 0, base[:k])) - 1 } // less the sentinel
+	placed := 0
+	for k := sort.Search(len(base), func(k int) bool { return start(k) >= binWindow-300 }); ; k++ {
+		at := start(k)
+		if at > binWindow+10 {
+			break
+		}
+		events := append(slices.Clone(base[:k]), Event{Rank: 0, Op: long, Offset: 7, Size: 9})
+		events = append(events, base[k:k+100]...)
+		raw := encodeRank(t, 0, events)
+		for _, rw := range readerWraps {
+			got, err := decodeBytes(raw, rw.wrap)
+			if err != nil {
+				t.Fatalf("define at byte %d, %s: %v", at, rw.name, err)
+			}
+			if !slices.Equal(got, events) {
+				t.Fatalf("define at byte %d, %s: decoded events differ", at, rw.name)
+			}
+		}
+		placed++
+	}
+	if placed < 20 {
+		t.Fatalf("only %d placements near the window edge", placed)
+	}
 }
 
 // adversarialSet exercises save/load with hostile values and an empty rank.

@@ -181,6 +181,7 @@ func scanErr(err error, line int) error {
 type textReader struct {
 	rc   io.ReadCloser
 	sc   *bufio.Scanner
+	ops  map[Op]Op // op names seen so far, each held in its own string
 	want int
 	line int
 	path string
@@ -189,7 +190,19 @@ type textReader struct {
 func newTextReader(rc io.ReadCloser, want int, path string) *textReader {
 	sc := bufio.NewScanner(rc)
 	sc.Buffer(make([]byte, 64*1024), maxLineLen)
-	return &textReader{rc: rc, sc: sc, want: want, path: path}
+	return &textReader{rc: rc, sc: sc, ops: make(map[Op]Op), want: want, path: path}
+}
+
+// intern returns the reader's own copy of op, which parseTextLine cut out of
+// the scanned row: events with the same name share one string, and none
+// keeps its whole row alive.
+func (r *textReader) intern(op Op) Op {
+	if s, ok := r.ops[op]; ok {
+		return s
+	}
+	s := Op(strings.Clone(string(op)))
+	r.ops[s] = s
+	return s
 }
 
 func (r *textReader) Read(buf []Event) (int, error) {
@@ -210,6 +223,7 @@ func (r *textReader) Read(buf []Event) (int, error) {
 			return n, fmt.Errorf("%s: %v", r.path, err)
 		}
 		if ok {
+			ev.Op = r.intern(ev.Op)
 			buf[n] = ev
 			n++
 		}

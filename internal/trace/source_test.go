@@ -167,6 +167,8 @@ func BenchmarkBinaryEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkBinaryDecode drains one IOBIN1 rank file through trace.Each, the
+// chunked loop extraction reads every source with; MB/s is file bytes.
 func BenchmarkBinaryDecode(b *testing.B) {
 	events := synthRankEvents(b, 100_000)
 	set := NewSet("bench", "c", 1)
@@ -175,22 +177,24 @@ func BenchmarkBinaryDecode(b *testing.B) {
 	if err := WriteDir(set.Source(), dir, FormatBinary); err != nil {
 		b.Fatal(err)
 	}
-	path := rankPath(dir, 0, FormatBinary)
-	b.SetBytes(int64(len(events)))
+	st, err := os.Stat(rankPath(dir, 0, FormatBinary))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := OpenDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := os.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := newBinReader(f, 0, path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := ReadAll(d)
-		d.Close()
-		if err != nil || len(got) != len(events) {
-			b.Fatalf("decode: %v (%d events)", err, len(got))
+		got := 0
+		err := Each(src, 0, func(evs []Event) error {
+			got += len(evs)
+			return nil
+		})
+		if err != nil || got != len(events) {
+			b.Fatalf("decode: %v (%d events)", err, got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"iophases/internal/units"
 )
@@ -61,6 +62,26 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\nin  %+v\nout %+v", in, out)
+	}
+}
+
+func TestTextReaderInternsOps(t *testing.T) {
+	// Each event's op must be the reader's one copy of the name, not a
+	// substring of its own row, which would keep the whole row alive.
+	var buf bytes.Buffer
+	if err := WriteText(&buf, sampleEvents()); err != nil {
+		t.Fatal(err)
+	}
+	out, err := parseText(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := func(op Op) *byte { return unsafe.StringData(string(op)) }
+	if out[0].Op != out[1].Op || data(out[0].Op) != data(out[1].Op) {
+		t.Fatalf("two %s rows hold two strings", out[0].Op)
+	}
+	if data(out[2].Op) == data(out[0].Op) {
+		t.Fatalf("%s and %s share one string", out[2].Op, out[0].Op)
 	}
 }
 
