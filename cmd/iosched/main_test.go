@@ -127,3 +127,24 @@ func TestSimCrossValidation(t *testing.T) {
 		t.Fatalf("-j 1 and -j 8 outputs differ:\n%s\n---\n%s", j1, j8)
 	}
 }
+
+// TestNegativeOffsetModelExitsOne: a model whose offset function reaches
+// below zero is rejected before the co-execution runs. The CLI prints one
+// diagnostic line and exits 1 instead of panicking in the simulated
+// filesystem.
+func TestNegativeOffsetModelExitsOne(t *testing.T) {
+	a, b := saveModels(t)
+	m, err := core.Load(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Phases[0].OffsetC = -1 << 30
+	neg := filepath.Join(t.TempDir(), "neg.json")
+	if err := m.Save(neg); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, "-jobs", neg+","+b, "-sim", "-grid", "2")
+	if code != 1 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "negative offset") {
+		t.Fatalf("exit %d, stderr %q; want 1 and one line naming the negative offset", code, stderr)
+	}
+}

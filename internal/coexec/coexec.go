@@ -81,8 +81,9 @@ type Result struct {
 
 // Validate checks a spec without running it: every app needs a model with
 // phase timing (co-execution replays phases at their modeled start
-// times), a feasible rank count, and a non-negative offset. Returned
-// errors name the offending app so CLIs can print them directly.
+// times), a feasible rank count, a non-negative offset, and phases whose
+// offset functions address no negative offset (replay.CheckOffsets).
+// Returned errors name the offending app so CLIs can print them directly.
 func Validate(spec Spec) error {
 	if len(spec.Apps) == 0 {
 		return fmt.Errorf("coexec: no applications")
@@ -107,6 +108,9 @@ func Validate(spec Spec) error {
 			if pm.MeasuredSec <= 0 {
 				return fmt.Errorf("coexec: app %d (%s) phase %d lacks timing (rescaled models cannot co-execute)",
 					i, appName(a), pm.ID)
+			}
+			if err := replay.CheckOffsets(appName(a), pm); err != nil {
+				return fmt.Errorf("coexec: app %d: %w", i, err)
 			}
 		}
 		total += np

@@ -348,21 +348,3 @@ func TestQuickSleepOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestYield(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
-	e.Run()
-	want := []string{"a1", "b1", "a2"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-}

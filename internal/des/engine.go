@@ -27,7 +27,7 @@ import (
 // scheduling order (seq), which makes the simulation fully reproducible.
 // Events are stored by value in the queue — the hot path allocates nothing
 // per event. When proc is non-nil the event resumes that process directly
-// instead of calling fn, which keeps Sleep/Unpark/Yield closure-free.
+// instead of calling fn, which keeps Sleep/Unpark/Spawn closure-free.
 type event struct {
 	at   units.Duration
 	seq  uint64
@@ -103,7 +103,6 @@ type Engine struct {
 	live     map[*Proc]struct{}
 	pool     []*Proc // recycled procs: goroutine + channel ready for reuse
 	running  bool
-	elided   uint64 // blocking calls that advanced the clock inline instead of parking
 	switches uint64 // goroutine switches: control handed to another process's goroutine
 	// done carries control back to Run once the queue drains on a process
 	// goroutine. Made on Run's first handoff, so NewEngine stays inlinable
@@ -136,7 +135,6 @@ func (e *Engine) FaultCtx() any { return e.faultCtx }
 // in BenchmarkEngineSchedule), which the allocs/op gate relies on.
 type engineMetrics struct {
 	scheduled *obs.Counter
-	elided    *obs.Counter
 	parks     *obs.Counter
 	queueMax  *obs.Gauge
 }
@@ -148,7 +146,6 @@ func newEngineMetrics() *engineMetrics {
 	}
 	return &engineMetrics{
 		scheduled: h.Counter("des/events_scheduled"),
-		elided:    h.Counter("des/events_elided"),
 		parks:     h.Counter("des/proc_parks"),
 		queueMax:  h.Gauge("des/queue_depth_max"),
 	}
@@ -175,30 +172,6 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() units.Duration { return e.now }
-
-// noteElision counts one elided context switch (clock advanced inline).
-func (e *Engine) noteElision() {
-	e.elided++
-	if m := e.met; m != nil {
-		m.elided.Inc()
-	}
-}
-
-// elisionDisabled forces every Sleep/Yield through the event queue.
-// Test-and-benchmark-only: BenchmarkEngineSwitchHeavyParkResume uses it to
-// keep the counterfactual cost of the elided queue round trip measurable.
-var elisionDisabled = false
-
-// canElide reports whether a process may advance the clock to target inline
-// instead of scheduling a resume event and parking: legal exactly when no
-// queued event fires at or before target (such an event must run first, in
-// seq order, before any resume the caller would schedule now).
-func (e *Engine) canElide(target units.Duration) bool {
-	if elisionDisabled {
-		return false
-	}
-	return len(e.queue) == 0 || e.queue[0].at > target
-}
 
 // Schedule arranges for fn to run after delay. A negative delay panics:
 // causality violations are programming errors.
@@ -275,11 +248,11 @@ func (e *Engine) Run() {
 			names = append(names, fmt.Sprintf("%s[%s]", p.name, state))
 		}
 		sort.Strings(names)
-		// The virtual timestamp plus the engine's elision/switch counters
-		// make hang reports self-locating: "at 2.4s after 10M switches"
+		// The virtual timestamp plus the engine's switch counter make
+		// hang reports self-locating: "at 2.4s after 10M switches"
 		// narrows a deadlock far faster than proc names alone.
-		panic(fmt.Sprintf("des: deadlock at %v (elided=%d switches=%d), %d blocked processes: %v",
-			e.now, e.elided, e.switches, len(names), names))
+		panic(fmt.Sprintf("des: deadlock at %v (switches=%d), %d blocked processes: %v",
+			e.now, e.switches, len(names), names))
 	}
 }
 

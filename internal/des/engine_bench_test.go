@@ -45,9 +45,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkEngineProcs measures the process-handoff path: many Procs
 // sleeping in lockstep, the pattern mpi.World produces. Lockstep sleeps
-// tie at every instant, so switch elision never applies here and nearly
-// every resume hands control to another process's goroutine — this is the
-// goroutine switch cost, on purpose.
+// tie at every instant, so nearly every resume hands control to another
+// process's goroutine — this is the goroutine switch cost, on purpose.
 func BenchmarkEngineProcs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -63,14 +62,12 @@ func BenchmarkEngineProcs(b *testing.B) {
 	}
 }
 
-// switchHeavy is the elision-friendly counterpart: a proc burning through
+// switchHeavy is the uncontended counterpart: a proc burning through
 // short sleeps with no event due before each wake target — the shape of an
 // uncontended disk transfer chain or inter-phase busy-work. A far-future
-// sentinel keeps the queue non-empty so the fast path pays its real cost
-// (a heap-top check per sleep). Without elision each sleep is a queue push
-// and pop, after which the lone process finds its own resume and keeps
-// running with no channel operation (Proc.handoff); with it, the loop is
-// inline time advances.
+// sentinel keeps the queue non-empty, so every sleep is a push and a pop
+// against a live heap, after which the lone process finds its own resume
+// and keeps running with no channel operation (Proc.handoff).
 func switchHeavy(e *Engine) {
 	e.Schedule(3600*units.Second, func() {})
 	e.Spawn("p", func(p *Proc) {
@@ -81,25 +78,10 @@ func switchHeavy(e *Engine) {
 	e.Run()
 }
 
-// BenchmarkEngineSwitchHeavy measures the switch-elision fast path (see
-// Sleep). Compare with BenchmarkEngineSwitchHeavyParkResume, the same
-// workload forced through the event queue — the difference is the queue
-// round trip elision removes.
+// BenchmarkEngineSwitchHeavy measures a sleep's queue round trip with no
+// goroutine switch: the cost of Sleep when the sleeper's own resume is the
+// next event.
 func BenchmarkEngineSwitchHeavy(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		switchHeavy(NewEngine())
-	}
-}
-
-// BenchmarkEngineSwitchHeavyParkResume is BenchmarkEngineSwitchHeavy with
-// elision disabled, kept measurable so BENCH_<n>.json snapshots record the
-// fast path's effect in one file. The name is kept for those snapshots: a
-// lone process never hands control to another goroutine here, so this
-// measures the queue round trip, not a goroutine switch.
-func BenchmarkEngineSwitchHeavyParkResume(b *testing.B) {
-	elisionDisabled = true
-	defer func() { elisionDisabled = false }()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		switchHeavy(NewEngine())

@@ -16,8 +16,6 @@ import (
 // Run starting it. A protocol that routed every resume through Run's
 // goroutine would count 101.
 func TestHandoffLoneProcSelfResumes(t *testing.T) {
-	elisionDisabled = true
-	defer func() { elisionDisabled = false }()
 	e := NewEngine()
 	e.Spawn("solo", func(p *Proc) {
 		for i := 0; i < 100; i++ {

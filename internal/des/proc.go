@@ -106,21 +106,13 @@ func (p *Proc) block(reason, on string) {
 // Name reports the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Engine reports the engine the process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() units.Duration { return p.eng.now }
 
-// Sleep advances the process by d in virtual time.
-//
-// Fast path (switch elision): when no queued event fires at or before
-// now+d, the scheduled resume would be the next event popped — so the
-// queue round trip is pure overhead and Sleep instead advances the
-// engine clock inline and keeps running. Any tie (an event at exactly
-// now+d has a smaller seq than a resume scheduled now, so it must run
-// first) falls back to the queue, which keeps event order — and therefore
-// every simulation result — bit-identical.
+// Sleep advances the process by d in virtual time: its resume is queued
+// behind every event already due at or before now+d. If that resume is
+// the next event, handoff finds it and the process keeps running with no
+// goroutine switch.
 func (p *Proc) Sleep(d units.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: %s sleeping negative duration %v", p.name, d))
@@ -128,13 +120,7 @@ func (p *Proc) Sleep(d units.Duration) {
 	if d == 0 {
 		return
 	}
-	e := p.eng
-	if target := e.now + d; e.canElide(target) {
-		e.now = target
-		e.noteElision()
-		return
-	}
-	e.scheduleResume(d, p)
+	p.eng.scheduleResume(d, p)
 	p.block("sleep", "")
 }
 
@@ -148,18 +134,4 @@ func (p *Proc) Park(reason string) { p.block(reason, "") }
 // with a Park; unparking a running process corrupts the control handoff.
 func (e *Engine) Unpark(p *Proc) {
 	e.scheduleResume(0, p)
-}
-
-// Yield reschedules the process at the current time behind already-queued
-// events, letting same-time events run first. With no same-time event
-// queued there is nothing to yield to and the call returns inline (the
-// rescheduled resume would fire immediately anyway).
-func (p *Proc) Yield() {
-	e := p.eng
-	if e.canElide(e.now) {
-		e.noteElision()
-		return
-	}
-	e.scheduleResume(0, p)
-	p.block("yield", "")
 }

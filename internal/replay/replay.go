@@ -14,9 +14,9 @@
 package replay
 
 import (
-	"sort"
-
 	"fmt"
+	"math"
+	"sort"
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
@@ -51,6 +51,9 @@ func PhaseMode(spec cluster.Spec, m *core.Model, pm *core.PhaseModel, mode fastp
 	if pm.NP > spec.MaxProcs() {
 		return Result{}, fmt.Errorf("replay: %d ranks exceed %s capacity %d (use a larger configuration or a smaller model)",
 			pm.NP, spec.Name, spec.MaxProcs())
+	}
+	if err := CheckOffsets(m.App, pm); err != nil {
+		return Result{}, fmt.Errorf("replay: %w", err)
 	}
 	switch mode.Resolve() {
 	case fastpath.ModeOn:
@@ -113,12 +116,7 @@ func phaseBusy(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) units.Dura
 // co-execution layer drive their ranks through this one loop, so a phase
 // costs the same whether it runs alone or contends.
 func PhaseOps(r *mpi.Rank, f *mpiio.File, pm *core.PhaseModel) {
-	fn := pm.OffsetFn()
-	famRep := pm.FamilyRep
-	if famRep == 0 {
-		famRep = 1
-	}
-	base := fn.Eval(r.ID(), famRep)
+	base := pm.OffsetFn().Eval(r.ID(), familyRep(pm))
 	for rep := 0; rep < pm.Rep; rep++ {
 		for _, op := range pm.Ops {
 			off := base + int64(rep)*op.Disp + op.Skew
@@ -134,6 +132,81 @@ func PhaseOps(r *mpi.Rank, f *mpiio.File, pm *core.PhaseModel) {
 			}
 		}
 	}
+}
+
+// familyRep is the 1-based family repetition PhaseOps evaluates pm's
+// offset function at; an unsplit phase records 0.
+func familyRep(pm *core.PhaseModel) int {
+	if pm.FamilyRep == 0 {
+		return 1
+	}
+	return pm.FamilyRep
+}
+
+// CheckOffsets reports an error naming app and the phase if PhaseOps would
+// address a negative offset for pm, or an extent that leaves int64. A
+// hand-edited model can hold such an offset function, and so can one
+// fitted from ranks whose offsets are not affine (the fit rounds a
+// least-squares slope). The simulated filesystem panics on a negative
+// offset, on a process goroutine where no caller can recover, so replay
+// and co-execution reject the phase first. The offset
+// Eval(idP, famRep) + rep·Disp + Skew is affine in the rank and in the
+// repetition: ranks 0 and NP−1 at repetitions 0 and Rep−1 bound it for
+// each slot.
+func CheckOffsets(app string, pm *core.PhaseModel) error {
+	if pm.NP < 1 || pm.Rep < 1 {
+		return nil // PhaseOps issues nothing
+	}
+	fn := pm.OffsetFn()
+	k := int64(familyRep(pm) - 1)
+	for slot, op := range pm.Ops {
+		for _, rank := range [2]int{0, pm.NP - 1} {
+			for _, rep := range [2]int{0, pm.Rep - 1} {
+				x := int64(rank)
+				off := checked{ok: true}
+				off.add(fn.C)
+				off.add(fn.A, x)
+				off.add(fn.B, k)
+				off.add(fn.D, x, k)
+				off.add(int64(rep), op.Disp)
+				off.add(op.Skew)
+				end := off
+				end.add(op.Size)
+				switch {
+				case !end.ok:
+					return fmt.Errorf("%s phase %d: slot %d of rank %d, repetition %d, has an offset beyond int64",
+						app, pm.ID, slot, rank, rep)
+				case off.v < 0:
+					return fmt.Errorf("%s phase %d: slot %d of rank %d, repetition %d, starts at negative offset %d",
+						app, pm.ID, slot, rank, rep, off.v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checked is an int64 sum of products that remembers whether any step
+// overflowed.
+type checked struct {
+	v  int64
+	ok bool
+}
+
+// add adds the product of factors to the sum.
+func (c *checked) add(factors ...int64) {
+	p, ok := int64(1), true
+	for _, f := range factors {
+		if f == 0 {
+			return // the product is 0 whatever the other factors
+		}
+		q := p * f
+		ok = ok && q/f == p && !(f == -1 && p == math.MinInt64)
+		p = q
+	}
+	s := c.v + p
+	c.ok = c.ok && ok && (s > c.v) == (p > 0)
+	c.v = s
 }
 
 // finishPhase assembles the Result for a measured busy time and emits the

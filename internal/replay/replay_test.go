@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,6 +137,52 @@ func TestFaithfulFlagOnlyOnMixedPhases(t *testing.T) {
 	for _, pe := range est.Phases {
 		if pe.Faithful != (len(pe.Phase.Ops) > 1) {
 			t.Fatalf("phase %d faithful=%v ops=%d", pe.Phase.ID, pe.Faithful, len(pe.Phase.Ops))
+		}
+	}
+}
+
+// TestReplayRejectsNegativeOffsets: a phase whose offset function reaches
+// below zero at any rank, repetition or slot, or past int64, is an error
+// naming the app and the phase. The simulated filesystem would panic on
+// such an offset inside a process goroutine, which no caller can recover.
+func TestReplayRejectsNegativeOffsets(t *testing.T) {
+	m := madbenchModel(t, cluster.ConfigA(), 4, units.MiB)
+	var mixed *core.PhaseModel
+	for _, pm := range m.Phases {
+		if len(pm.Ops) > 1 {
+			mixed = pm
+		}
+	}
+	if mixed == nil || mixed.NP != 4 || mixed.Rep < 2 {
+		t.Fatalf("no multi-slot, multi-repetition phase in %+v", m.Phases)
+	}
+	cases := []struct {
+		name string
+		edit func(pm *core.PhaseModel)
+		want string // "" for a valid phase
+	}{
+		{"as traced", func(pm *core.PhaseModel) {}, ""},
+		{"intercept", func(pm *core.PhaseModel) { pm.OffsetC = -1 << 30 }, "rank 0, repetition 0, starts at negative offset"},
+		{"last rank", func(pm *core.PhaseModel) { pm.OffsetA = -pm.OffsetA }, "rank 3, repetition 0, starts at negative offset"},
+		{"last repetition", func(pm *core.PhaseModel) { pm.Ops[0].Disp = -pm.Ops[0].Disp }, "slot 0 of rank 0, repetition"},
+		{"slot skew", func(pm *core.PhaseModel) { pm.Ops[1].Skew = -1 }, "slot 1 of rank 0, repetition 0, starts at negative offset"},
+		{"family term", func(pm *core.PhaseModel) { pm.OffsetD, pm.FamilyRep = -1<<40, 2 }, "rank 3, repetition 0, starts at negative offset"},
+		{"overflow", func(pm *core.PhaseModel) { pm.OffsetD, pm.FamilyRep = 1<<62, 3 }, "beyond int64"},
+	}
+	for _, tc := range cases {
+		pm := *mixed
+		pm.Ops = append([]core.OpModel(nil), mixed.Ops...)
+		tc.edit(&pm)
+		_, err := replay.Phase(cluster.ConfigA(), m, &pm)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: replayed without error", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), fmt.Sprintf("madbench2 phase %d: ", pm.ID)):
+			t.Errorf("%s: error %q does not name the app and phase", tc.name, err)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
 		}
 	}
 }

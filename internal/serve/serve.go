@@ -263,14 +263,16 @@ func errf(status int, format string, args ...any) *apiError {
 }
 
 // strictUnmarshal decodes a request body, rejecting unknown fields (typo'd
-// knobs must not silently no-op) and trailing data.
+// knobs must not silently no-op) and trailing data. Only whitespace may
+// follow the value: Decoder.More reports false before a stray '}' or ']',
+// so the decoder must reach io.EOF instead.
 func strictUnmarshal(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil

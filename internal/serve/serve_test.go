@@ -27,7 +27,7 @@ var (
 	testModelVal  *core.Model
 )
 
-func testModel(t *testing.T) *core.Model {
+func testModel(t testing.TB) *core.Model {
 	t.Helper()
 	testModelOnce.Do(func() {
 		params := madbench.Default()
@@ -129,6 +129,8 @@ func TestQueryErrors(t *testing.T) {
 		{"/v1/predict", `{not json`, http.StatusBadRequest},
 		{"/v1/predict", `{"model":"madbench2","typo_field":1}`, http.StatusBadRequest},
 		{"/v1/predict", `{"model":"madbench2"} trailing`, http.StatusBadRequest},
+		{"/v1/predict", `{"model":"madbench2","configs":["configA"]}}`, http.StatusBadRequest},
+		{"/v1/predict", `{"model":"madbench2","configs":["configA"]}]]]garbage`, http.StatusBadRequest},
 		{"/v1/explore", `{"model":"madbench2","base":"nope"}`, http.StatusNotFound},
 		{"/v1/compare-degraded", `{"model":"madbench2","config":"configA","scenario":"nope"}`, http.StatusNotFound},
 		{"/v1/compare-degraded", `{"model":"madbench2","config":"configA","scenario":"slow-disk","peak_rs_mib":9999}`, http.StatusUnprocessableEntity},
@@ -479,6 +481,41 @@ func TestPanicBecomes500(t *testing.T) {
 	var er ErrorResponse
 	if err := json.Unmarshal(res.body, &er); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaithfulNegativeOffsetIs422: a corpus model whose mixed phase
+// reaches a negative offset is answered with 422 on a faithful predict.
+// The phase replay would otherwise panic on a simulation goroutine, past
+// safeCompute's recover, and end the daemon.
+func TestFaithfulNegativeOffsetIs422(t *testing.T) {
+	good := testModel(t)
+	neg := *good
+	neg.Phases = append([]*core.PhaseModel(nil), good.Phases...)
+	for i, pm := range neg.Phases {
+		if len(pm.Ops) > 1 {
+			bad := *pm
+			bad.OffsetC = -1 << 30
+			neg.Phases[i] = &bad
+		}
+	}
+	s, err := New(Options{
+		Corpus: map[string]*core.Model{"neg": &neg},
+		Zoo:    []cluster.Spec{cluster.ConfigA()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetReady(true)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before := obs.Default().Counter("serve/panics").Value()
+	resp, body := postJSON(t, ts.URL+"/v1/predict", `{"model":"neg","configs":["configA"],"faithful":true}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "negative offset") {
+		t.Fatalf("status %d: %s; want 422 naming the negative offset", resp.StatusCode, body)
+	}
+	if got := obs.Default().Counter("serve/panics").Value(); got != before {
+		t.Fatalf("serve/panics %d -> %d", before, got)
 	}
 }
 
