@@ -51,6 +51,11 @@ go test -run='^$' -bench=. -benchmem ./internal/des/ >>"$tmp"
 echo "== streaming-pipeline microbenchmarks (internal/trace, internal/pattern)" >&2
 go test -run='^$' -bench=. -benchmem ./internal/trace/ ./internal/pattern/ >>"$tmp"
 
+# One key per op, at microseconds each: a what-if sweep fingerprints every
+# phase of every variant, so key cost shows in whatif-fast's op_ms.
+echo "== replay-cache key microbenchmarks (internal/simcache)" >&2
+go test -run='^$' -bench=. -benchmem ./internal/simcache/ >>"$tmp"
+
 echo "== paper-level benchmarks (root)" >&2
 go test -run='^$' -bench=. -benchmem -benchtime="${BENCHTIME:-1x}" . >>"$tmp"
 

@@ -14,7 +14,7 @@ import (
 	"iophases/internal/units"
 )
 
-func coexecModel(t *testing.T, rs int64) *core.Model {
+func coexecModel(t testing.TB, rs int64) *core.Model {
 	t.Helper()
 	params := madbench.Default()
 	params.RS = rs

@@ -2,12 +2,15 @@ package simcache
 
 // The runtime guard on the cache key: mutate one reachable field at a
 // time with testing/quick-generated values and watch the fingerprint.
-// Every fingerprint encodes its whole input value, so every mutation must
+// Numbers are also moved by the smallest step (+1, or the next float up),
+// which catches a key that rounds a field rather than drops it. Every
+// fingerprint encodes its whole input value, so every mutation must
 // re-key the cache. A mutation that leaves the key unchanged names a field
-// the key dropped, which would serve one input's cached result for
-// another.
+// the key dropped or rounded, which would serve one input's cached result
+// for another.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -28,11 +31,12 @@ import (
 type mutation struct {
 	path  string
 	steps []step
-	kind  int // mutLeaf | mutAllocate | mutAppend
+	kind  int // mutLeaf | mutStep | mutAllocate | mutAppend
 }
 
 const (
 	mutLeaf     = iota // replace a scalar with a quick-generated value
+	mutStep            // integer +1, float to the next value toward +Inf
 	mutAllocate        // nil pointer -> pointer to zero value
 	mutAppend          // slice gains one zero element
 )
@@ -57,8 +61,9 @@ func navigate(v reflect.Value, steps []step) reflect.Value {
 }
 
 // planMutations walks v and emits one mutation per reachable exported
-// field: scalars get a value swap, nil pointers get allocated, empty
-// slices get an element, populated slices recurse into element 0.
+// field: scalars get a value swap, numbers also a smallest step, nil
+// pointers get allocated, empty slices get an element, populated slices
+// recurse into element 0.
 func planMutations(v reflect.Value, path string, steps []step, out *[]mutation) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -83,6 +88,13 @@ func planMutations(v reflect.Value, path string, steps []step, out *[]mutation) 
 		planMutations(v.Index(0), path+"[0]", append(append([]step{}, steps...), step{'i', 0}), out)
 	default:
 		*out = append(*out, mutation{path: path, steps: steps, kind: mutLeaf})
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			*out = append(*out, mutation{path: path + "+1", steps: steps, kind: mutStep})
+		case reflect.Float32, reflect.Float64:
+			*out = append(*out, mutation{path: path + "+ulp", steps: steps, kind: mutStep})
+		}
 	}
 }
 
@@ -95,6 +107,17 @@ func (m mutation) apply(t *testing.T, rng *rand.Rand, root reflect.Value) {
 		v.Set(reflect.New(v.Type().Elem()))
 	case mutAppend:
 		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case mutStep:
+		switch {
+		case v.CanInt():
+			v.SetInt(v.Int() + 1)
+		case v.CanUint():
+			v.SetUint(v.Uint() + 1)
+		case v.Kind() == reflect.Float32:
+			v.SetFloat(float64(math.Nextafter32(float32(v.Float()), float32(math.Inf(1)))))
+		default:
+			v.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
+		}
 	default:
 		old := v.Interface()
 		for tries := 0; ; tries++ {
@@ -225,6 +248,37 @@ func TestFingerprintCoversClusterSpec(t *testing.T) {
 	})
 	for _, path := range missed {
 		t.Errorf("%s: mutating this field did not change the fingerprint", path)
+	}
+}
+
+// peakSizes holds PeakBandwidth's two sweep sizes, so the walker plans
+// their mutations as it does any other field's.
+type peakSizes struct{ FileSize, RequestSize int64 }
+
+// TestPeakKeyCoversSpecAndSizes runs the same spec mutations through the
+// key of the memoized device peak (BW_PK), then mutates its sweep sizes.
+func TestPeakKeyCoversSpecAndSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260808))
+	sizes := peakSizes{64 * units.MiB, units.MiB}
+	for _, spec := range []cluster.Spec{cluster.ConfigA(), richSpec()} {
+		missed := checkSpec(t, rng, spec, specMutations(t, spec), func(s cluster.Spec) string {
+			return peakKey(s, sizes.FileSize, sizes.RequestSize)
+		})
+		for _, path := range missed {
+			t.Errorf("%s: mutating this field did not change the peak key", path)
+		}
+	}
+
+	var sMuts []mutation
+	base := reflect.ValueOf(sizes)
+	planMutations(base, "Peak", nil, &sMuts)
+	spec := cluster.ConfigA()
+	missed := checkMutations(t, rng, base, sMuts, func(v reflect.Value) string {
+		s := v.Interface().(peakSizes)
+		return peakKey(spec, s.FileSize, s.RequestSize)
+	})
+	for _, path := range missed {
+		t.Errorf("%s: mutating this size did not change the peak key", path)
 	}
 }
 

@@ -7,16 +7,38 @@
 // results — a cache hit can return the stored result and skip the whole
 // cluster build and event loop.
 //
-// Keys are canonical fingerprints of the whole input value — (cluster.Spec,
-// ior.Params) for a replay, the coexec.Spec for a co-execution — encoded
-// field by field (pointers dereferenced, so two specs that describe the
-// same hardware through different pointer identities fingerprint equally)
-// and hashed with SHA-256. No field is excluded. Even names reach the
-// result: Spec.Name prefixes every link name, which a fault's Match
-// selects on, and co-execution results carry their apps' names. So two
-// inputs share an entry only when they are equal. Traced runs
-// (Params.TraceRun) bypass the cache: their value is the trace, which is
-// per-run mutable state.
+// Keys are fingerprints of the whole input value — (cluster.Spec,
+// ior.Params) for a replay, the coexec.Spec for a co-execution, the spec
+// and the two sweep sizes for a device peak — hashed with SHA-256. No field
+// is excluded. Even names reach the result: Spec.Name prefixes every link
+// name, which a fault's Match selects on, and co-execution results carry
+// their apps' names. So two inputs share an entry only when they are
+// equal. Traced runs (Params.TraceRun) bypass the cache: their value is
+// the trace, which is per-run mutable state.
+//
+// The hashed bytes are a domain prefix ("ior/", "coexec/" or
+// "iozone-peak/") and then an exact binary encoding of each input:
+//
+//   - a pointer is a 0 (nil) or 1 tag byte, then its target's encoding, so
+//     two specs that describe the same hardware through different pointers
+//     encode equally;
+//   - a struct is its fields in declaration order, with no names;
+//   - a slice is its length as a uvarint, then its elements in order;
+//   - a string is its length as a uvarint, then its bytes;
+//   - a bool is one byte, an integer a varint (uvarint if unsigned), and a
+//     float its eight IEEE-754 bytes (math.Float64bits);
+//   - any other kind panics, naming the type.
+//
+// No value is formatted, so no String method can round a field into the
+// key: a latency 300 ns longer or a bandwidth 1000 B/s higher is a
+// different key. The encoding is injective without field names because
+// every input's static type is fixed, and so is the layout it implies.
+// By induction on that type, no value's encoding is a proper prefix of
+// another's: tags, varints and fixed-width scalars are prefix-free on
+// their own, a slice or string states its length before its elements,
+// and a concatenation of prefix-free codes whose order the type fixes is
+// prefix-free again. A prefix-free code is injective, so equal bytes mean
+// values equal bit for bit, and the domain prefixes keep the three kinds of key apart.
 //
 // The cache is safe for concurrent use and deduplicates in-flight work:
 // when several sweep workers miss on one key simultaneously, a single
@@ -26,10 +48,11 @@ package simcache
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,70 +65,71 @@ import (
 	"iophases/internal/units"
 )
 
-// Canonical renders (spec, p) as a deterministic string. The fast-path
-// admission decision is folded in as a trailing tag: it is a pure function
-// of (spec, p) — never of the execution mode — so entries stay
-// mode-independent (a result cached with the fast path off is reused with
-// it on, and vice versa, which is sound because verify mode pins the two
-// paths to bit-identical results), yet a revision of the admission rule
-// re-keys the cache instead of aliasing entries across rule versions.
-// Exported for key-canonicalization tests.
-func Canonical(spec cluster.Spec, p ior.Params) string {
-	var b strings.Builder
-	b.WriteString("ior/")
-	encodeValue(&b, reflect.ValueOf(spec))
-	b.WriteByte('|')
-	encodeValue(&b, reflect.ValueOf(p))
-	b.WriteString("|fp=")
-	b.WriteString(fastpath.DecisionTag(spec, p))
-	return b.String()
-}
-
-// Fingerprint is the content-addressed cache key: SHA-256 over Canonical.
+// Fingerprint is the content-addressed replay key: SHA-256 over "ior/",
+// the encoding of spec, the encoding of p and, last, the fast-path
+// admission tag. The tag is a pure function of (spec, p), never of the
+// execution mode, so entries stay mode-independent (a result cached with
+// the fast path off is reused with it on, and vice versa, which is sound
+// because verify mode pins the two paths to bit-identical results), yet a
+// revision of the admission rule re-keys the cache instead of aliasing
+// entries across rule versions. Everything before the tag is prefix-free,
+// so the tag needs no length.
 func Fingerprint(spec cluster.Spec, p ior.Params) string {
-	return hashKey(Canonical(spec, p))
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, "ior/"...)
+	b = appendValue(b, reflect.ValueOf(spec))
+	b = appendValue(b, reflect.ValueOf(p))
+	b = append(b, fastpath.DecisionTag(spec, p)...)
+	return hashKey(b)
 }
 
-func hashKey(canon string) string {
-	sum := sha256.Sum256([]byte(canon))
+// keyBufSize covers the encoding of a preset spec and its replay
+// parameters, so a replay key is encoded without growing its buffer.
+const keyBufSize = 512
+
+func hashKey(b []byte) string {
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// encodeValue writes a canonical encoding of v: every field of every
-// struct, every slice element in order, pointers by their targets. No
-// field is left out, so any field added anywhere in the tree
-// automatically extends the fingerprint.
-func encodeValue(b *strings.Builder, v reflect.Value) {
+// appendValue appends the exact binary encoding of v (see the package
+// doc) to b. It panics on a kind the encoding does not cover, naming the
+// type, so a new field of such a kind fails every key test at once
+// instead of keying loosely.
+func appendValue(b []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
-			b.WriteString("nil")
-			return
+			return append(b, 0)
 		}
-		b.WriteByte('&')
-		encodeValue(b, v.Elem())
+		return appendValue(append(b, 1), v.Elem())
 	case reflect.Struct:
-		b.WriteString(v.Type().Name())
-		b.WriteByte('{')
 		for i := 0; i < v.NumField(); i++ {
-			b.WriteString(v.Type().Field(i).Name)
-			b.WriteByte(':')
-			encodeValue(b, v.Field(i))
-			b.WriteByte(';')
+			b = appendValue(b, v.Field(i))
 		}
-		b.WriteByte('}')
-	case reflect.Slice, reflect.Array:
-		fmt.Fprintf(b, "[%d:", v.Len())
+		return b
+	case reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
-			encodeValue(b, v.Index(i))
-			b.WriteByte(',')
+			b = appendValue(b, v.Index(i))
 		}
-		b.WriteByte(']')
+		return b
 	case reflect.String:
-		fmt.Fprintf(b, "%q", v.String())
-	default:
-		fmt.Fprintf(b, "%v", v.Interface())
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		return append(b, v.String()...)
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
 	}
+	panic("simcache: no key encoding for type " + v.Type().String())
 }
 
 // entry is a singleflight slot: the first goroutine to claim a key runs the
@@ -274,14 +298,13 @@ func computeIOR(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result 
 }
 
 // FingerprintCoexec is the content-addressed key for a co-execution spec:
-// SHA-256 over the encoding of the whole spec — the shared cluster, then
-// each application in order. App order is part of the key, because it
-// fixes core allocation and launch order.
+// SHA-256 over "coexec/" and the encoding of the whole spec — the shared
+// cluster, then each application in order. App order is part of the key,
+// because it fixes core allocation and launch order.
 func FingerprintCoexec(spec coexec.Spec) string {
-	var b strings.Builder
-	b.WriteString("coexec/")
-	encodeValue(&b, reflect.ValueOf(spec))
-	return hashKey(b.String())
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, "coexec/"...)
+	return hashKey(appendValue(b, reflect.ValueOf(spec)))
 }
 
 // coexecSlot stores a completed co-execution (result and error together,
@@ -321,11 +344,7 @@ type peaks struct {
 // peak of a configuration is re-derived by every utilization table and
 // usage computation, but only depends on the spec and the sweep sizes.
 func PeakBandwidth(spec cluster.Spec, fileSize, requestSize int64) (write, read units.Bandwidth) {
-	var b strings.Builder
-	b.WriteString("iozone-peak/")
-	encodeValue(&b, reflect.ValueOf(spec))
-	fmt.Fprintf(&b, "|fz=%d;rs=%d", fileSize, requestSize)
-	e := lookup(hashKey(b.String()))
+	e := lookup(peakKey(spec, fileSize, requestSize))
 	e.once.Do(func() {
 		var p peaks
 		p.write, p.read = iozone.PeakOfConfig(spec, fileSize, requestSize)
@@ -334,6 +353,16 @@ func PeakBandwidth(spec cluster.Spec, fileSize, requestSize int64) (write, read 
 	})
 	p := e.res.(peaks)
 	return p.write, p.read
+}
+
+// peakKey is PeakBandwidth's key: SHA-256 over "iozone-peak/", the
+// encoding of spec and the two sweep sizes as varints.
+func peakKey(spec cluster.Spec, fileSize, requestSize int64) string {
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, "iozone-peak/"...)
+	b = appendValue(b, reflect.ValueOf(spec))
+	b = binary.AppendVarint(b, fileSize)
+	return hashKey(binary.AppendVarint(b, requestSize))
 }
 
 // Stats reports cache traffic since process start (or the last Reset):

@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -38,6 +39,10 @@ func TestKeySeparatesPhysicalFields(t *testing.T) {
 		"cache-nil":  func(s *cluster.Spec) { s.Storage.Cache = nil },
 		"stripe":     func(s *cluster.Spec) { s.Storage.FSStripe = 128 * units.KiB },
 		"cores":      func(s *cluster.Spec) { s.CoresPerNode = 8 },
+		// Less than the rounding of Duration.String and Bandwidth.String,
+		// which a formatted key would drop.
+		"latency+300ns":   func(s *cluster.Spec) { s.Net.Latency += 300 * units.Nanosecond },
+		"bandwidth+1kB/s": func(s *cluster.Spec) { s.Net.Bandwidth += 1000 },
 	}
 	for name, mutate := range mutations {
 		s := base
@@ -65,6 +70,16 @@ func TestKeySeparatesPhysicalFields(t *testing.T) {
 	if Fingerprint(base, p3) == want {
 		t.Error("collective flag does not change the fingerprint")
 	}
+
+	// A spec a fraction of a unit away from a cached one gets its own run.
+	Reset()
+	defer Reset()
+	RunIOR(base, p)
+	slower := base
+	slower.Net.Latency += 300 * units.Nanosecond
+	if got, fresh := RunIOR(slower, p), ior.Run(slower, p); got != fresh {
+		t.Errorf("latency+300ns: RunIOR write time %d ns, a fresh ior.Run gives %d ns", got.WriteTime, fresh.WriteTime)
+	}
 }
 
 // Pointer identity must not leak into the key: two separately-allocated but
@@ -72,9 +87,20 @@ func TestKeySeparatesPhysicalFields(t *testing.T) {
 func TestKeyDereferencesPointers(t *testing.T) {
 	a := cluster.ConfigA()
 	b := cluster.ConfigA() // fresh allocations of RAID, Cache, LocalDisk
-	if Canonical(a, testParams()) != Canonical(b, testParams()) {
-		t.Fatal("fresh but equal specs canonicalize differently")
+	if Fingerprint(a, testParams()) != Fingerprint(b, testParams()) {
+		t.Fatal("fresh but equal specs fingerprint differently")
 	}
+}
+
+// A kind the key encoding does not cover panics and names its type, so a
+// field of such a kind fails every key test instead of keying loosely.
+func TestKeyEncodingPanicsOnUncoveredKind(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "map[string]int") {
+			t.Fatalf("panic %q does not name the map type", msg)
+		}
+	}()
+	appendValue(nil, reflect.ValueOf(struct{ M map[string]int }{}))
 }
 
 func TestRunIORCachesAndMatches(t *testing.T) {
