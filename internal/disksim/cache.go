@@ -56,7 +56,8 @@ type dirtySet struct {
 // shared with mirror.go's RecentIndex.
 type recentIndex struct {
 	m        map[int64]int64 // offset -> end
-	q        []cacheExtent
+	q        []cacheExtent   // remembered extents, oldest first, from q[head]
+	head     int
 	bytes    int64
 	capacity int64
 }
@@ -79,7 +80,7 @@ func NewWriteCache(eng *des.Engine, name string, dev Device, params CacheParams)
 	if params.Capacity <= 0 || params.MemBW <= 0 || params.Chunk <= 0 {
 		panic(fmt.Sprintf("disksim: cache %q bad params %+v", name, params))
 	}
-	return &WriteCache{
+	c := &WriteCache{
 		eng:      eng,
 		name:     name,
 		dev:      dev,
@@ -87,8 +88,9 @@ func NewWriteCache(eng *des.Engine, name string, dev Device, params CacheParams)
 		memBW:    params.MemBW,
 		chunk:    params.Chunk,
 		dirty:    dirtySet{chunk: params.Chunk},
-		recent:   recentIndex{capacity: params.Capacity, m: make(map[int64]int64)},
 	}
+	c.recent.reset(params.Capacity)
+	return c
 }
 
 func (c *WriteCache) Name() string    { return c.name }
@@ -152,11 +154,17 @@ func (s *dirtySet) add(e cacheExtent) {
 // the capacity budget.
 func (r *recentIndex) remember(e cacheExtent) {
 	r.m[e.offset] = e.offset + e.size
+	if len(r.q) == cap(r.q) && r.head > 0 && r.head >= len(r.q)/2 {
+		// At least half the queue is evicted: slide the live tail to
+		// the front so the append reuses the array instead of growing.
+		r.q = r.q[:copy(r.q, r.q[r.head:])]
+		r.head = 0
+	}
 	r.q = append(r.q, e)
 	r.bytes += e.size
-	for r.bytes > r.capacity && len(r.q) > 0 {
-		old := r.q[0]
-		r.q = r.q[1:]
+	for r.bytes > r.capacity && r.head < len(r.q) {
+		old := r.q[r.head]
+		r.head++
 		r.bytes -= old.size
 		if end, ok := r.m[old.offset]; ok && end == old.offset+old.size {
 			delete(r.m, old.offset)
@@ -172,10 +180,16 @@ func (r *recentIndex) hit(offset, size int64) bool {
 }
 
 // invalidate drops the whole index.
-func (r *recentIndex) invalidate() {
-	r.m = make(map[int64]int64)
-	r.q = nil
-	r.bytes = 0
+func (r *recentIndex) invalidate() { r.reset(r.capacity) }
+
+// reset empties the index in place for a capacity-byte budget, keeping
+// the map's and the queue's storage.
+func (r *recentIndex) reset(capacity int64) {
+	if r.m == nil {
+		r.m = make(map[int64]int64)
+	}
+	clear(r.m)
+	*r = recentIndex{m: r.m, q: r.q[:0], capacity: capacity}
 }
 
 // Read serves cache hits at memory speed and misses from the device. A hit

@@ -26,7 +26,14 @@ type HeadClock struct {
 
 // NewHeadClock returns a clock for a disk in its initial (unstarted) state.
 func NewHeadClock(params DiskParams) *HeadClock {
-	return &HeadClock{params: params, lastEnd: -1}
+	h := new(HeadClock)
+	h.Reset(params)
+	return h
+}
+
+// Reset returns the clock to NewHeadClock(params)'s state in place.
+func (h *HeadClock) Reset(params DiskParams) {
+	*h = HeadClock{params: params, lastEnd: -1}
 }
 
 // ServiceTime computes the duration of one request and updates head state.
@@ -84,15 +91,24 @@ type ArrayClock struct {
 	level      RAIDLevel
 	stripeUnit int64
 	members    []HeadClock
+	chunks     []chunk // OpTime's reused striping buffer
 }
 
 // NewArrayClock returns a clock for a healthy array of n identical members.
 func NewArrayClock(level RAIDLevel, n int, stripeUnit int64, disk DiskParams) *ArrayClock {
-	a := &ArrayClock{level: level, stripeUnit: stripeUnit, members: make([]HeadClock, n)}
-	for i := range a.members {
-		a.members[i] = HeadClock{params: disk, lastEnd: -1}
-	}
+	a := new(ArrayClock)
+	a.Reset(level, n, stripeUnit, disk)
 	return a
+}
+
+// Reset returns the clock to NewArrayClock's state in place, keeping its
+// buffers, so a reused clock prices a new array without allocating.
+func (a *ArrayClock) Reset(level RAIDLevel, n int, stripeUnit int64, disk DiskParams) {
+	members := a.members[:0]
+	for i := 0; i < n; i++ {
+		members = append(members, HeadClock{params: disk, lastEnd: -1})
+	}
+	*a = ArrayClock{level: level, stripeUnit: stripeUnit, members: members, chunks: a.chunks[:0]}
 }
 
 // dataDisks mirrors Array.dataDisks.
@@ -136,18 +152,24 @@ func (a *ArrayClock) OpTime(offset, size int64, write bool) units.Duration {
 		return 0
 	}
 	if !write {
-		return a.issueTime(stripeSplit(a.stripeUnit, len(a.members), offset, size), false, false)
+		return a.issueTime(a.stripe(offset, size), false, false)
 	}
 	if a.level != RAID5 {
-		return a.issueTime(stripeSplit(a.stripeUnit, len(a.members), offset, size), true, false)
+		return a.issueTime(a.stripe(offset, size), true, false)
 	}
 	stripe := a.stripeUnit * int64(a.dataDisks())
 	parts, n := raid5Parts(offset, size, stripe)
 	var total units.Duration
 	for _, part := range parts[:n] {
-		total += a.issueTime(stripeSplit(a.stripeUnit, len(a.members), part.off, part.size), true, part.rmw)
+		total += a.issueTime(a.stripe(part.off, part.size), true, part.rmw)
 	}
 	return total
+}
+
+// stripe mirrors Array.stripeChunks into the clock's own buffer.
+func (a *ArrayClock) stripe(offset, size int64) []chunk {
+	a.chunks = stripeSplit(a.chunks[:0], a.stripeUnit, len(a.members), offset, size)
+	return a.chunks
 }
 
 // CacheLedger is the dirty-extent bookkeeping of a WriteCache, exported so
@@ -159,7 +181,15 @@ type CacheLedger struct {
 
 // NewCacheLedger returns a ledger with the cache's flush chunk size.
 func NewCacheLedger(chunk int64) *CacheLedger {
-	return &CacheLedger{d: dirtySet{chunk: chunk}}
+	l := new(CacheLedger)
+	l.Reset(chunk)
+	return l
+}
+
+// Reset empties the ledger in place (NewCacheLedger's state), keeping its
+// extent buffer.
+func (l *CacheLedger) Reset(chunk int64) {
+	l.d = dirtySet{extents: l.d.extents[:0], chunk: chunk}
 }
 
 // Add records a dirty extent (WriteCache deposit).
@@ -181,8 +211,14 @@ type RecentIndex struct {
 
 // NewRecentIndex returns an index bounded to capacity bytes.
 func NewRecentIndex(capacity int64) *RecentIndex {
-	return &RecentIndex{r: recentIndex{capacity: capacity, m: make(map[int64]int64)}}
+	x := new(RecentIndex)
+	x.Reset(capacity)
+	return x
 }
+
+// Reset empties the index in place (NewRecentIndex's state), keeping its
+// map and queue storage.
+func (x *RecentIndex) Reset(capacity int64) { x.r.reset(capacity) }
 
 // Remember indexes a written extent (evicting the oldest beyond capacity).
 func (x *RecentIndex) Remember(offset, size int64) {

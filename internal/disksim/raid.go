@@ -35,6 +35,7 @@ type Array struct {
 	ctr        Counters
 	failed     int              // failed member index, -1 = healthy
 	flt        *faults.Injector // nil on a healthy cluster
+	chunks     []chunk          // stripeChunks' reused result buffer
 }
 
 // NewArray builds an array over the given member disks. stripeUnit is the
@@ -94,31 +95,67 @@ type chunk struct {
 // laid out round-robin in stripeUnit chunks across the data disks; for
 // RAID5 the parity rotation is approximated by spreading data over all
 // members (which matches the aggregate bandwidth behaviour of rotating
-// parity).
+// parity). The result lives in the array's buffer until the next call:
+// issue copies every chunk into its helper before it blocks (Spawn
+// schedules and does not yield), so no other request can overwrite the
+// chunks it is still reading.
 func (a *Array) stripeChunks(offset, size int64) []chunk {
-	return stripeSplit(a.stripeUnit, len(a.members), offset, size)
+	a.chunks = stripeSplit(a.chunks[:0], a.stripeUnit, len(a.members), offset, size)
+	return a.chunks
 }
 
-// stripeSplit is the pure striping computation behind stripeChunks, shared
-// with ArrayClock so the fast path derives the exact same member requests.
-func stripeSplit(stripeUnit int64, nmembers int, offset, size int64) []chunk {
-	n := int64(nmembers)
-	var out []chunk
-	for size > 0 {
-		unitIdx := offset / stripeUnit
-		within := offset % stripeUnit
-		take := stripeUnit - within
-		if take > size {
-			take = size
-		}
-		disk := int(unitIdx % n)
-		// Member-local offset: stripe row × unit + offset within unit.
-		row := unitIdx / n
-		out = append(out, chunk{disk: disk, offset: row*stripeUnit + within, size: take})
-		offset += take
-		size -= take
+// stripeSplit appends the member requests of a logical extent to buf, one
+// per touched member in first-touch order: the pure striping computation
+// behind stripeChunks, shared with ArrayClock so the fast path derives the
+// exact same member requests.
+func stripeSplit(buf []chunk, stripeUnit int64, nmembers int, offset, size int64) []chunk {
+	if size <= 0 {
+		return buf
 	}
-	return coalesce(out, nmembers)
+	first := int(offset / stripeUnit % int64(nmembers))
+	for i := 0; i < nmembers; i++ {
+		disk := (first + i) % nmembers
+		local, n, ok := StripeRun(stripeUnit, nmembers, offset, size, disk)
+		if !ok {
+			break // the touched members are consecutive from first
+		}
+		buf = append(buf, chunk{disk: disk, offset: local, size: n})
+	}
+	return buf
+}
+
+// StripeRun is round-robin striping in closed form: the part of the
+// extent [offset, offset+size) that lands on member when the extent is
+// laid out over members in unit-sized pieces, stripe unit u on member
+// u mod members at member offset (u div members)·unit. One member's
+// successive stripe rows are contiguous in member space, every piece but
+// the extent's last ends on a unit boundary and every piece but its first
+// starts on one, so the extent touches each member as one run: it starts
+// in the member's first unit (mid-unit when that is the extent's first)
+// and ends in its last (mid-unit when that is the extent's last). ok is
+// false when the extent does not touch member. RAID arrays and fsim's
+// file striping both lay data out through this function.
+func StripeRun(unit int64, members int, offset, size int64, member int) (local, n int64, ok bool) {
+	if size <= 0 {
+		return 0, 0, false
+	}
+	m := int64(members)
+	first := offset / unit
+	last := (offset + size - 1) / unit
+	u := first + (int64(member)-first%m+m)%m // member's first unit in the extent
+	if u > last {
+		return 0, 0, false
+	}
+	local = u / m * unit
+	if u == first {
+		local += offset % unit
+	}
+	ul := u + (last-u)/m*m // member's last unit in the extent
+	end := ul/m*unit + unit
+	if ul == last {
+		end = ul/m*unit + (offset + size - last*unit)
+	}
+	return local, end - local, true
 }
 
 // raidPart is one leg of a RAID5 write's head/middle/tail decomposition.
@@ -155,27 +192,6 @@ func raid5Parts(offset, size, stripe int64) (parts [3]raidPart, n int) {
 		n++
 	}
 	return parts, n
-}
-
-// coalesce merges per-disk chunks that are contiguous in member-local space
-// (successive stripe rows land back-to-back on each member), so one logical
-// request issues at most one member request per disk instead of one per
-// stripe unit. Member order is preserved for determinism.
-func coalesce(chunks []chunk, ndisks int) []chunk {
-	last := make([]int, ndisks) // index+1 of the last chunk kept per disk
-	out := chunks[:0]
-	for _, c := range chunks {
-		if li := last[c.disk]; li > 0 {
-			prev := &out[li-1]
-			if prev.offset+prev.size == c.offset {
-				prev.size += c.size
-				continue
-			}
-		}
-		out = append(out, c)
-		last[c.disk] = len(out)
-	}
-	return out
 }
 
 // effectiveFailed reports the member lost at now: a permanent Fail() if

@@ -23,13 +23,11 @@ import (
 // pressure (a deposit larger than free space, which would park the client)
 // and device reads racing a flush all set bail instead of guessing.
 type serverSim struct {
-	dev disksim.DeviceClock
+	dev disksim.DeviceClock // &head or &array
 
 	hasCache bool
 	capacity int64
 	memBW    units.Bandwidth
-	ledger   *disksim.CacheLedger // dirty extents not yet gathered
-	recent   *disksim.RecentIndex
 	level    int64 // dirty bytes: ledger plus the in-flight chunk
 
 	fBusy bool           // a gathered chunk is being written to the device
@@ -37,31 +35,43 @@ type serverSim struct {
 	fN    int64          // its size
 
 	bail bool
+
+	// The device clocks and the cache state, reset in place by reset so
+	// their buffers carry over from run to run.
+	head   disksim.HeadClock
+	array  disksim.ArrayClock
+	ledger disksim.CacheLedger // dirty extents not yet gathered
+	recent disksim.RecentIndex
 }
 
-// newServerSim builds the analytic target for a spec's storage side.
-func newServerSim(st cluster.StorageSpec) *serverSim {
-	s := &serverSim{dev: deviceClock(st)}
-	if st.Cache != nil {
+// reset readies the analytic target for a spec's storage side: every
+// scalar field back to zero, the device clock and cache state back to the
+// state cluster.Build's freshly built devices start in.
+func (s *serverSim) reset(st cluster.StorageSpec) {
+	*s = serverSim{head: s.head, array: s.array, ledger: s.ledger, recent: s.recent}
+	s.dev = s.deviceClock(st)
+	if c := st.Cache; c != nil {
 		s.hasCache = true
-		s.capacity = st.Cache.Capacity
-		s.memBW = st.Cache.MemBW
-		s.ledger = disksim.NewCacheLedger(st.Cache.Chunk)
-		s.recent = disksim.NewRecentIndex(st.Cache.Capacity)
+		s.capacity = c.Capacity
+		s.memBW = c.MemBW
+		s.ledger.Reset(c.Chunk)
+		s.recent.Reset(c.Capacity)
 	}
-	return s
 }
 
 // deviceClock mirrors cluster.Build's per-I/O-node device assembly: RAID
 // array, JBOD-as-RAID0 concatenation, or a bare disk.
-func deviceClock(st cluster.StorageSpec) disksim.DeviceClock {
+func (s *serverSim) deviceClock(st cluster.StorageSpec) disksim.DeviceClock {
 	switch {
 	case st.RAID != nil:
-		return disksim.NewArrayClock(st.RAID.Level, st.DisksPerNode, st.RAID.StripeUnit, st.Disk)
+		s.array.Reset(st.RAID.Level, st.DisksPerNode, st.RAID.StripeUnit, st.Disk)
+		return &s.array
 	case st.DisksPerNode > 1:
-		return disksim.NewArrayClock(disksim.RAID0, st.DisksPerNode, 64*units.GiB, st.Disk)
+		s.array.Reset(disksim.RAID0, st.DisksPerNode, 64*units.GiB, st.Disk)
+		return &s.array
 	default:
-		return disksim.NewHeadClock(st.Disk)
+		s.head.Reset(st.Disk)
+		return &s.head
 	}
 }
 

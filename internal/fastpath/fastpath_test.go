@@ -64,3 +64,27 @@ func fsimStripeCount(spec cluster.Spec) int {
 	}
 	return sc
 }
+
+// TestRunIORAllocationFloor pins the walker reuse: once the pool holds a
+// walker, an admissible RunIOR allocates only what its ChunkOrder call
+// does (the order slice, plus the shuffle's generator for RandomOrder),
+// on a RAID5 target with a write cache (configA) and on a bare disk.
+func TestRunIORAllocationFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	bare := cluster.ConfigA()
+	bare.Storage.RAID, bare.Storage.Cache, bare.Storage.DisksPerNode = nil, nil, 1
+	for _, spec := range []cluster.Spec{cluster.ConfigA(), bare} {
+		for _, p := range iorCases() {
+			if _, ok := RunIOR(spec, p); !ok {
+				continue
+			}
+			order := testing.AllocsPerRun(50, func() { p.ChunkOrder(0) })
+			allocs := testing.AllocsPerRun(50, func() { RunIOR(spec, p) })
+			if allocs > order {
+				t.Errorf("%s %+v: %v allocs per run, want at most ChunkOrder's %v", spec.Name, p, allocs, order)
+			}
+		}
+	}
+}

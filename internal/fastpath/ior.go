@@ -15,7 +15,8 @@ func RunIOR(spec cluster.Spec, p ior.Params) (ior.Result, bool) {
 		cBailouts.Inc()
 		return ior.Result{}, false
 	}
-	w := newWalker(spec)
+	w := getWalker(spec)
+	defer walkers.Put(w)
 	chunks := int(p.BlockSize / p.Transfer)
 	order := p.ChunkOrder(0)
 

@@ -21,7 +21,8 @@ func ReplayPhase(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) (units.D
 		cBailouts.Inc()
 		return 0, false
 	}
-	w := newWalker(spec)
+	w := getWalker(spec)
+	defer walkers.Put(w)
 	fn := pm.OffsetFn()
 	famRep := pm.FamilyRep
 	if famRep == 0 {

@@ -1,6 +1,8 @@
 package fastpath
 
 import (
+	"sync"
+
 	"iophases/internal/cluster"
 	"iophases/internal/fsim"
 	"iophases/internal/netsim"
@@ -19,21 +21,31 @@ type walker struct {
 	net      netsim.LinkParams
 	metaCost units.Duration
 	maxReq   int64 // fsim MaxServerRequest (0 = unlimited)
-	srv      *serverSim
+	srv      serverSim
 	now      units.Duration
 }
 
-func newWalker(spec cluster.Spec) *walker {
+// walkers recycles walkers across runs. A walker's device clocks, dirty
+// ledger and recently-written index keep their slices and map between
+// runs, so a steady-state replay allocates nothing for its state.
+var walkers = sync.Pool{New: func() any { return new(walker) }}
+
+// getWalker returns a walker at the start of a run on spec: the state
+// newly built devices have. Return it with walkers.Put when the run ends.
+func getWalker(spec cluster.Spec) *walker {
 	mc := spec.Storage.MetaCost
 	if mc == 0 {
 		mc = fsim.DefaultMetaCost
 	}
-	return &walker{
+	w := walkers.Get().(*walker)
+	*w = walker{
 		net:      spec.Net,
 		metaCost: mc,
 		maxReq:   spec.Storage.ServerRequest,
-		srv:      newServerSim(spec.Storage),
+		srv:      w.srv,
 	}
+	w.srv.reset(spec.Storage)
+	return w
 }
 
 // send charges one fabric transfer between the client and the target.

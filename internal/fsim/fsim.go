@@ -10,7 +10,6 @@ package fsim
 
 import (
 	"fmt"
-	"sort"
 
 	"iophases/internal/des"
 	"iophases/internal/disksim"
@@ -231,6 +230,10 @@ func (f *File) Close(p *des.Proc, client string) {
 	f.fs.metaOp(p, client)
 }
 
+// stripeBuf sizes the stack buffer Read and Write split an extent into:
+// files striped over more targets than this spill to the heap.
+const stripeBuf = 16
+
 // extentChunk is one target's share of a striped extent. target indexes the
 // file's target subset, not the global target list.
 type extentChunk struct {
@@ -239,45 +242,19 @@ type extentChunk struct {
 	size   int64
 }
 
-// stripeExtent splits a file extent across ntargets, round-robin by
-// StripeSize, returning at most one coalesced chunk per target (successive
-// stripe rows are contiguous in target-local space).
-func (fs *FS) stripeExtent(ntargets int, offset, size int64) []extentChunk {
-	n := int64(ntargets)
-	unit := fs.params.StripeSize
-	byTarget := make(map[int]*extentChunk)
-	var order []int
-	for size > 0 {
-		unitIdx := offset / unit
-		within := offset % unit
-		take := unit - within
-		if take > size {
-			take = size
+// stripeExtent appends a file extent's split across ntargets to buf:
+// round-robin by StripeSize, one chunk per touched target (successive
+// stripe rows are contiguous in target-local space), in target order.
+// The layout is disksim.StripeRun's, the one RAID arrays use. Callers
+// pass a buffer on their own stack: the chunks must outlive the parked
+// runChunks, so no buffer another process could write will do.
+func (fs *FS) stripeExtent(buf []extentChunk, ntargets int, offset, size int64) []extentChunk {
+	for t := 0; t < ntargets; t++ {
+		if local, n, ok := disksim.StripeRun(fs.params.StripeSize, ntargets, offset, size, t); ok {
+			buf = append(buf, extentChunk{target: t, offset: local, size: n})
 		}
-		tgt := int(unitIdx % n)
-		row := unitIdx / n
-		local := row*unit + within
-		if c, ok := byTarget[tgt]; ok && c.offset+c.size == local {
-			c.size += take
-		} else if !ok {
-			byTarget[tgt] = &extentChunk{target: tgt, offset: local, size: take}
-			order = append(order, tgt)
-		} else {
-			// Discontiguous on the same target (wrap within one
-			// call): extend conservatively to cover the gap; this
-			// only happens for extents spanning many rows where
-			// the chunks are contiguous anyway.
-			c.size = local + take - c.offset
-		}
-		offset += take
-		size -= take
 	}
-	out := make([]extentChunk, 0, len(order))
-	sort.Ints(order)
-	for _, tgt := range order {
-		out = append(out, *byTarget[tgt])
-	}
-	return out
+	return buf
 }
 
 // Write moves size bytes from the client node into the file at offset:
@@ -298,7 +275,8 @@ func (f *File) Write(p *des.Proc, client string, offset, size int64) error {
 	}
 	fs.met.writeSize.Observe(size)
 	meta := fs.files[f.name]
-	chunks := fs.stripeExtent(len(meta.targets), offset, size)
+	var buf [stripeBuf]extentChunk
+	chunks := fs.stripeExtent(buf[:0], len(meta.targets), offset, size)
 	if err := fs.runChunks(p, client, meta.targets, chunks, true); err != nil {
 		return err
 	}
@@ -326,7 +304,8 @@ func (f *File) Read(p *des.Proc, client string, offset, size int64) error {
 	}
 	fs.met.readSize.Observe(size)
 	meta := fs.files[f.name]
-	chunks := fs.stripeExtent(len(meta.targets), offset, size)
+	var buf [stripeBuf]extentChunk
+	chunks := fs.stripeExtent(buf[:0], len(meta.targets), offset, size)
 	if err := fs.runChunks(p, client, meta.targets, chunks, false); err != nil {
 		return err
 	}

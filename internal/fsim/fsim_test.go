@@ -2,6 +2,9 @@ package fsim
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -167,7 +170,7 @@ func TestStripeExtentPartition(t *testing.T) {
 	f := func(off uint32, sz uint16) bool {
 		offset, size := int64(off), int64(sz)+1
 		var total int64
-		for _, c := range fs.stripeExtent(3, offset, size) {
+		for _, c := range fs.stripeExtent(nil, 3, offset, size) {
 			if c.size <= 0 || c.target < 0 || c.target >= 3 {
 				return false
 			}
@@ -183,7 +186,7 @@ func TestStripeExtentPartition(t *testing.T) {
 func TestStripeExtentExactWhenAligned(t *testing.T) {
 	r := newRig(1)
 	fs := r.striped(t, 3, 100)
-	chunks := fs.stripeExtent(3, 0, 3*64*units.KiB*10)
+	chunks := fs.stripeExtent(nil, 3, 0, 3*64*units.KiB*10)
 	var total int64
 	for _, c := range chunks {
 		total += c.size
@@ -303,5 +306,65 @@ func TestOpenUnknownNodePanics(t *testing.T) {
 	r.eng.Run()
 	if !panicked {
 		t.Fatal("no panic for unknown client endpoint")
+	}
+}
+
+// mapStripeExtent is the striping code stripeExtent's closed form
+// replaced, kept as its oracle: a per-target map of chunks grown one
+// stripe unit at a time, emitted in sorted target order.
+func mapStripeExtent(unit int64, ntargets int, offset, size int64) []extentChunk {
+	n := int64(ntargets)
+	byTarget := make(map[int]*extentChunk)
+	var order []int
+	for size > 0 {
+		unitIdx := offset / unit
+		within := offset % unit
+		take := unit - within
+		if take > size {
+			take = size
+		}
+		tgt := int(unitIdx % n)
+		row := unitIdx / n
+		local := row*unit + within
+		if c, ok := byTarget[tgt]; ok && c.offset+c.size == local {
+			c.size += take
+		} else if !ok {
+			byTarget[tgt] = &extentChunk{target: tgt, offset: local, size: take}
+			order = append(order, tgt)
+		} else {
+			c.size = local + take - c.offset
+		}
+		offset += take
+		size -= take
+	}
+	out := make([]extentChunk, 0, len(order))
+	sort.Ints(order)
+	for _, tgt := range order {
+		out = append(out, *byTarget[tgt])
+	}
+	return out
+}
+
+// TestStripeExtentMatchesMapOracle pins the closed-form split against the
+// map-and-sort code it replaced, over random stripe sizes, target counts
+// and extents.
+func TestStripeExtentMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := newRig(1)
+	fs := r.striped(t, 1, 100)
+	for i := 0; i < 20000; i++ {
+		unit := int64(1) << rng.Intn(21)
+		if rng.Intn(2) == 0 {
+			unit = 1 + rng.Int63n(1<<20)
+		}
+		fs.params.StripeSize = unit
+		ntargets := 1 + rng.Intn(16)
+		offset := rng.Int63n(units.TiB)
+		size := 1 + rng.Int63n(unit*int64(3*ntargets+2))
+		want := mapStripeExtent(unit, ntargets, offset, size)
+		if got := fs.stripeExtent(nil, ntargets, offset, size); !reflect.DeepEqual(got, want) {
+			t.Fatalf("unit=%d targets=%d offset=%d size=%d:\n got %+v\nwant %+v",
+				unit, ntargets, offset, size, got, want)
+		}
 	}
 }

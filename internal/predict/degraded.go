@@ -49,7 +49,8 @@ func (c *DegradedComparison) Slowdown() float64 {
 }
 
 // CompareDegraded estimates the model on spec twice — healthy, and with
-// the fault schedule attached — and pairs the per-phase results.
+// the fault schedule attached, in one EstimateAll — and pairs the
+// per-phase results.
 // peakFileSize and peakRS parameterize the IOzone peak measurement
 // (Eq. 3–4) used for the usage columns.
 //
@@ -66,14 +67,11 @@ func CompareDegraded(m *core.Model, spec cluster.Spec, sch *faults.Schedule, pea
 	degradedSpec.Faults = sch
 	degradedSpec.Name = spec.Name + "+" + sch.Name
 
-	healthy, err := EstimateTime(m, healthySpec)
+	ests, _, err := EstimateAll(m, []cluster.Spec{healthySpec, degradedSpec}, EstimateOptions{})
 	if err != nil {
 		return nil, err
 	}
-	degraded, err := EstimateTime(m, degradedSpec)
-	if err != nil {
-		return nil, err
-	}
+	healthy, degraded := ests[0], ests[1]
 	if len(healthy.Phases) != len(degraded.Phases) {
 		return nil, fmt.Errorf("predict: healthy/degraded phase count mismatch %d vs %d",
 			len(healthy.Phases), len(degraded.Phases))

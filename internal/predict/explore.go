@@ -8,7 +8,6 @@ import (
 	"iophases/internal/core"
 	"iophases/internal/disksim"
 	"iophases/internal/netsim"
-	"iophases/internal/sweep"
 	"iophases/internal/units"
 )
 
@@ -31,10 +30,10 @@ type ExploreResult struct {
 // Explore estimates the model's I/O time on every variant and returns the
 // results sorted ascending by estimated time (best first). The
 // application never runs on any variant — only its phases are replayed,
-// so a wide sweep costs seconds. Variants estimate concurrently on the
-// sweep pool (each replay owns a private simulation); results are
-// order-preserving and then stably sorted, so the ranking is identical at
-// any -j.
+// so a wide sweep costs seconds. Every variant's replays share one
+// fan-out on the sweep pool (EstimateAll; each replay owns a private
+// simulation); results are order-preserving and then stably sorted, so
+// the ranking is identical at any -j.
 func Explore(m *core.Model, variants []Variant) ([]ExploreResult, error) {
 	return ExploreOpts(m, variants, EstimateOptions{})
 }
@@ -42,23 +41,17 @@ func Explore(m *core.Model, variants []Variant) ([]ExploreResult, error) {
 // ExploreOpts is Explore with explicit estimation options (fast-path mode,
 // faithful mixed-phase characterization).
 func ExploreOpts(m *core.Model, variants []Variant, opts EstimateOptions) ([]ExploreResult, error) {
-	type exploreRes struct {
-		r   ExploreResult
-		err error
+	specs := make([]cluster.Spec, len(variants))
+	for i, v := range variants {
+		specs[i] = v.Spec
 	}
-	results := sweep.Map(variants, func(_ int, v Variant) exploreRes {
-		est, err := EstimateTimeOpts(m, v.Spec, opts)
-		if err != nil {
-			return exploreRes{err: fmt.Errorf("variant %s: %w", v.Name, err)}
-		}
-		return exploreRes{r: ExploreResult{Variant: v, Total: est.TotalCH, Est: est}}
-	})
-	out := make([]ExploreResult, 0, len(results))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.r)
+	ests, failed, err := EstimateAll(m, specs, opts)
+	if err != nil {
+		return nil, fmt.Errorf("variant %s: %w", variants[failed].Name, err)
+	}
+	out := make([]ExploreResult, len(ests))
+	for i, est := range ests {
+		out[i] = ExploreResult{Variant: variants[i], Total: est.TotalCH, Est: est}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Total < out[j].Total })
 	return out, nil

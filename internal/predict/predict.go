@@ -66,27 +66,48 @@ func EstimateTime(m *core.Model, spec cluster.Spec) (*Estimate, error) {
 	return EstimateTimeOpts(m, spec, EstimateOptions{})
 }
 
-// EstimateTimeOpts is EstimateTime with explicit options. Distinct phase
-// replays fan out over the sweep worker pool — each replay builds a private
-// cluster simulation, so per-phase benchmarks are independent — while
-// identical replay specs (BT-IO's fifty write rounds) are benchmarked once
-// and reused. The deduplication happens before the fan-out, so IORRuns and
-// every per-phase bandwidth are identical at any concurrency.
-//
-// A model with a phase IOR cannot replay (ior.ValidateModel), or whose
-// phases need more ranks than the configuration has cores, is reported as
-// an error before any simulation runs.
+// EstimateTimeOpts is EstimateTime with explicit options: EstimateAll
+// with one configuration.
 func EstimateTimeOpts(m *core.Model, spec cluster.Spec, opts EstimateOptions) (*Estimate, error) {
-	if err := ior.ValidateModel(m); err != nil {
-		return nil, fmt.Errorf("predict: %s: %w", m.App, err)
+	ests, _, err := EstimateAll(m, []cluster.Spec{spec}, opts)
+	if err != nil {
+		return nil, err
 	}
-	for _, pm := range m.Phases {
-		if pm.NP > spec.MaxProcs() {
-			return nil, fmt.Errorf("predict: %s phase %d needs %d ranks but %s has capacity %d",
-				m.App, pm.ID, pm.NP, spec.Name, spec.MaxProcs())
+	return ests[0], nil
+}
+
+// EstimateAll estimates the model on every configuration with one
+// fan-out. Each configuration's phases are deduplicated first (identical
+// replay specs, such as BT-IO's fifty write rounds, are benchmarked once
+// and reused); then every configuration's distinct replays run together
+// on the sweep worker pool — each replay builds a private cluster
+// simulation, so they are independent — and each Estimate is assembled in
+// the given order. IORRuns and every per-phase bandwidth are identical at
+// any concurrency.
+//
+// Errors are those of a serial loop over the configurations, and failed
+// is the index of the configuration that reported one. A model with a
+// phase IOR cannot replay (ior.ValidateModel), or whose phases need more
+// ranks than a configuration has cores, is reported before any simulation
+// runs; configurations after the first such one are not simulated.
+func EstimateAll(m *core.Model, specs []cluster.Spec, opts EstimateOptions) (ests []*Estimate, failed int, err error) {
+	// Checks that need no simulation: the first configuration failing
+	// one bounds the configurations worth simulating.
+	stop, stopErr := len(specs), error(nil)
+	if err := ior.ValidateModel(m); err != nil && len(specs) > 0 {
+		stop, stopErr = 0, fmt.Errorf("predict: %s: %w", m.App, err)
+	}
+capacity:
+	for i, spec := range specs[:stop] {
+		for _, pm := range m.Phases {
+			if pm.NP > spec.MaxProcs() {
+				stop, stopErr = i, fmt.Errorf("predict: %s phase %d needs %d ranks but %s has capacity %d",
+					m.App, pm.ID, pm.NP, spec.Name, spec.MaxProcs())
+				break capacity
+			}
 		}
 	}
-	est := &Estimate{App: m.App, Config: spec.Name}
+
 	type bwKey struct {
 		np        int
 		block, tx int64
@@ -94,58 +115,77 @@ func EstimateTimeOpts(m *core.Model, spec cluster.Spec, opts EstimateOptions) (*
 		dir       core.Direction
 		faithful  bool
 	}
-	// First pass: dedupe replay specs in model order.
 	type job struct {
+		spec     int
 		rs       core.ReplaySpec
 		pm       *core.PhaseModel
 		faithful bool
 	}
-	slot := make(map[bwKey]int) // key -> index into jobs
+	// First pass: dedupe each configuration's replay specs in model
+	// order. phaseJob[i*len(m.Phases)+k] is the job of configuration i's
+	// phase k; firstJob[i] is configuration i's first job.
 	var jobs []job
-	keys := make([]bwKey, len(m.Phases))
-	for i, pm := range m.Phases {
-		rs := pm.Replay(m.AccessType)
-		faithful := opts.FaithfulMixed && len(pm.Ops) > 1
-		key := bwKey{rs.NP, rs.BlockPerProc, rs.Transfer, rs.FilePerProc, rs.Collective, rs.Direction, faithful}
-		keys[i] = key
-		if _, ok := slot[key]; !ok {
-			slot[key] = len(jobs)
-			jobs = append(jobs, job{rs: rs, pm: pm, faithful: faithful})
+	phaseJob := make([]int, stop*len(m.Phases))
+	firstJob := make([]int, stop+1)
+	slot := make(map[bwKey]int) // key -> index into jobs
+	for i := range specs[:stop] {
+		clear(slot)
+		firstJob[i] = len(jobs)
+		for k, pm := range m.Phases {
+			rs := pm.Replay(m.AccessType)
+			faithful := opts.FaithfulMixed && len(pm.Ops) > 1
+			key := bwKey{rs.NP, rs.BlockPerProc, rs.Transfer, rs.FilePerProc, rs.Collective, rs.Direction, faithful}
+			j, ok := slot[key]
+			if !ok {
+				j = len(jobs)
+				slot[key] = j
+				jobs = append(jobs, job{spec: i, rs: rs, pm: pm, faithful: faithful})
+			}
+			phaseJob[i*len(m.Phases)+k] = j
 		}
 	}
-	// Second pass: run the distinct replays concurrently. Errors ride
-	// alongside the bandwidths; the first failing job (in model order)
-	// wins, matching what a serial loop would report.
+	firstJob[stop] = len(jobs)
+	// Second pass: every configuration's distinct replays in one
+	// fan-out. Errors ride alongside the bandwidths.
 	type bwRes struct {
 		bw  units.Bandwidth
 		err error
 	}
 	bws := sweep.Map(jobs, func(_ int, j job) bwRes {
+		spec := specs[j.spec]
 		if j.faithful {
 			r, err := replay.PhaseMode(spec, m, j.pm, opts.FastPath)
 			return bwRes{r.BW, err}
 		}
 		return bwRes{runReplay(spec, j.rs, opts.FastPath), nil}
 	})
-	for _, b := range bws {
-		if b.err != nil {
-			return nil, b.err
+	// Third pass: assemble the estimates in the given order. A
+	// configuration's first failing job (in model order) is its error.
+	ests = make([]*Estimate, stop)
+	for i := range ests {
+		for _, b := range bws[firstJob[i]:firstJob[i+1]] {
+			if b.err != nil {
+				return nil, i, b.err
+			}
 		}
-	}
-	est.IORRuns = len(jobs)
-	// Third pass: assemble per-phase estimates in model order.
-	for i, pm := range m.Phases {
-		faithful := opts.FaithfulMixed && len(pm.Ops) > 1
-		bw := bws[slot[keys[i]]].bw
-		pe := PhaseEstimate{Phase: pm, BWch: bw, Faithful: faithful}
-		if bw > 0 {
-			pe.TimeCH = units.TransferTime(pm.Weight, bw)
+		est := &Estimate{App: m.App, Config: specs[i].Name, IORRuns: firstJob[i+1] - firstJob[i]}
+		for k, pm := range m.Phases {
+			faithful := opts.FaithfulMixed && len(pm.Ops) > 1
+			bw := bws[phaseJob[i*len(m.Phases)+k]].bw
+			pe := PhaseEstimate{Phase: pm, BWch: bw, Faithful: faithful}
+			if bw > 0 {
+				pe.TimeCH = units.TransferTime(pm.Weight, bw)
+			}
+			est.Phases = append(est.Phases, pe)
+			est.TotalCH += pe.TimeCH
 		}
-		est.Phases = append(est.Phases, pe)
-		est.TotalCH += pe.TimeCH
+		recordTelemetry(m, specs[i].Name, est)
+		ests[i] = est
 	}
-	recordTelemetry(m, spec.Name, est)
-	return est, nil
+	if stopErr != nil {
+		return nil, stop, stopErr
+	}
+	return ests, -1, nil
 }
 
 // recordTelemetry reports one "estimate" telemetry row per phase (the
@@ -313,28 +353,18 @@ type Choice struct {
 
 // SelectConfig estimates the model on every candidate and returns the
 // choices sorted as given plus the index of the minimum — "the
-// configuration with less I/O time" (§III-B). Candidates estimate
-// concurrently on the sweep pool; the returned order and tie-breaking
+// configuration with less I/O time" (§III-B). All candidates' replays
+// share one fan-out (EstimateAll); the returned order and tie-breaking
 // (first minimum wins) match the serial loop exactly. The first
 // candidate's error (in the given order) aborts the selection.
 func SelectConfig(m *core.Model, specs []cluster.Spec) (best int, choices []Choice, err error) {
-	type choiceRes struct {
-		c   Choice
-		err error
+	ests, _, err := EstimateAll(m, specs, EstimateOptions{})
+	if err != nil {
+		return -1, nil, err
 	}
-	results := sweep.Map(specs, func(_ int, spec cluster.Spec) choiceRes {
-		est, err := EstimateTime(m, spec)
-		if err != nil {
-			return choiceRes{err: err}
-		}
-		return choiceRes{c: Choice{Config: spec.Name, Total: est.TotalCH, Est: est}}
-	})
-	choices = make([]Choice, 0, len(results))
-	for _, r := range results {
-		if r.err != nil {
-			return -1, nil, r.err
-		}
-		choices = append(choices, r.c)
+	choices = make([]Choice, 0, len(ests))
+	for i, est := range ests {
+		choices = append(choices, Choice{Config: specs[i].Name, Total: est.TotalCH, Est: est})
 	}
 	best = -1
 	for i := range choices {

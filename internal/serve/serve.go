@@ -535,27 +535,20 @@ func (s *Server) parsePredict(raw []byte) (parsed, *apiError) {
 	}
 	opts := predict.EstimateOptions{FaithfulMixed: req.Faithful}
 	compute := func() flightResult {
-		type estRes struct {
-			est *predict.Estimate
-			err error
+		ests, _, err := predict.EstimateAll(m, cfgs, opts)
+		if err != nil {
+			return jsonBody(http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
 		}
-		ests := sweep.Map(cfgs, func(_ int, spec cluster.Spec) estRes {
-			est, err := predict.EstimateTimeOpts(m, spec, opts)
-			return estRes{est, err}
-		})
 		resp := PredictResponse{App: m.App, NP: m.NP, NPhases: len(m.Phases)}
 		best := -1
-		for i, r := range ests {
-			if r.err != nil {
-				return jsonBody(http.StatusUnprocessableEntity, ErrorResponse{Error: r.err.Error()})
-			}
+		for i, est := range ests {
 			ch := PredictChoice{
 				Config:  cfgs[i].Name,
-				TimeIOS: r.est.TotalCH.Seconds(),
-				IORRuns: r.est.IORRuns,
+				TimeIOS: est.TotalCH.Seconds(),
+				IORRuns: est.IORRuns,
 			}
 			if req.Phases {
-				for _, pe := range r.est.Phases {
+				for _, pe := range est.Phases {
 					ch.Phases = append(ch.Phases, PhaseEstimate{
 						Phase:    pe.Phase.ID,
 						Dir:      string(pe.Phase.Direction()),
@@ -569,7 +562,7 @@ func (s *Server) parsePredict(raw []byte) (parsed, *apiError) {
 				}
 			}
 			resp.Choices = append(resp.Choices, ch)
-			if best < 0 || r.est.TotalCH < ests[best].est.TotalCH {
+			if best < 0 || est.TotalCH < ests[best].TotalCH {
 				best = i
 			}
 		}

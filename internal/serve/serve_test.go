@@ -17,6 +17,7 @@ import (
 	"iophases/internal/obs"
 	"iophases/internal/runner"
 	"iophases/internal/simcache"
+	"iophases/internal/sweep"
 	"iophases/internal/units"
 )
 
@@ -531,5 +532,57 @@ func TestRequestIDOnlyInHeader(t *testing.T) {
 	}
 	if bytes.Contains(body, []byte(id)) {
 		t.Fatalf("request id %s leaked into body", id)
+	}
+}
+
+// TestPredictReportsFirstFailingConfig: a predict over several
+// configurations, some too small for the model and some whose faithful
+// replay fails, answers with the first failing configuration's error in
+// request order, the same at any sweep width.
+func TestPredictReportsFirstFailingConfig(t *testing.T) {
+	good := testModel(t)
+	neg := *good
+	neg.Phases = append([]*core.PhaseModel(nil), good.Phases...)
+	for i, pm := range neg.Phases {
+		if len(pm.Ops) > 1 {
+			bad := *pm
+			bad.OffsetC = -1 << 30
+			neg.Phases[i] = &bad
+		}
+	}
+	tiny := func(name string) cluster.Spec {
+		s := cluster.ConfigA()
+		s.Name = name
+		s.ComputeNodes, s.CoresPerNode = 1, 1
+		return s
+	}
+	const negOffset = `{"error":"replay: madbench2 phase 3: slot 0 of rank 0, repetition 0, starts at negative offset -1073741824"}`
+	cases := []struct{ body, want string }{
+		{`{"model":"neg","configs":["configC","configA"],"faithful":true}`, negOffset},
+		{`{"model":"good","configs":["configA","tiny1","tiny2"]}`, `{"error":"model needs 4 processes; tiny1 holds 1"}`},
+		{`{"model":"neg","configs":["configA","tiny2","tiny1"],"faithful":true}`, `{"error":"model needs 4 processes; tiny2 holds 1"}`},
+	}
+	for _, j := range []int{1, 4} {
+		func() {
+			defer sweep.SetConcurrency(0)
+			sweep.SetConcurrency(j)
+			simcache.Reset()
+			s, err := New(Options{
+				Corpus: map[string]*core.Model{"good": good, "neg": &neg},
+				Zoo:    []cluster.Spec{cluster.ConfigA(), cluster.ConfigC(), tiny("tiny1"), tiny("tiny2")},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetReady(true)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for i, tc := range cases {
+				resp, body := postJSON(t, ts.URL+"/v1/predict", tc.body)
+				if got := strings.TrimSpace(string(body)); resp.StatusCode != http.StatusUnprocessableEntity || got != tc.want {
+					t.Errorf("-j %d case %d: status %d body %s\nwant 422 %s", j, i, resp.StatusCode, got, tc.want)
+				}
+			}
+		}()
 	}
 }
