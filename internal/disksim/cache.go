@@ -55,11 +55,20 @@ type dirtySet struct {
 // recentIndex is the recently-written read index behind WriteCache.Read,
 // shared with mirror.go's RecentIndex.
 type recentIndex struct {
-	m        map[int64]int64 // offset -> end
-	q        []cacheExtent   // remembered extents, oldest first, from q[head]
+	m        map[int64]recentWrite // offset -> the latest write there
+	q        []recentWrite         // remembered writes, oldest first, from q[head]
 	head     int
+	seq      uint64 // writes remembered since the last reset
 	bytes    int64
 	capacity int64
+}
+
+// recentWrite is one remembered write. seq numbers the writes, so that
+// evicting a write un-indexes its offset only if no later write of that
+// offset has replaced it.
+type recentWrite struct {
+	offset, end int64
+	seq         uint64
 }
 
 // CacheParams configure a WriteCache.
@@ -153,20 +162,22 @@ func (s *dirtySet) add(e cacheExtent) {
 // remember indexes a written extent and evicts the oldest entries beyond
 // the capacity budget.
 func (r *recentIndex) remember(e cacheExtent) {
-	r.m[e.offset] = e.offset + e.size
+	w := recentWrite{offset: e.offset, end: e.offset + e.size, seq: r.seq}
+	r.seq++
+	r.m[e.offset] = w
 	if len(r.q) == cap(r.q) && r.head > 0 && r.head >= len(r.q)/2 {
 		// At least half the queue is evicted: slide the live tail to
 		// the front so the append reuses the array instead of growing.
 		r.q = r.q[:copy(r.q, r.q[r.head:])]
 		r.head = 0
 	}
-	r.q = append(r.q, e)
+	r.q = append(r.q, w)
 	r.bytes += e.size
 	for r.bytes > r.capacity && r.head < len(r.q) {
 		old := r.q[r.head]
 		r.head++
-		r.bytes -= old.size
-		if end, ok := r.m[old.offset]; ok && end == old.offset+old.size {
+		r.bytes -= old.end - old.offset
+		if cur, ok := r.m[old.offset]; ok && cur.seq == old.seq {
 			delete(r.m, old.offset)
 		}
 	}
@@ -175,8 +186,8 @@ func (r *recentIndex) remember(e cacheExtent) {
 // hit reports whether the whole extent is indexed (at a matching write
 // boundary).
 func (r *recentIndex) hit(offset, size int64) bool {
-	end, ok := r.m[offset]
-	return ok && end >= offset+size
+	w, ok := r.m[offset]
+	return ok && w.end >= offset+size
 }
 
 // invalidate drops the whole index.
@@ -186,7 +197,7 @@ func (r *recentIndex) invalidate() { r.reset(r.capacity) }
 // the map's and the queue's storage.
 func (r *recentIndex) reset(capacity int64) {
 	if r.m == nil {
-		r.m = make(map[int64]int64)
+		r.m = make(map[int64]recentWrite)
 	}
 	clear(r.m)
 	*r = recentIndex{m: r.m, q: r.q[:0], capacity: capacity}

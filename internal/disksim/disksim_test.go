@@ -379,3 +379,21 @@ func TestPresetDiskParams(t *testing.T) {
 		t.Fatalf("capacity %d", sata.CapacityB)
 	}
 }
+
+// TestRecentIndexKeepsRewrittenExtent: evicting the older of two writes
+// of one extent must leave the newer one indexed while it is among the
+// most recent capacity bytes, and only its own eviction drops it.
+func TestRecentIndexKeepsRewrittenExtent(t *testing.T) {
+	x := NewRecentIndex(3 * units.MiB)
+	x.Remember(0, units.MiB)
+	x.Remember(0, units.MiB)
+	x.Remember(units.MiB, units.MiB)
+	x.Remember(2*units.MiB, units.MiB) // evicts the first write of [0, 1 MiB)
+	if !x.Hit(0, units.MiB) {
+		t.Fatal("rewritten extent un-indexed while its newer write is retained")
+	}
+	x.Remember(3*units.MiB, units.MiB) // evicts the second
+	if x.Hit(0, units.MiB) {
+		t.Fatal("extent still indexed after both its writes were evicted")
+	}
+}
