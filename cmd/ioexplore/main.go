@@ -5,8 +5,8 @@
 // them by the model's estimated I/O time. No application run is needed on
 // any of them.
 //
-// Variants are estimated concurrently on a worker pool (-j, default
-// GOMAXPROCS); the ranking is deterministic at any width.
+// All variants' phase replays run concurrently on one worker pool (-j,
+// default GOMAXPROCS); the ranking is deterministic at any width.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ import (
 func main() {
 	modelPath := flag.String("model", "model.json", "model JSON produced by iomodel -save")
 	base := flag.String("base", "configA", "base configuration to derive variants from")
-	jobs := flag.Int("j", 0, "concurrent variant estimations (0 = GOMAXPROCS)")
+	jobs := flag.Int("j", 0, "concurrent phase replays (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocs/heap profile to this file at exit")
 	metrics := flag.String("metrics", "", "write run metrics to this file at exit (.json = JSON, else text)")

@@ -384,7 +384,8 @@ func TestPresetDiskParams(t *testing.T) {
 // of one extent must leave the newer one indexed while it is among the
 // most recent capacity bytes, and only its own eviction drops it.
 func TestRecentIndexKeepsRewrittenExtent(t *testing.T) {
-	x := NewRecentIndex(3 * units.MiB)
+	var x RecentIndex
+	x.Reset(3 * units.MiB)
 	x.Remember(0, units.MiB)
 	x.Remember(0, units.MiB)
 	x.Remember(units.MiB, units.MiB)

@@ -17,6 +17,7 @@ import "iophases/internal/units"
 // position (sequential vs seek), read/write turnaround, per-request
 // overhead. Disk delegates its timing to an embedded HeadClock, and the
 // fast path advances a standalone one through the same request sequence.
+// Reset readies one for use.
 type HeadClock struct {
 	params    DiskParams
 	lastEnd   int64 // file offset where the previous request finished
@@ -24,14 +25,7 @@ type HeadClock struct {
 	started   bool
 }
 
-// NewHeadClock returns a clock for a disk in its initial (unstarted) state.
-func NewHeadClock(params DiskParams) *HeadClock {
-	h := new(HeadClock)
-	h.Reset(params)
-	return h
-}
-
-// Reset returns the clock to NewHeadClock(params)'s state in place.
+// Reset puts the clock in a new disk's initial (unstarted) state.
 func (h *HeadClock) Reset(params DiskParams) {
 	*h = HeadClock{params: params, lastEnd: -1}
 }
@@ -86,7 +80,8 @@ func (h *HeadClock) OpTime(offset, size int64, write bool) units.Duration {
 // member request of one logical op starts at the same instant (the DES
 // spawns all chunk helpers at the issuing time), so the op's blocking time
 // is the maximum member service time; RAID5 sub-stripe writes decompose
-// into head/middle/tail exactly as Array.Write does.
+// into head/middle/tail exactly as Array.Write does. Reset readies one
+// for use.
 type ArrayClock struct {
 	level      RAIDLevel
 	stripeUnit int64
@@ -94,15 +89,9 @@ type ArrayClock struct {
 	chunks     []chunk // OpTime's reused striping buffer
 }
 
-// NewArrayClock returns a clock for a healthy array of n identical members.
-func NewArrayClock(level RAIDLevel, n int, stripeUnit int64, disk DiskParams) *ArrayClock {
-	a := new(ArrayClock)
-	a.Reset(level, n, stripeUnit, disk)
-	return a
-}
-
-// Reset returns the clock to NewArrayClock's state in place, keeping its
-// buffers, so a reused clock prices a new array without allocating.
+// Reset puts the clock in the initial state of a healthy array of n
+// identical members. It keeps the clock's buffers, so a reused clock
+// prices a new array without allocating.
 func (a *ArrayClock) Reset(level RAIDLevel, n int, stripeUnit int64, disk DiskParams) {
 	members := a.members[:0]
 	for i := 0; i < n; i++ {
@@ -174,20 +163,13 @@ func (a *ArrayClock) stripe(offset, size int64) []chunk {
 
 // CacheLedger is the dirty-extent bookkeeping of a WriteCache, exported so
 // the fast path's flusher model gathers chunks in exactly the elevator
-// (SCAN) order the simulated flusher uses.
+// (SCAN) order the simulated flusher uses. Reset readies one for use.
 type CacheLedger struct {
 	d dirtySet
 }
 
-// NewCacheLedger returns a ledger with the cache's flush chunk size.
-func NewCacheLedger(chunk int64) *CacheLedger {
-	l := new(CacheLedger)
-	l.Reset(chunk)
-	return l
-}
-
-// Reset empties the ledger in place (NewCacheLedger's state), keeping its
-// extent buffer.
+// Reset empties the ledger for a cache with the given flush chunk size,
+// keeping its extent buffer.
 func (l *CacheLedger) Reset(chunk int64) {
 	l.d = dirtySet{extents: l.d.extents[:0], chunk: chunk}
 }
@@ -204,19 +186,12 @@ func (l *CacheLedger) Gather() (off, n int64) { return l.d.gather() }
 func (l *CacheLedger) Dirty() bool { return len(l.d.extents) > 0 }
 
 // RecentIndex is the WriteCache's recently-written read index, exported for
-// the fast path's read-hit decisions.
+// the fast path's read-hit decisions. Reset readies one for use.
 type RecentIndex struct {
 	r recentIndex
 }
 
-// NewRecentIndex returns an index bounded to capacity bytes.
-func NewRecentIndex(capacity int64) *RecentIndex {
-	x := new(RecentIndex)
-	x.Reset(capacity)
-	return x
-}
-
-// Reset empties the index in place (NewRecentIndex's state), keeping its
+// Reset empties the index and bounds it to capacity bytes, keeping its
 // map and queue storage.
 func (x *RecentIndex) Reset(capacity int64) { x.r.reset(capacity) }
 

@@ -109,51 +109,84 @@ func (a *Array) stripeChunks(offset, size int64) []chunk {
 // behind stripeChunks, shared with ArrayClock so the fast path derives the
 // exact same member requests.
 func stripeSplit(buf []chunk, stripeUnit int64, nmembers int, offset, size int64) []chunk {
-	if size <= 0 {
-		return buf
-	}
-	first := int(offset / stripeUnit % int64(nmembers))
+	s := NewStripe(stripeUnit, nmembers, offset, size)
 	for i := 0; i < nmembers; i++ {
-		disk := (first + i) % nmembers
-		local, n, ok := StripeRun(stripeUnit, nmembers, offset, size, disk)
+		disk := int(s.firstMember) + i
+		if disk >= nmembers {
+			disk -= nmembers
+		}
+		local, n, ok := s.Run(disk)
 		if !ok {
-			break // the touched members are consecutive from first
+			break // the touched members are consecutive from the first
 		}
 		buf = append(buf, chunk{disk: disk, offset: local, size: n})
 	}
 	return buf
 }
 
-// StripeRun is round-robin striping in closed form: the part of the
-// extent [offset, offset+size) that lands on member when the extent is
-// laid out over members in unit-sized pieces, stripe unit u on member
-// u mod members at member offset (u div members)·unit. One member's
-// successive stripe rows are contiguous in member space, every piece but
-// the extent's last ends on a unit boundary and every piece but its first
+// Stripe is round-robin striping in closed form: the layout of an extent
+// over members in unit-sized pieces, stripe unit u on member u mod
+// members at member offset (u div members)·unit. One member's successive
+// stripe rows are contiguous in member space, every piece but the
+// extent's last ends on a unit boundary and every piece but its first
 // starts on one, so the extent touches each member as one run: it starts
 // in the member's first unit (mid-unit when that is the extent's first)
-// and ends in its last (mid-unit when that is the extent's last). ok is
-// false when the extent does not touch member. RAID arrays and fsim's
-// file striping both lay data out through this function.
-func StripeRun(unit int64, members int, offset, size int64, member int) (local, n int64, ok bool) {
+// and ends in its last (mid-unit when that is the extent's last). RAID
+// arrays and fsim's file striping both lay data out through it.
+type Stripe struct {
+	unit, members           int64
+	firstRow, lastRow       int64 // stripe rows of the extent's first and last units
+	firstMember, lastMember int64 // members holding those units
+	units                   int64 // stripe units the extent touches
+	head                    int64 // extent start within its first unit
+	tail                    int64 // extent bytes in its last unit
+}
+
+// NewStripe lays out the extent [offset, offset+size). It divides once
+// per extent, so Run costs no division per member.
+func NewStripe(unit int64, members int, offset, size int64) Stripe {
 	if size <= 0 {
-		return 0, 0, false
+		return Stripe{}
 	}
 	m := int64(members)
 	first := offset / unit
 	last := (offset + size - 1) / unit
-	u := first + (int64(member)-first%m+m)%m // member's first unit in the extent
-	if u > last {
+	return Stripe{
+		unit: unit, members: m,
+		firstRow: first / m, lastRow: last / m,
+		firstMember: first % m, lastMember: last % m,
+		units: last - first + 1,
+		head:  offset - first*unit,
+		tail:  offset + size - last*unit,
+	}
+}
+
+// Run reports the extent's run on member: its start in member space and
+// its length. ok is false when the extent does not touch member.
+func (s Stripe) Run(member int) (local, n int64, ok bool) {
+	d := int64(member)
+	i := d - s.firstMember // member's position in first-touch order
+	if i < 0 {
+		i += s.members
+	}
+	if i >= s.units {
 		return 0, 0, false
 	}
-	local = u / m * unit
-	if u == first {
-		local += offset % unit
+	row := s.firstRow // row of the member's first unit in the extent
+	if d < s.firstMember {
+		row++
 	}
-	ul := u + (last-u)/m*m // member's last unit in the extent
-	end := ul/m*unit + unit
-	if ul == last {
-		end = ul/m*unit + (offset + size - last*unit)
+	local = row * s.unit
+	if i == 0 {
+		local += s.head
+	}
+	lrow := s.lastRow // row of the member's last unit in the extent
+	if d > s.lastMember {
+		lrow--
+	}
+	end := lrow*s.unit + s.unit
+	if d == s.lastMember {
+		end = lrow*s.unit + s.tail
 	}
 	return local, end - local, true
 }

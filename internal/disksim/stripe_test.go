@@ -8,7 +8,7 @@ import (
 	"iophases/internal/units"
 )
 
-// loopStripeSplit is the striping code StripeRun replaced, kept as the
+// loopStripeSplit is the striping code Stripe replaced, kept as the
 // oracle for its closed form: one chunk per stripe unit, then coalesce.
 func loopStripeSplit(stripeUnit int64, nmembers int, offset, size int64) []chunk {
 	n := int64(nmembers)
@@ -89,7 +89,8 @@ func TestStripeSplitMatchesLoop(t *testing.T) {
 // fast path's device clock: striping reuses the clock's buffer.
 func TestArrayClockOpTimeAllocatesNothing(t *testing.T) {
 	for _, level := range []RAIDLevel{RAID0, RAID5} {
-		a := NewArrayClock(level, 4, 256*units.KiB, testDiskParams())
+		var a ArrayClock
+		a.Reset(level, 4, 256*units.KiB, testDiskParams())
 		var off int64
 		allocs := testing.AllocsPerRun(100, func() {
 			a.OpTime(off, 3*units.MiB+12345, true)

@@ -2,6 +2,7 @@ package fastpath
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"iophases/internal/cluster"
@@ -87,4 +88,37 @@ func TestRunIORAllocationFloor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentRunsMatchSerial prices the corpus from several goroutines
+// at once, so pooled walkers pass between goroutines and storage shapes,
+// and requires every result to equal the serial one.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	type run struct {
+		spec cluster.Spec
+		p    ior.Params
+		want ior.Result
+	}
+	var runs []run
+	for _, spec := range cluster.Presets() {
+		for _, p := range iorCases() {
+			if res, ok := RunIOR(spec, p); ok {
+				runs = append(runs, run{spec, p, res})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range runs {
+				r := runs[(i*(g+1)+g)%len(runs)]
+				if got, ok := RunIOR(r.spec, r.p); !ok || !reflect.DeepEqual(got, r.want) {
+					t.Errorf("goroutine %d, %s %+v: got %+v ok=%v, want %+v", g, r.spec.Name, r.p, got, ok, r.want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -245,12 +245,13 @@ type extentChunk struct {
 // stripeExtent appends a file extent's split across ntargets to buf:
 // round-robin by StripeSize, one chunk per touched target (successive
 // stripe rows are contiguous in target-local space), in target order.
-// The layout is disksim.StripeRun's, the one RAID arrays use. Callers
-// pass a buffer on their own stack: the chunks must outlive the parked
+// The layout is disksim.Stripe's, the one RAID arrays use. Callers pass
+// a buffer on their own stack: the chunks must outlive the parked
 // runChunks, so no buffer another process could write will do.
 func (fs *FS) stripeExtent(buf []extentChunk, ntargets int, offset, size int64) []extentChunk {
+	s := disksim.NewStripe(fs.params.StripeSize, ntargets, offset, size)
 	for t := 0; t < ntargets; t++ {
-		if local, n, ok := disksim.StripeRun(fs.params.StripeSize, ntargets, offset, size, t); ok {
+		if local, n, ok := s.Run(t); ok {
 			buf = append(buf, extentChunk{target: t, offset: local, size: n})
 		}
 	}

@@ -4,6 +4,9 @@
 // application's I/O time there (Eq. 1–2), compute the device-level peak
 // BW_PK via IOzone (Eq. 3–4), system usage (Eq. 5), relative estimation
 // errors (Eq. 6–7), and select the configuration with the least I/O time.
+// Estimates on several configurations (what-if exploration, selection,
+// degraded-mode comparison) run every configuration's distinct replays in
+// one fan-out over the sweep pool: see EstimateAll.
 package predict
 
 import (
@@ -170,9 +173,9 @@ capacity:
 		}
 		est := &Estimate{App: m.App, Config: specs[i].Name, IORRuns: firstJob[i+1] - firstJob[i]}
 		for k, pm := range m.Phases {
-			faithful := opts.FaithfulMixed && len(pm.Ops) > 1
-			bw := bws[phaseJob[i*len(m.Phases)+k]].bw
-			pe := PhaseEstimate{Phase: pm, BWch: bw, Faithful: faithful}
+			j := phaseJob[i*len(m.Phases)+k]
+			bw := bws[j].bw
+			pe := PhaseEstimate{Phase: pm, BWch: bw, Faithful: jobs[j].faithful}
 			if bw > 0 {
 				pe.TimeCH = units.TransferTime(pm.Weight, bw)
 			}
