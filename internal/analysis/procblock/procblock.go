@@ -8,8 +8,9 @@
 // the engine believes the process is running while the goroutine is
 // actually parked in the runtime, which wedges the simulation or races it
 // (DESIGN.md §5). Inside a Proc body the legal
-// blocking operations are the virtual ones: Proc.Sleep, Proc.Park and the
-// des.Resource / des.Barrier / des.WaitGroup abstractions built on them.
+// blocking operations are the virtual ones: Proc.Sleep, Proc.Park,
+// Proc.Fork and the des.Resource / des.Barrier / des.Mailbox
+// abstractions built on them.
 //
 // A "Proc body" is any function or function literal with a *des.Proc
 // parameter — the engine's Spawn contract — including function literals
@@ -98,7 +99,7 @@ func hasProcParam(pass *framework.Pass, ft *ast.FuncType) bool {
 // checkProcBody flags blocking primitives anywhere in a proc body,
 // including nested function literals (they run on the proc's goroutine).
 func checkProcBody(pass *framework.Pass, body *ast.BlockStmt) {
-	const fix = "bypasses the coroutine engine (use Proc.Sleep/Park or des.Resource/Barrier/WaitGroup)"
+	const fix = "bypasses the coroutine engine (use Proc.Sleep/Park/Fork or des.Resource/Barrier/Mailbox)"
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:

@@ -102,19 +102,12 @@ func TestFinisterraeOutrunsConfigCOnSharedFile(t *testing.T) {
 		c := Build(spec)
 		const np = 4
 		var took units.Duration
-		done := des.NewWaitGroup(c.Eng)
-		done.Add(np)
-		for r := 0; r < np; r++ {
-			node := c.NodeOfRank(r, np)
-			off := int64(r) * 64 * units.MiB
-			c.Eng.Spawn(node, func(p *des.Proc) {
-				f := c.FS.Open(p, node, "/shared")
-				f.Write(p, node, off, 64*units.MiB)
-				done.Done()
-			})
-		}
 		c.Eng.Spawn("t", func(p *des.Proc) {
-			done.Wait(p)
+			p.Fork("writer", np, func(hp *des.Proc, r int) {
+				node := c.NodeOfRank(r, np)
+				f := c.FS.Open(hp, node, "/shared")
+				f.Write(hp, node, int64(r)*64*units.MiB, 64*units.MiB)
+			})
 			c.FS.Sync(p)
 			took = p.Now()
 		})

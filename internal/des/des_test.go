@@ -262,28 +262,6 @@ func TestMailboxBuffered(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	wg.Add(3)
-	var done units.Duration
-	for i := 1; i <= 3; i++ {
-		d := units.Duration(i) * units.Second
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		done = p.Now()
-	})
-	e.Run()
-	if done != 3*units.Second {
-		t.Fatalf("wait released at %v, want 3s", done)
-	}
-}
-
 // TestDeterminism re-runs an irregular workload and requires identical
 // completion timestamps — the core reproducibility guarantee.
 func TestDeterminism(t *testing.T) {

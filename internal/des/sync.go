@@ -112,43 +112,3 @@ func (m *Mailbox) promotePutter() {
 	m.items = append(m.items, pt.v)
 	m.eng.scheduleResume(0, pt.p)
 }
-
-// WaitGroup counts outstanding work in virtual time; Wait blocks until the
-// counter returns to zero.
-type WaitGroup struct {
-	eng     *Engine
-	count   int
-	waiters []*Proc
-}
-
-// NewWaitGroup creates an empty wait group.
-func NewWaitGroup(eng *Engine) *WaitGroup { return &WaitGroup{eng: eng} }
-
-// Add adjusts the counter by delta; a negative result panics.
-func (w *WaitGroup) Add(delta int) {
-	w.count += delta
-	if w.count < 0 {
-		panic("des: negative WaitGroup count")
-	}
-	if w.count == 0 {
-		// Reuse the waiter buffer across rounds (see Barrier.Wait for
-		// why the aliasing is safe).
-		waiting := w.waiters
-		w.waiters = w.waiters[:0]
-		for _, p := range waiting {
-			w.eng.scheduleResume(0, p)
-		}
-	}
-}
-
-// Done decrements the counter.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Wait blocks until the counter is zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.count == 0 {
-		return
-	}
-	w.waiters = append(w.waiters, p)
-	p.block("waitgroup", "")
-}

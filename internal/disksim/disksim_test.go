@@ -167,20 +167,15 @@ func TestRAID5CapacityExcludesParity(t *testing.T) {
 
 func TestStripeChunksCoverExtent(t *testing.T) {
 	f := func(off uint32, sz uint16) bool {
-		eng := des.NewEngine()
-		var members []*Disk
-		for i := 0; i < 4; i++ {
-			members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
-		}
-		a := NewArray(eng, "r0", RAID0, members, 64*units.KiB)
-		offset := int64(off)
 		size := int64(sz) + 1
+		s := NewStripe(64*units.KiB, 4, int64(off), size)
 		var total int64
-		for _, c := range a.stripeChunks(offset, size) {
-			if c.size <= 0 || c.disk < 0 || c.disk >= 4 {
+		for i := 0; i < s.Touched(); i++ {
+			disk, _, n := s.Nth(i)
+			if n <= 0 || disk < 0 || disk >= 4 {
 				return false
 			}
-			total += c.size
+			total += n
 		}
 		return total == size
 	}
@@ -190,19 +185,13 @@ func TestStripeChunksCoverExtent(t *testing.T) {
 }
 
 func TestCoalesceMergesSequentialRuns(t *testing.T) {
-	eng := des.NewEngine()
-	var members []*Disk
+	s := NewStripe(64*units.KiB, 4, 0, 16*units.MiB)
+	if s.Touched() != 4 {
+		t.Fatalf("16 MiB over 4 disks should coalesce to 4 chunks, got %d", s.Touched())
+	}
 	for i := 0; i < 4; i++ {
-		members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
-	}
-	a := NewArray(eng, "r0", RAID0, members, 64*units.KiB)
-	chunks := a.stripeChunks(0, 16*units.MiB)
-	if len(chunks) != 4 {
-		t.Fatalf("16 MiB over 4 disks should coalesce to 4 chunks, got %d", len(chunks))
-	}
-	for _, c := range chunks {
-		if c.size != 4*units.MiB {
-			t.Fatalf("chunk %+v, want 4 MiB each", c)
+		if disk, _, n := s.Nth(i); n != 4*units.MiB {
+			t.Fatalf("chunk %d on disk %d has %d bytes, want 4 MiB", i, disk, n)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import "iophases/internal/units"
 // sequence — same formulas, same stateful head/cache bookkeeping, same
 // integer arithmetic through units.TransferTime — without an engine, a
 // process or an event queue. The guarantee is structural: each clock calls
-// the very functions the device calls (HeadClock.serviceTime, stripeSplit,
+// the very functions the device calls (HeadClock.serviceTime, Stripe,
 // raid5Parts, dirtySet.add/gather, recentIndex), so a formula change in the
 // device is automatically a formula change in the mirror. Divergence is a
 // bug; predict's FastPath=verify mode runs both and panics on any.
@@ -86,18 +86,17 @@ type ArrayClock struct {
 	level      RAIDLevel
 	stripeUnit int64
 	members    []HeadClock
-	chunks     []chunk // OpTime's reused striping buffer
 }
 
 // Reset puts the clock in the initial state of a healthy array of n
-// identical members. It keeps the clock's buffers, so a reused clock
-// prices a new array without allocating.
+// identical members. It keeps the clock's member buffer, so a reused
+// clock prices a new array without allocating.
 func (a *ArrayClock) Reset(level RAIDLevel, n int, stripeUnit int64, disk DiskParams) {
 	members := a.members[:0]
 	for i := 0; i < n; i++ {
 		members = append(members, HeadClock{params: disk, lastEnd: -1})
 	}
-	*a = ArrayClock{level: level, stripeUnit: stripeUnit, members: members, chunks: a.chunks[:0]}
+	*a = ArrayClock{level: level, stripeUnit: stripeUnit, members: members}
 }
 
 // dataDisks mirrors Array.dataDisks.
@@ -108,24 +107,25 @@ func (a *ArrayClock) dataDisks() int {
 	return len(a.members)
 }
 
-// issueTime mirrors Array.issue on a healthy array: all chunk helpers are
-// spawned at the same virtual instant against distinct member queues, so
-// each member's (sequential, per-chunk) service chain starts immediately
-// and the caller unblocks at the slowest member.
-func (a *ArrayClock) issueTime(chunks []chunk, write, rmw bool) units.Duration {
+// issueTime mirrors Array.issue on a healthy array: all member helpers
+// are forked at the same virtual instant against distinct member queues,
+// so each member's (sequential) service chain starts immediately and the
+// caller unblocks at the slowest member.
+func (a *ArrayClock) issueTime(s Stripe, write, rmw bool) units.Duration {
 	var max units.Duration
-	for _, c := range chunks {
-		m := &a.members[c.disk]
+	for i := 0; i < s.Touched(); i++ {
+		disk, off, n := s.Nth(i)
+		m := &a.members[disk]
 		var t units.Duration
 		if write && rmw {
 			// Read-modify-write: read old data, write data, write parity —
 			// three sequential member ops, same order as Array.issue.
-			t1, _ := m.ServiceTime(c.offset, c.size, false)
-			t2, _ := m.ServiceTime(c.offset, c.size, true)
-			t3, _ := m.ServiceTime(c.offset, c.size, true)
+			t1, _ := m.ServiceTime(off, n, false)
+			t2, _ := m.ServiceTime(off, n, true)
+			t3, _ := m.ServiceTime(off, n, true)
 			t = t1 + t2 + t3
 		} else {
-			t, _ = m.ServiceTime(c.offset, c.size, write)
+			t, _ = m.ServiceTime(off, n, write)
 		}
 		if t > max {
 			max = t
@@ -141,24 +141,18 @@ func (a *ArrayClock) OpTime(offset, size int64, write bool) units.Duration {
 		return 0
 	}
 	if !write {
-		return a.issueTime(a.stripe(offset, size), false, false)
+		return a.issueTime(NewStripe(a.stripeUnit, len(a.members), offset, size), false, false)
 	}
 	if a.level != RAID5 {
-		return a.issueTime(a.stripe(offset, size), true, false)
+		return a.issueTime(NewStripe(a.stripeUnit, len(a.members), offset, size), true, false)
 	}
 	stripe := a.stripeUnit * int64(a.dataDisks())
 	parts, n := raid5Parts(offset, size, stripe)
 	var total units.Duration
 	for _, part := range parts[:n] {
-		total += a.issueTime(a.stripe(part.off, part.size), true, part.rmw)
+		total += a.issueTime(NewStripe(a.stripeUnit, len(a.members), part.off, part.size), true, part.rmw)
 	}
 	return total
-}
-
-// stripe mirrors Array.stripeChunks into the clock's own buffer.
-func (a *ArrayClock) stripe(offset, size int64) []chunk {
-	a.chunks = stripeSplit(a.chunks[:0], a.stripeUnit, len(a.members), offset, size)
-	return a.chunks
 }
 
 // CacheLedger is the dirty-extent bookkeeping of a WriteCache, exported so

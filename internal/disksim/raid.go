@@ -35,7 +35,6 @@ type Array struct {
 	ctr        Counters
 	failed     int              // failed member index, -1 = healthy
 	flt        *faults.Injector // nil on a healthy cluster
-	chunks     []chunk          // stripeChunks' reused result buffer
 }
 
 // NewArray builds an array over the given member disks. stripeUnit is the
@@ -84,46 +83,6 @@ func (a *Array) dataDisks() int {
 	return len(a.members)
 }
 
-// chunk is one member-disk request derived from striping.
-type chunk struct {
-	disk   int
-	offset int64
-	size   int64
-}
-
-// stripeChunks splits a logical extent into per-member requests. Data is
-// laid out round-robin in stripeUnit chunks across the data disks; for
-// RAID5 the parity rotation is approximated by spreading data over all
-// members (which matches the aggregate bandwidth behaviour of rotating
-// parity). The result lives in the array's buffer until the next call:
-// issue copies every chunk into its helper before it blocks (Spawn
-// schedules and does not yield), so no other request can overwrite the
-// chunks it is still reading.
-func (a *Array) stripeChunks(offset, size int64) []chunk {
-	a.chunks = stripeSplit(a.chunks[:0], a.stripeUnit, len(a.members), offset, size)
-	return a.chunks
-}
-
-// stripeSplit appends the member requests of a logical extent to buf, one
-// per touched member in first-touch order: the pure striping computation
-// behind stripeChunks, shared with ArrayClock so the fast path derives the
-// exact same member requests.
-func stripeSplit(buf []chunk, stripeUnit int64, nmembers int, offset, size int64) []chunk {
-	s := NewStripe(stripeUnit, nmembers, offset, size)
-	for i := 0; i < nmembers; i++ {
-		disk := int(s.firstMember) + i
-		if disk >= nmembers {
-			disk -= nmembers
-		}
-		local, n, ok := s.Run(disk)
-		if !ok {
-			break // the touched members are consecutive from the first
-		}
-		buf = append(buf, chunk{disk: disk, offset: local, size: n})
-	}
-	return buf
-}
-
 // Stripe is round-robin striping in closed form: the layout of an extent
 // over members in unit-sized pieces, stripe unit u on member u mod
 // members at member offset (u div members)·unit. One member's successive
@@ -159,6 +118,22 @@ func NewStripe(unit int64, members int, offset, size int64) Stripe {
 		head:  offset - first*unit,
 		tail:  offset + size - last*unit,
 	}
+}
+
+// Touched reports how many members the extent touches. They are
+// consecutive, wrapping round, from the member holding its first unit.
+func (s Stripe) Touched() int { return int(min(s.units, s.members)) }
+
+// Nth reports the extent's i-th run in first-touch order, 0 <= i <
+// Touched(): the member it lies on, its start in member space and its
+// length.
+func (s Stripe) Nth(i int) (member int, local, n int64) {
+	d := s.firstMember + int64(i)
+	if d >= s.members {
+		d -= s.members
+	}
+	local, n, _ = s.Run(int(d))
+	return int(d), local, n
 }
 
 // Run reports the extent's run on member: its start in member space and
@@ -241,67 +216,58 @@ func (a *Array) effectiveFailed(now units.Duration) int {
 	return failed
 }
 
-// issue runs the chunks against member disks concurrently and blocks the
-// caller until all complete. failed is the member lost for this request
-// (-1 when healthy), sampled once per logical request so a rebuild
-// completing mid-request cannot split one access across both regimes.
-func (a *Array) issue(p *des.Proc, chunks []chunk, write, rmw bool, failed int) {
-	wg := des.NewWaitGroup(a.eng)
-	wg.Add(len(chunks))
-	for _, c := range chunks {
-		c := c
-		a.eng.Spawn(a.chunkName, func(hp *des.Proc) {
-			if c.disk == failed {
-				if write {
-					// Data destined for the lost member lands in
-					// parity only: surviving members absorb an
-					// extra parity update of the chunk size.
-					alt := a.members[(c.disk+1)%len(a.members)]
-					alt.Write(hp, c.offset, c.size)
-				} else {
-					// Reconstruction: read the chunk's stripe
-					// from every surviving member.
-					rg := des.NewWaitGroup(a.eng)
-					for i, m := range a.members {
-						if i == failed {
-							continue
-						}
-						m := m
-						rg.Add(1)
-						a.eng.Spawn(a.name+"/rebuild", func(rp *des.Proc) {
-							m.Read(rp, c.offset, c.size)
-							rg.Done()
-						})
-					}
-					rg.Wait(hp)
-				}
-				wg.Done()
-				return
-			}
-			d := a.members[c.disk]
+// issue runs the extent's member runs against the member disks
+// concurrently, one helper per touched member in first-touch order, and
+// blocks the caller until all complete. Data is laid out round-robin in
+// stripeUnit pieces; for RAID5 the parity rotation is approximated by
+// spreading data over all members (which matches the aggregate bandwidth
+// behaviour of rotating parity). failed is the member lost for this
+// request (-1 when healthy), sampled once per logical request so a
+// rebuild completing mid-request cannot split one access across both
+// regimes.
+func (a *Array) issue(p *des.Proc, s Stripe, write, rmw bool, failed int) {
+	p.Fork(a.chunkName, s.Touched(), func(hp *des.Proc, i int) {
+		disk, off, n := s.Nth(i)
+		if disk == failed {
 			if write {
-				if rmw {
-					// Read-modify-write: the old data (and
-					// parity) must be read before the new
-					// parity can be written.
-					d.Read(hp, c.offset, c.size)
-				}
-				d.Write(hp, c.offset, c.size)
-				if rmw {
-					// Parity write on the rotating parity
-					// member; charge it to the same disk's
-					// queue as an extra op of equal size —
-					// aggregate cost matches the classic
-					// 4-I/O small-write penalty within 2x.
-					d.Write(hp, c.offset, c.size)
-				}
+				// Data destined for the lost member lands in
+				// parity only: surviving members absorb an
+				// extra parity update of the chunk size.
+				alt := a.members[(disk+1)%len(a.members)]
+				alt.Write(hp, off, n)
 			} else {
-				d.Read(hp, c.offset, c.size)
+				// Reconstruction: read the chunk's stripe
+				// from every surviving member.
+				hp.Fork(a.name+"/rebuild", len(a.members)-1, func(rp *des.Proc, m int) {
+					if m >= failed {
+						m++
+					}
+					a.members[m].Read(rp, off, n)
+				})
 			}
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
+			return
+		}
+		d := a.members[disk]
+		if write {
+			if rmw {
+				// Read-modify-write: the old data (and
+				// parity) must be read before the new
+				// parity can be written.
+				d.Read(hp, off, n)
+			}
+			d.Write(hp, off, n)
+			if rmw {
+				// Parity write on the rotating parity
+				// member; charge it to the same disk's
+				// queue as an extra op of equal size —
+				// aggregate cost matches the classic
+				// 4-I/O small-write penalty within 2x.
+				d.Write(hp, off, n)
+			}
+		} else {
+			d.Read(hp, off, n)
+		}
+	})
 }
 
 // fullStripe reports whether the extent covers whole stripes (so RAID5 can
@@ -313,7 +279,7 @@ func (a *Array) fullStripe(offset, size int64) bool {
 
 func (a *Array) Read(p *des.Proc, offset, size int64) {
 	a.queue.Acquire(p, 1)
-	a.issue(p, a.stripeChunks(offset, size), false, false, a.effectiveFailed(p.Now()))
+	a.issue(p, NewStripe(a.stripeUnit, len(a.members), offset, size), false, false, a.effectiveFailed(p.Now()))
 	a.queue.Release(1)
 	a.ctr.ReadOps++
 	a.ctr.ReadBytes += size
@@ -324,7 +290,7 @@ func (a *Array) Write(p *des.Proc, offset, size int64) {
 	a.queue.Acquire(p, 1)
 	failed := a.effectiveFailed(p.Now())
 	if a.level != RAID5 {
-		a.issue(p, a.stripeChunks(offset, size), true, false, failed)
+		a.issue(p, NewStripe(a.stripeUnit, len(a.members), offset, size), true, false, failed)
 	} else {
 		// RAID5: only the partial-stripe head and tail pay
 		// read-modify-write; the aligned middle writes full stripes
@@ -332,7 +298,7 @@ func (a *Array) Write(p *des.Proc, offset, size int64) {
 		stripe := a.stripeUnit * int64(a.dataDisks())
 		parts, n := raid5Parts(offset, size, stripe)
 		for _, part := range parts[:n] {
-			a.issue(p, a.stripeChunks(part.off, part.size), true, part.rmw, failed)
+			a.issue(p, NewStripe(a.stripeUnit, len(a.members), part.off, part.size), true, part.rmw, failed)
 		}
 	}
 	a.queue.Release(1)

@@ -8,11 +8,29 @@ import (
 	"iophases/internal/units"
 )
 
+// memberRun is one member request of a striped extent.
+type memberRun struct {
+	disk   int
+	offset int64
+	size   int64
+}
+
+// runs lists s's member runs through Touched and Nth, in first-touch
+// order.
+func runs(s Stripe) []memberRun {
+	var out []memberRun
+	for i := 0; i < s.Touched(); i++ {
+		disk, off, n := s.Nth(i)
+		out = append(out, memberRun{disk: disk, offset: off, size: n})
+	}
+	return out
+}
+
 // loopStripeSplit is the striping code Stripe replaced, kept as the
 // oracle for its closed form: one chunk per stripe unit, then coalesce.
-func loopStripeSplit(stripeUnit int64, nmembers int, offset, size int64) []chunk {
+func loopStripeSplit(stripeUnit int64, nmembers int, offset, size int64) []memberRun {
 	n := int64(nmembers)
-	var out []chunk
+	var out []memberRun
 	for size > 0 {
 		unitIdx := offset / stripeUnit
 		within := offset % stripeUnit
@@ -22,7 +40,7 @@ func loopStripeSplit(stripeUnit int64, nmembers int, offset, size int64) []chunk
 		}
 		disk := int(unitIdx % n)
 		row := unitIdx / n
-		out = append(out, chunk{disk: disk, offset: row*stripeUnit + within, size: take})
+		out = append(out, memberRun{disk: disk, offset: row*stripeUnit + within, size: take})
 		offset += take
 		size -= take
 	}
@@ -31,7 +49,7 @@ func loopStripeSplit(stripeUnit int64, nmembers int, offset, size int64) []chunk
 
 // coalesce merges per-disk chunks that are contiguous in member-local
 // space, preserving first-touch order.
-func coalesce(chunks []chunk, ndisks int) []chunk {
+func coalesce(chunks []memberRun, ndisks int) []memberRun {
 	last := make([]int, ndisks) // index+1 of the last chunk kept per disk
 	out := chunks[:0]
 	for _, c := range chunks {
@@ -67,26 +85,40 @@ func randomStripeCase(rng *rand.Rand) (unit int64, members int, offset, size int
 }
 
 // TestStripeSplitMatchesLoop pins the closed form against the per-unit
-// loop plus coalesce it replaced, on random layouts.
+// loop plus coalesce it replaced, on random layouts: Touched and Nth
+// must list the oracle's chunks in its first-touch order, and Run must
+// agree with Nth on every member, touched or not.
 func TestStripeSplitMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var buf []chunk
 	for i := 0; i < 20000; i++ {
 		unit, members, offset, size := randomStripeCase(rng)
 		want := loopStripeSplit(unit, members, offset, size)
-		buf = stripeSplit(buf[:0], unit, members, offset, size)
-		if !reflect.DeepEqual(buf, want) {
+		s := NewStripe(unit, members, offset, size)
+		got := runs(s)
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("unit=%d members=%d offset=%d size=%d:\n got %+v\nwant %+v",
-				unit, members, offset, size, buf, want)
+				unit, members, offset, size, got, want)
+		}
+		touched := make(map[int]memberRun, len(want))
+		for _, c := range want {
+			touched[c.disk] = c
+		}
+		for m := 0; m < members; m++ {
+			local, n, ok := s.Run(m)
+			c, hit := touched[m]
+			if ok != hit || (ok && (local != c.offset || n != c.size)) {
+				t.Fatalf("unit=%d members=%d offset=%d size=%d: Run(%d) = %d, %d, %v; want %+v, %v",
+					unit, members, offset, size, m, local, n, ok, c, hit)
+			}
 		}
 	}
-	if got := stripeSplit(nil, 64*units.KiB, 4, 0, 0); len(got) != 0 {
-		t.Fatalf("empty extent split into %+v", got)
+	if got := NewStripe(64*units.KiB, 4, 0, 0); got.Touched() != 0 {
+		t.Fatalf("empty extent touches %d members", got.Touched())
 	}
 }
 
 // TestArrayClockOpTimeAllocatesNothing pins the allocation floor of the
-// fast path's device clock: striping reuses the clock's buffer.
+// fast path's device clock: striping is a value, nothing is buffered.
 func TestArrayClockOpTimeAllocatesNothing(t *testing.T) {
 	for _, level := range []RAIDLevel{RAID0, RAID5} {
 		var a ArrayClock

@@ -10,6 +10,7 @@ package fsim
 
 import (
 	"fmt"
+	"slices"
 
 	"iophases/internal/des"
 	"iophases/internal/disksim"
@@ -245,9 +246,9 @@ type extentChunk struct {
 // stripeExtent appends a file extent's split across ntargets to buf:
 // round-robin by StripeSize, one chunk per touched target (successive
 // stripe rows are contiguous in target-local space), in target order.
-// The layout is disksim.Stripe's, the one RAID arrays use. Callers pass
-// a buffer on their own stack: the chunks must outlive the parked
-// runChunks, so no buffer another process could write will do.
+// The layout is disksim.Stripe's, the one RAID arrays use. Read and
+// Write pass a buffer on their own stack; runChunks hands its helpers a
+// copy, which no other process writes while they run.
 func (fs *FS) stripeExtent(buf []extentChunk, ntargets int, offset, size int64) []extentChunk {
 	s := disksim.NewStripe(fs.params.StripeSize, ntargets, offset, size)
 	for t := 0; t < ntargets; t++ {
@@ -336,36 +337,26 @@ func (fs *FS) requestMessages(chunks []extentChunk) int64 {
 	return n
 }
 
-// runChunks executes per-target chunk operations, in parallel when more
-// than one target is involved. The healthy path (no injector) spawns the
-// same closures as the seed — no error slice, no extra captures — so the
-// allocs/op gate holds; only faulted clusters pay for error collection.
+// runChunks executes per-target chunk operations, one helper per chunk
+// in target order when more than one target is involved. Error slots are
+// allocated only when an injector is attached.
 func (fs *FS) runChunks(p *des.Proc, client string, targets []int, chunks []extentChunk, write bool) error {
 	if len(chunks) == 1 {
 		return fs.chunkOp(p, client, targets, chunks[0], write)
 	}
-	wg := des.NewWaitGroup(fs.eng)
-	wg.Add(len(chunks))
-	if fs.flt == nil {
-		for _, c := range chunks {
-			c := c
-			fs.eng.Spawn(fs.chunkName, func(hp *des.Proc) {
-				fs.chunkOp(hp, client, targets, c, write)
-				wg.Done()
-			})
+	var errs []error
+	if fs.flt != nil {
+		errs = make([]error, len(chunks))
+	}
+	// Helpers read a copy: capturing chunks would move Read's and
+	// Write's stack buffers to the heap on every call.
+	own := slices.Clone(chunks)
+	p.Fork(fs.chunkName, len(own), func(hp *des.Proc, i int) {
+		err := fs.chunkOp(hp, client, targets, own[i], write)
+		if errs != nil {
+			errs[i] = err
 		}
-		wg.Wait(p)
-		return nil
-	}
-	errs := make([]error, len(chunks))
-	for i, c := range chunks {
-		i, c := i, c
-		fs.eng.Spawn(fs.chunkName, func(hp *des.Proc) {
-			errs[i] = fs.chunkOp(hp, client, targets, c, write)
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

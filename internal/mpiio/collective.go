@@ -94,40 +94,40 @@ func (f *File) runTwoPhase(r *mpi.Rank, op trace.Op) {
 	h := f.sharedHandle()
 	np := world.Size()
 
+	// Only ranks with data shuffle and only aggregators with a
+	// non-empty domain access the file: one helper each, in order.
+	var movers []collArrival
+	for _, a := range arr {
+		if a.size != 0 {
+			movers = append(movers, a)
+		}
+	}
+	var busy []int
+	for i, dom := range domains {
+		if len(dom) != 0 {
+			busy = append(busy, i)
+		}
+	}
 	shuffle := func(toAggregators bool) {
-		wg := des.NewWaitGroup(eng)
-		for _, a := range arr {
-			if a.size == 0 {
-				continue
-			}
-			a := a
+		r.Proc().Fork("coll-shuffle", len(movers), func(p *des.Proc, i int) {
+			a := movers[i]
 			aggNode := world.NodeOf(aggs[a.rank*len(aggs)/np])
 			rankNode := world.NodeOf(a.rank)
-			sys.spawnHelper("coll-shuffle", wg, func(p *des.Proc) {
-				if toAggregators {
-					world.Fabric().Send(p, rankNode, aggNode, a.size)
-				} else {
-					world.Fabric().Send(p, aggNode, rankNode, a.size)
-				}
-			})
-		}
-		wg.Wait(r.Proc())
+			if toAggregators {
+				world.Fabric().Send(p, rankNode, aggNode, a.size)
+			} else {
+				world.Fabric().Send(p, aggNode, rankNode, a.size)
+			}
+		})
 	}
 	access := func() {
-		wg := des.NewWaitGroup(eng)
-		for i, dom := range domains {
-			if len(dom) == 0 {
-				continue
+		r.Proc().Fork("coll-agg", len(busy), func(p *des.Proc, i int) {
+			d := busy[i]
+			node := world.NodeOf(aggs[d%len(aggs)])
+			for _, e := range domains[d] {
+				sys.fsAccess(p, h, node, op.IsWrite(), e.Offset, e.Size)
 			}
-			dom := dom
-			node := world.NodeOf(aggs[i%len(aggs)])
-			sys.spawnHelper("coll-agg", wg, func(p *des.Proc) {
-				for _, e := range dom {
-					sys.fsAccess(p, h, node, op.IsWrite(), e.Offset, e.Size)
-				}
-			})
-		}
-		wg.Wait(r.Proc())
+		})
 	}
 
 	switch {

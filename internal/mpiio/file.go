@@ -3,7 +3,6 @@ package mpiio
 import (
 	"fmt"
 
-	"iophases/internal/des"
 	"iophases/internal/faults"
 	"iophases/internal/fsim"
 	"iophases/internal/mpi"
@@ -331,13 +330,4 @@ func (f *File) sharedHandle() *fsim.File {
 		}
 	}
 	panic("mpiio: collective on closed file")
-}
-
-// spawnHelper runs fn as a transient process and signals wg when done.
-func (s *System) spawnHelper(name string, wg *des.WaitGroup, fn func(p *des.Proc)) {
-	wg.Add(1)
-	s.world.Engine().Spawn(name, func(p *des.Proc) {
-		fn(p)
-		wg.Done()
-	})
 }
