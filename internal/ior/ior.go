@@ -10,9 +10,9 @@
 package ior
 
 import (
-	"math/rand"
-
 	"fmt"
+	"math"
+	"math/rand"
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
@@ -64,6 +64,11 @@ func (p Params) Validate() error {
 	}
 	if p.BlockSize%p.Transfer != 0 {
 		return fmt.Errorf("ior: block %d not a multiple of transfer %d", p.BlockSize, p.Transfer)
+	}
+	// Every offset lies below the file extent b·np·s, checked without
+	// forming the product: b·np·s <= max iff b <= max/np/s.
+	if p.BlockSize > math.MaxInt64/int64(p.NP)/int64(p.Segments) {
+		return fmt.Errorf("ior: file extent b=%d × np=%d × s=%d overflows int64", p.BlockSize, p.NP, p.Segments)
 	}
 	if !p.DoWrite && !p.DoRead {
 		return fmt.Errorf("ior: neither write nor read selected")

@@ -1,6 +1,7 @@
 package ior
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,36 @@ func TestValidate(t *testing.T) {
 	bad.NP = 0
 	if bad.Validate() == nil {
 		t.Fatal("np=0 accepted")
+	}
+}
+
+// TestValidateRejectsExtentOverflow pins that Validate refuses a file
+// extent b·np·s past int64, whose offsets would wrap negative mid-run,
+// and still accepts one that reaches the largest int64 exactly.
+func TestValidateRejectsExtentOverflow(t *testing.T) {
+	cases := []struct {
+		b, t  int64
+		np, s int
+		ok    bool
+	}{
+		{1 << 62, 1 << 62, 4, 1, false},             // 2^64 wraps to 0
+		{1 << 62, 1 << 62, 2, 1, false},             // 2^63 wraps negative
+		{1 << 40, 1 << 20, 1 << 10, 1 << 14, false}, // overflow in the segments
+		{1 << 61, 1 << 61, 2, 2, false},
+		{1 << 61, 1 << 61, 2, 1, true},
+		{math.MaxInt64, math.MaxInt64, 1, 1, true},
+		{math.MaxInt64 / 7, math.MaxInt64 / 7, 7, 1, true},
+		{math.MaxInt64/7 + 1, math.MaxInt64/7 + 1, 7, 1, false},
+	}
+	for _, tc := range cases {
+		p := Params{NP: tc.np, BlockSize: tc.b, Transfer: tc.t, Segments: tc.s, DoWrite: true}
+		err := p.Validate()
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("b=%d np=%d s=%d: Validate() = %v, want ok=%v", tc.b, tc.np, tc.s, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("b=%d np=%d s=%d: error %q does not name the overflow", tc.b, tc.np, tc.s, err)
+		}
 	}
 }
 

@@ -70,9 +70,10 @@ func TestWorkflowModelPersistence(t *testing.T) {
 }
 
 // TestLoadModelRejectsMalformed pins the model-file boundary: a phase
-// with no operations, with np 0, or with a negative request size (from a
-// trace row whose RequestSize is -5) is a load error naming the file and
-// the phase, not a panic later in prediction.
+// with no operations, with np 0, with a negative request size (from a
+// trace row whose RequestSize is -5) or with a replay file extent past
+// int64 is a load error naming the file and the phase, not a panic later
+// in prediction.
 func TestLoadModelRejectsMalformed(t *testing.T) {
 	params := iophases.DefaultMADBench()
 	params.RS = 1 << 20
@@ -96,6 +97,9 @@ func TestLoadModelRejectsMalformed(t *testing.T) {
 		{"no ops", valid, func(m *iophases.Model) { m.Phases[0].Ops = m.Phases[0].Ops[:0] }, "model phase 1: no operations"},
 		{"np 0", valid, func(m *iophases.Model) { m.Phases[1].NP = 0 }, "model phase 2: np 0"},
 		{"negative request size", negative, func(*iophases.Model) {}, "model phase 1: ior: b=-5 t=-5 s=1"},
+		{"extent past int64", valid, func(m *iophases.Model) {
+			m.Phases[0].Ops[0].Size, m.Phases[0].Rep = 1<<62, 1
+		}, "model phase 1: ior: file extent b=4611686018427387904 × np=4 × s=1 overflows int64"},
 	}
 	for _, tc := range cases {
 		m := iophases.Extract(tc.set)
