@@ -26,6 +26,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -113,16 +114,43 @@ func (e Effect) matches(name string) bool {
 	return e.Match == "" || strings.Contains(name, e.Match)
 }
 
-// validate checks one effect's kind-specific fields.
+// maxFactor caps the product of a schedule's slow-disk factors, and of
+// its link-degraded factors: an hour of service time scaled by 1e6 still
+// fits the int64 nanoseconds virtual time is stored in.
+const maxFactor = 1e6
+
+// maxFlap caps a link flap's down and up times. Every transfer may wait
+// out one outage, so an outage that merely fits in int64 nanoseconds
+// still wraps the clock once a second transfer meets it; an hour-long
+// outage takes millions of transfers to do that. A link down for longer
+// is lost, not flapping.
+const maxFlap = 3600 * units.Second
+
+// validate checks one effect's kind-specific fields. Every instant the
+// effect implies (its window bounds, a flap's first cycle) must fit in
+// int64 nanoseconds, or the simulation clock would wrap.
 func (e Effect) validate(i int) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("faults: effect %d (%s): %s", i, e.Kind, fmt.Sprintf(format, args...))
+	}
+	// nanos converts a count of unit (one second or millisecond) to a
+	// duration as the injector does, reporting false past int64.
+	nanos := func(v float64, unit units.Duration, round float64) (units.Duration, bool) {
+		ns := v*float64(unit) + round
+		return units.Duration(ns), ns < 1<<63
 	}
 	if e.FromSec < 0 {
 		return bad("fromSec %v is negative", e.FromSec)
 	}
 	if e.ForSec < 0 {
 		return bad("forSec %v is negative: the window would end before it starts (omit or use 0 for open-ended)", e.ForSec)
+	}
+	from, ok := nanos(e.FromSec, units.Second, 0.5)
+	if !ok {
+		return bad("fromSec %v is past the end of virtual time", e.FromSec)
+	}
+	if length, ok := nanos(e.ForSec, units.Second, 0.5); !ok || length > math.MaxInt64-from {
+		return bad("window %vs + %vs ends past the end of virtual time", e.FromSec, e.ForSec)
 	}
 	switch e.Kind {
 	case SlowDisk, LinkDegraded:
@@ -136,6 +164,17 @@ func (e Effect) validate(i int) error {
 	case LinkFlap:
 		if e.DownMs <= 0 || e.UpMs <= 0 {
 			return bad("downMs/upMs must both be positive (got %v/%v)", e.DownMs, e.UpMs)
+		}
+		down, okDown := nanos(e.DownMs, units.Millisecond, 0)
+		up, okUp := nanos(e.UpMs, units.Millisecond, 0)
+		if down < 1 || up < 1 {
+			return bad("downMs/upMs %v/%v must each be at least 1 ns", e.DownMs, e.UpMs)
+		}
+		if !okDown || !okUp || down > maxFlap || up > maxFlap {
+			return bad("downMs/upMs %v/%v must each be at most %v", e.DownMs, e.UpMs, maxFlap)
+		}
+		if up > math.MaxInt64-from-down {
+			return bad("downMs/upMs %v/%v: the first cycle ends past the end of virtual time", e.DownMs, e.UpMs)
 		}
 	case TransientError:
 		if e.Prob <= 0 || e.Prob > 1 {
@@ -167,10 +206,21 @@ func (s *Schedule) Validate() error {
 	if len(s.Effects) == 0 {
 		return fmt.Errorf("faults: schedule %q has no effects", s.Name)
 	}
+	disk, link := 1.0, 1.0
 	for i, e := range s.Effects {
 		if err := e.validate(i); err != nil {
 			return err
 		}
+		switch e.Kind {
+		case SlowDisk:
+			disk *= e.Factor
+		case LinkDegraded:
+			link *= e.Factor
+		}
+	}
+	if !(disk <= maxFactor && link <= maxFactor) {
+		return fmt.Errorf("faults: schedule %q: slow-disk factors multiply to %v and link-degraded factors to %v; each product may be at most %v",
+			s.Name, disk, link, maxFactor)
 	}
 	return nil
 }

@@ -38,11 +38,35 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		{"budget", &Schedule{Effects: []Effect{{Kind: TransientError, Prob: 0.5}}}, "opCount"},
 		{"kind", &Schedule{Effects: []Effect{{Kind: "meteor-strike"}}}, "unknown kind"},
 		{"inverted", &Schedule{Effects: []Effect{{Kind: SlowDisk, Factor: 2, FromSec: 5, ForSec: -3}}}, "end before it starts"},
+		{"disk-product", &Schedule{Effects: []Effect{{Kind: SlowDisk, Factor: 1000}, {Kind: SlowDisk, Factor: 1001, Match: "d1"}}}, "may be at most"},
+		{"link-product", &Schedule{Effects: []Effect{{Kind: LinkDegraded, Factor: 2e6}}}, "may be at most"},
+		{"from-past-end", &Schedule{Effects: []Effect{{Kind: SlowDisk, Factor: 2, FromSec: 1e10}}}, "past the end of virtual time"},
+		{"window-past-end", &Schedule{Effects: []Effect{{Kind: SlowDisk, Factor: 2, FromSec: 5e9, ForSec: 5e9}}}, "past the end of virtual time"},
+		{"flap-sub-ns", &Schedule{Effects: []Effect{{Kind: LinkFlap, DownMs: 1e-7, UpMs: 1}}}, "at least 1 ns"},
+		{"flap-long", &Schedule{Effects: []Effect{{Kind: LinkFlap, DownMs: 9e12, UpMs: 1e-6}}}, "at most 3600"},
+		{"flap-past-end", &Schedule{Effects: []Effect{{Kind: LinkFlap, DownMs: 3.6e6, UpMs: 3.6e6, FromSec: 9.22337e9}}}, "past the end of virtual time"},
 	}
 	for _, tc := range cases {
 		err := tc.sch.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestValidateAcceptsBoundaries pins that the overflow bounds are not
+// off by one: factor products of exactly 1e6, 1 ns and one-hour flaps
+// and a window ending near the last representable instant are accepted.
+func TestValidateAcceptsBoundaries(t *testing.T) {
+	for _, sch := range []*Schedule{
+		{Effects: []Effect{{Kind: SlowDisk, Factor: 1000}, {Kind: SlowDisk, Factor: 1000}}},
+		{Effects: []Effect{{Kind: LinkDegraded, Factor: 1e6}, {Kind: SlowDisk, Factor: 1e6}}},
+		{Effects: []Effect{{Kind: LinkFlap, DownMs: 1e-6, UpMs: 1e-6}}},
+		{Effects: []Effect{{Kind: LinkFlap, DownMs: 3.6e6, UpMs: 3.6e6, FromSec: 9.2e9}}},
+		{Effects: []Effect{{Kind: SlowDisk, Factor: 2, FromSec: 4e9, ForSec: 5e9}}},
+	} {
+		if err := sch.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", sch.Effects, err)
 		}
 	}
 }
@@ -125,6 +149,11 @@ func TestLoadScenarioErrorPaths(t *testing.T) {
 		{"notjson.json", `slow-disk factor 3`, "invalid character"},
 		{"unknown-kind.json", `{"effects": [{"kind": "meteor-strike", "fromSec": 1}]}`, "unknown kind"},
 		{"inverted.json", `{"effects": [{"kind": "slow-disk", "factor": 2, "fromSec": 5, "forSec": -3}]}`, "end before it starts"},
+		// Each of these three once crashed the simulation: a service
+		// time or a flap cycle past int64 nanoseconds.
+		{"slow-disk-1e300.json", `{"effects": [{"kind": "slow-disk", "factor": 1e300}]}`, "may be at most"},
+		{"link-degraded-1e300.json", `{"effects": [{"kind": "link-degraded", "factor": 1e300}]}`, "may be at most"},
+		{"link-flap-1e-300.json", `{"effects": [{"kind": "link-flap", "downMs": 1e-300, "upMs": 1e-300}]}`, "at least 1 ns"},
 	}
 	for _, tc := range cases {
 		path := write(tc.name, tc.body)
@@ -208,6 +237,17 @@ func TestLostMemberRebuildWindow(t *testing.T) {
 	}})
 	if _, lost := inj.LostMember("a", 3600*units.Second, 4, capB); !lost {
 		t.Fatal("open-ended loss ended")
+	}
+
+	// A rebuild too slow to end inside int64 nanoseconds never ends,
+	// instead of wrapping to a window that never opens.
+	inj = attach(t, &Schedule{Name: "r3", Effects: []Effect{
+		{Kind: RAIDMemberLost, Member: 0, RebuildMBps: 1e-300, FromSec: 1},
+	}})
+	for _, now := range []units.Duration{units.Second, 3600 * units.Second, 1 << 62} {
+		if _, lost := inj.LostMember("a", now, 4, capB); !lost {
+			t.Fatalf("member back at %v after an endless rebuild", now)
+		}
 	}
 }
 

@@ -124,7 +124,9 @@ func (in *Injector) LinkOutage(name string, now units.Duration) units.Duration {
 // named array is lost at now, if any. The degraded window runs from the
 // effect start until the rebuild finishes: ForSec when set, otherwise
 // member-capacity / RebuildMBps (open-ended when neither is set — the
-// operator never swapped the drive).
+// operator never swapped the drive — or when the rebuild would end past
+// the end of virtual time: the schedule does not know the capacity, so
+// validation cannot bound it).
 func (in *Injector) LostMember(name string, now units.Duration, members int, memberCapB int64) (int, bool) {
 	for _, e := range in.sch.Effects {
 		if e.Kind != RAIDMemberLost || !e.matches(name) {
@@ -137,7 +139,9 @@ func (in *Injector) LostMember(name string, now units.Duration, members int, mem
 			to = from + units.FromSeconds(e.ForSec)
 		case e.RebuildMBps > 0:
 			rebuild := float64(memberCapB) / (e.RebuildMBps * float64(units.MiB)) // seconds
-			to = from + units.FromSeconds(rebuild)
+			if ns := rebuild*float64(units.Second) + 0.5; ns < 1<<63 && units.Duration(ns) <= to-from {
+				to = from + units.FromSeconds(rebuild)
+			}
 		}
 		if now >= from && now < to {
 			return e.Member % members, true
