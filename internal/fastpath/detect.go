@@ -8,9 +8,9 @@ import (
 	"iophases/internal/ior"
 )
 
-// admissionVersion tags the static decision rule. Bump it whenever the
-// admissibility predicate changes so simcache fingerprints that fold the
-// decision never alias across rule revisions.
+// admissionVersion tags the static decision rule in DecisionTag. Bump it
+// whenever the admissibility predicate changes, so a caller comparing
+// tags notices the revision.
 const admissionVersion = "v1"
 
 // specReason reports why a cluster spec is statically inadmissible, or ""
@@ -87,9 +87,7 @@ func admitReplay(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) string {
 
 // DecisionTag is the pure, mode-independent summary of the static
 // admission decision for an IOR run: "v1:ok" when admissible, "v1:<reason>"
-// otherwise. simcache folds it into result fingerprints so cache entries
-// stay keyed to the decision rule in force, never to the mode a result was
-// computed under.
+// otherwise.
 func DecisionTag(spec cluster.Spec, p ior.Params) string {
 	if r := admitIOR(spec, p); r != "" {
 		return admissionVersion + ":" + r

@@ -66,20 +66,18 @@ import (
 )
 
 // Fingerprint is the content-addressed replay key: SHA-256 over "ior/",
-// the encoding of spec, the encoding of p and, last, the fast-path
-// admission tag. The tag is a pure function of (spec, p), never of the
-// execution mode, so entries stay mode-independent (a result cached with
-// the fast path off is reused with it on, and vice versa, which is sound
-// because verify mode pins the two paths to bit-identical results), yet a
-// revision of the admission rule re-keys the cache instead of aliasing
-// entries across rule versions. Everything before the tag is prefix-free,
-// so the tag needs no length.
+// the encoding of spec and the encoding of p. It holds nothing of the
+// execution mode, so a result cached with the fast path off is reused
+// with it on, and vice versa, which is sound because verify mode pins
+// the two paths to bit-identical results. Whether the fast path admits a
+// run is a pure function of (spec, p), which the key already encodes in
+// full, and the cache lives for one process, so no entry can outlive a
+// revision of the admission rule.
 func Fingerprint(spec cluster.Spec, p ior.Params) string {
 	b := make([]byte, 0, keyBufSize)
 	b = append(b, "ior/"...)
 	b = appendValue(b, reflect.ValueOf(spec))
 	b = appendValue(b, reflect.ValueOf(p))
-	b = append(b, fastpath.DecisionTag(spec, p)...)
 	return hashKey(b)
 }
 
