@@ -48,7 +48,7 @@ func badNested(p *des.Proc) {
 // goodProc uses only the engine's virtual blocking operations.
 func goodProc(p *des.Proc) {
 	p.Sleep(3)
-	p.Park("token")
+	p.Park("token", "")
 }
 
 // spawner shows the Spawn contract: the literal passed to Spawn is a

@@ -141,7 +141,7 @@ func Build(spec Spec) *Cluster {
 				// with a huge stripe so whole files land on one
 				// member — JBOD placement.
 				dev = disksim.NewArray(eng, node+"/jbod", disksim.RAID0,
-					members, 64*units.GiB)
+					members, disksim.JBODStripe)
 			}
 		}
 		if spec.Storage.Cache != nil {

@@ -2,7 +2,9 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +49,24 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().Schedule(-1, func() {})
+}
+
+// A delay that fits in int64 but carries the clock past it must panic
+// with the delay and the current time, not wrap virtual time negative.
+func TestDelayPastEndOfTimePanics(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(units.Second, func() {})
+	e.Run()
+	e.Schedule(math.MaxInt64-units.Second, func() {}) // ends exactly at the last instant
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"past the end of virtual time", fmt.Sprint(units.Duration(math.MaxInt64)), fmt.Sprint("at ", units.Second)} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q lacks %q", msg, want)
+			}
+		}
+	}()
+	e.Schedule(math.MaxInt64, func() {})
 }
 
 func TestProcSleep(t *testing.T) {

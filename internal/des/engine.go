@@ -17,6 +17,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"iophases/internal/obs"
@@ -173,8 +174,9 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() units.Duration { return e.now }
 
-// Schedule arranges for fn to run after delay. A negative delay panics:
-// causality violations are programming errors.
+// Schedule arranges for fn to run after delay. A negative delay, or one
+// that carries the clock past int64 nanoseconds, panics: causality
+// violations and wrapped clocks are programming errors.
 //
 // fn runs on whichever goroutine holds control when its event comes up:
 // Run's, or that of the process whose blocking or return reached it. Only
@@ -182,23 +184,35 @@ func (e *Engine) Now() units.Duration { return e.now }
 // in fn, which may surface on a process goroutine as one in a process
 // body does.
 func (e *Engine) Schedule(delay units.Duration, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
 	e.seq++
-	e.queue.push(event{at: e.now + delay, seq: e.seq, fn: fn})
+	e.queue.push(event{at: e.after(delay), seq: e.seq, fn: fn})
 	e.met.noteScheduled(len(e.queue))
 }
 
 // scheduleResume arranges for p to be resumed after delay without
 // allocating a closure — the Sleep/Unpark/Spawn fast path.
 func (e *Engine) scheduleResume(delay units.Duration, p *Proc) {
+	e.seq++
+	e.queue.push(event{at: e.after(delay), seq: e.seq, proc: p})
+	e.met.noteScheduled(len(e.queue))
+}
+
+// after returns the virtual time delay from now, panicking on a negative
+// delay or on one that would wrap the clock past int64 nanoseconds.
+func (e *Engine) after(delay units.Duration) units.Duration {
+	if delay < 0 || delay > math.MaxInt64-e.now {
+		e.badDelay(delay)
+	}
+	return e.now + delay
+}
+
+// badDelay panics, naming the refused delay and the current time. It is
+// kept out of after so that after inlines.
+func (e *Engine) badDelay(delay units.Duration) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
-	e.seq++
-	e.queue.push(event{at: e.now + delay, seq: e.seq, proc: p})
-	e.met.noteScheduled(len(e.queue))
+	panic(fmt.Sprintf("des: delay %v at %v runs past the end of virtual time", delay, e.now))
 }
 
 // dispatch pops events in queue order, running callbacks inline, and

@@ -96,7 +96,7 @@ func TestFork(t *testing.T) {
 		e.Spawn("parent", func(p *Proc) {
 			p.Fork("kids", 2, func(hp *Proc, i int) {
 				if i == 1 {
-					hp.Park("stuck")
+					hp.Park("stuck", "")
 				}
 			})
 		})

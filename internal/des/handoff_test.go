@@ -43,7 +43,7 @@ func TestHandoffCallbackSpawnsAndUnparks(t *testing.T) {
 	var log []string
 	note := func(p *Proc) { log = append(log, fmt.Sprintf("%s@%v", p.Name(), p.Now())) }
 	waiter := e.Spawn("waiter", func(p *Proc) {
-		p.Park("tick")
+		p.Park("tick", "")
 		note(p)
 	})
 	ticks := 0

@@ -67,7 +67,7 @@ func mixTrace(seed uint64) ([]string, units.Duration) {
 				case 3:
 					// Yield: resume behind every event already due now.
 					e.Unpark(p)
-					p.Park("yield")
+					p.Park("yield", "")
 				case 4:
 					if i%2 == 0 {
 						mbox.Put(p, i)
@@ -189,9 +189,10 @@ func TestDeadlockReportNamesProcsAndReasons(t *testing.T) {
 		for _, want := range []string{
 			"deadlock at ",
 			"switches=",
-			"2 blocked processes",
+			"3 blocked processes",
 			"alice[waiting-for-token]",
 			"bob[holding-pattern]",
+			"carol[cache full n0/cache]",
 		} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("deadlock report %q missing %q", msg, want)
@@ -199,8 +200,9 @@ func TestDeadlockReportNamesProcsAndReasons(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.Spawn("alice", func(p *Proc) { p.Park("waiting-for-token") })
-	e.Spawn("bob", func(p *Proc) { p.Park("holding-pattern") })
+	e.Spawn("alice", func(p *Proc) { p.Park("waiting-for-token", "") })
+	e.Spawn("bob", func(p *Proc) { p.Park("holding-pattern", "") })
+	e.Spawn("carol", func(p *Proc) { p.Park("cache full", "n0/cache") })
 	e.Run()
 }
 
@@ -240,7 +242,7 @@ func TestDeadlockReportCarriesVirtualTime(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("stall", func(p *Proc) {
 		p.Sleep(1500 * units.Microsecond)
-		p.Park("forever")
+		p.Park("forever", "")
 	})
 	e.Run()
 }

@@ -164,9 +164,10 @@ func runForked(hp *Proc) {
 
 // Park blocks the process until some event calls Engine.Unpark on it.
 // It is the extension point for building custom blocking abstractions
-// (caches, servers) outside this package; reason appears in deadlock
-// reports.
-func (p *Proc) Park(reason string) { p.block(reason, "") }
+// (caches, servers) outside this package. reason is a verb and on names
+// the primitive waited on, or is empty; a deadlock report joins them
+// ("cache full node0/cache"), so blocking builds no string.
+func (p *Proc) Park(reason, on string) { p.block(reason, on) }
 
 // Unpark schedules p to resume at the current virtual time. It must pair
 // with a Park; unparking a running process corrupts the control handoff.

@@ -113,7 +113,7 @@ func (c *WriteCache) Write(p *des.Proc, offset, size int64) {
 	for remaining > 0 {
 		for c.capacity-c.level <= 0 {
 			c.waiters = append(c.waiters, p)
-			p.Park("cache full " + c.name)
+			p.Park("cache full", c.name)
 		}
 		n := c.capacity - c.level
 		if n > remaining {
@@ -304,7 +304,7 @@ func (c *WriteCache) Invalidate() {
 func (c *WriteCache) Drain(p *des.Proc) {
 	for c.level > 0 {
 		c.waiters = append(c.waiters, p)
-		p.Park("cache drain " + c.name)
+		p.Park("cache drain", c.name)
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package disksim models block storage devices: rotational disks, RAID
-// arrays, JBOD sets and write-back caches. The service model is first-order
-// but mechanism-faithful: sequential streaming runs at the platter rate,
-// discontiguous accesses pay seek time, RAID0/5 scale with member count,
-// RAID5 sub-stripe writes pay the read-modify-write penalty, and a
-// write-back cache absorbs bursts at memory speed while draining at device
-// speed. These are the mechanisms behind the BW_PK / BW_MD split that the
-// paper's Tables IX and X measure.
+// arrays (JBOD as a RAID0 striped by JBODStripe) and write-back caches.
+// The service model is first-order but mechanism-faithful: sequential
+// streaming runs at the platter rate, discontiguous accesses pay seek
+// time, RAID0/5 scale with member count, RAID5 sub-stripe writes pay the
+// read-modify-write penalty, and a write-back cache absorbs bursts at
+// memory speed while draining at device speed. These are the mechanisms
+// behind the BW_PK / BW_MD split that the paper's Tables IX and X
+// measure.
 package disksim
 
 import (

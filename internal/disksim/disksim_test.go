@@ -336,25 +336,6 @@ func TestSecondFailurePanics(t *testing.T) {
 	a.Fail(2)
 }
 
-func TestJBODIndependentDisks(t *testing.T) {
-	eng := des.NewEngine()
-	j := NewJBOD(eng, "j", 3, testDiskParams())
-	if j.Len() != 3 {
-		t.Fatalf("len = %d", j.Len())
-	}
-	for i := 0; i < 3; i++ {
-		i := i
-		eng.Spawn(fmt.Sprintf("w%d", i), func(p *des.Proc) {
-			j.Disk(i).Write(p, 0, 80*units.MiB)
-		})
-	}
-	eng.Run()
-	// Independent disks run in parallel: 1s + seek, not 3s.
-	if eng.Now() > 1200*units.Millisecond {
-		t.Fatalf("JBOD parallel writes took %v", eng.Now())
-	}
-}
-
 func TestPresetDiskParams(t *testing.T) {
 	sata := SATA7200(80 * units.GiB)
 	sas := SAS15K(160 * units.GiB)

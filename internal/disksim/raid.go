@@ -19,6 +19,11 @@ const (
 	RAID5
 )
 
+// JBODStripe is the stripe unit of a node's disks joined without RAID
+// (JBOD): they are built as a RAID0 array whose stripe is so large that
+// whole files land on one member.
+const JBODStripe = 64 * units.GiB
+
 // Array is a striped disk array with a single controller queue. Member
 // requests are issued to the member disks concurrently through helper
 // processes, so a full-stripe access genuinely overlaps the spindles and
@@ -353,33 +358,3 @@ func (a *Array) PeakBandwidth(write bool) units.Bandwidth {
 	n := a.dataDisks()
 	return units.Bandwidth(float64(per) * float64(n))
 }
-
-// JBOD is a set of independent disks: each file lives wholly on one disk,
-// selected by the placement function (round-robin by file id in the PVFS
-// configuration of the paper). JBOD itself is not a Device — callers pick a
-// member per file — but it provides uniform construction and monitoring.
-type JBOD struct {
-	name  string
-	disks []*Disk
-}
-
-// NewJBOD creates n disks with identical parameters.
-func NewJBOD(eng *des.Engine, name string, n int, params DiskParams) *JBOD {
-	if n <= 0 {
-		panic(fmt.Sprintf("disksim: JBOD %q with %d disks", name, n))
-	}
-	j := &JBOD{name: name}
-	for i := 0; i < n; i++ {
-		j.disks = append(j.disks, NewDisk(eng, fmt.Sprintf("%s/d%d", name, i), params))
-	}
-	return j
-}
-
-// Disk returns member i.
-func (j *JBOD) Disk(i int) *Disk { return j.disks[i] }
-
-// Len reports the member count.
-func (j *JBOD) Len() int { return len(j.disks) }
-
-// Name reports the set name.
-func (j *JBOD) Name() string { return j.name }

@@ -67,7 +67,7 @@ func (s *serverSim) deviceClock(st cluster.StorageSpec) disksim.DeviceClock {
 		s.array.Reset(st.RAID.Level, st.DisksPerNode, st.RAID.StripeUnit, st.Disk)
 		return &s.array
 	case st.DisksPerNode > 1:
-		s.array.Reset(disksim.RAID0, st.DisksPerNode, 64*units.GiB, st.Disk)
+		s.array.Reset(disksim.RAID0, st.DisksPerNode, disksim.JBODStripe, st.Disk)
 		return &s.array
 	default:
 		s.head.Reset(st.Disk)

@@ -90,6 +90,7 @@ type Effect struct {
 	// Prob is the per-operation transient-error probability in [0, 1].
 	Prob float64 `json:"prob,omitempty"`
 	// OpCount is the transient-error budget (total injected failures).
+	// A schedule's budgets sum to at most 100,000.
 	OpCount int `json:"opCount,omitempty"`
 }
 
@@ -125,6 +126,14 @@ const maxFactor = 1e6
 // outage takes millions of transfers to do that. A link down for longer
 // is lost, not flapping.
 const maxFlap = 3600 * units.Second
+
+// maxTransientOps caps the sum of a schedule's transient-error budgets.
+// Every simulated cluster gets the whole budget, and at prob 1 every
+// request fails and retries until it runs out, so the budget sets how
+// long a run spends retrying: on 2 vCPUs, `experiments -run fig3 -quick`
+// takes about 1.7 s under a budget of 1e5 and was still running after
+// 20 s under 1e9.
+const maxTransientOps = 100_000
 
 // validate checks one effect's kind-specific fields. Every instant the
 // effect implies (its window bounds, a flap's first cycle) must fit in
@@ -206,7 +215,7 @@ func (s *Schedule) Validate() error {
 	if len(s.Effects) == 0 {
 		return fmt.Errorf("faults: schedule %q has no effects", s.Name)
 	}
-	disk, link := 1.0, 1.0
+	disk, link, ops := 1.0, 1.0, 0
 	for i, e := range s.Effects {
 		if err := e.validate(i); err != nil {
 			return err
@@ -216,6 +225,11 @@ func (s *Schedule) Validate() error {
 			disk *= e.Factor
 		case LinkDegraded:
 			link *= e.Factor
+		case TransientError:
+			if e.OpCount > maxTransientOps-ops {
+				return fmt.Errorf("faults: schedule %q: transient-error opCounts sum past %d", s.Name, maxTransientOps)
+			}
+			ops += e.OpCount
 		}
 	}
 	if !(disk <= maxFactor && link <= maxFactor) {

@@ -45,6 +45,8 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		{"flap-sub-ns", &Schedule{Effects: []Effect{{Kind: LinkFlap, DownMs: 1e-7, UpMs: 1}}}, "at least 1 ns"},
 		{"flap-long", &Schedule{Effects: []Effect{{Kind: LinkFlap, DownMs: 9e12, UpMs: 1e-6}}}, "at most 3600"},
 		{"flap-past-end", &Schedule{Effects: []Effect{{Kind: LinkFlap, DownMs: 3.6e6, UpMs: 3.6e6, FromSec: 9.22337e9}}}, "past the end of virtual time"},
+		{"budget-sum", &Schedule{Effects: []Effect{{Kind: TransientError, Prob: 1, OpCount: 60_000}, {Kind: TransientError, Prob: 1, OpCount: 40_001}}}, "sum past 100000"},
+		{"budget-huge", &Schedule{Effects: []Effect{{Kind: TransientError, Prob: 1, OpCount: 1_000_000_000}}}, "sum past 100000"},
 	}
 	for _, tc := range cases {
 		err := tc.sch.Validate()
@@ -55,8 +57,9 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 }
 
 // TestValidateAcceptsBoundaries pins that the overflow bounds are not
-// off by one: factor products of exactly 1e6, 1 ns and one-hour flaps
-// and a window ending near the last representable instant are accepted.
+// off by one: factor products of exactly 1e6, 1 ns and one-hour flaps,
+// a window ending near the last representable instant and transient-error
+// budgets summing to exactly 1e5 are accepted.
 func TestValidateAcceptsBoundaries(t *testing.T) {
 	for _, sch := range []*Schedule{
 		{Effects: []Effect{{Kind: SlowDisk, Factor: 1000}, {Kind: SlowDisk, Factor: 1000}}},
@@ -64,6 +67,7 @@ func TestValidateAcceptsBoundaries(t *testing.T) {
 		{Effects: []Effect{{Kind: LinkFlap, DownMs: 1e-6, UpMs: 1e-6}}},
 		{Effects: []Effect{{Kind: LinkFlap, DownMs: 3.6e6, UpMs: 3.6e6, FromSec: 9.2e9}}},
 		{Effects: []Effect{{Kind: SlowDisk, Factor: 2, FromSec: 4e9, ForSec: 5e9}}},
+		{Effects: []Effect{{Kind: TransientError, Prob: 1, OpCount: 60_000}, {Kind: TransientError, Prob: 1, OpCount: 40_000}}},
 	} {
 		if err := sch.Validate(); err != nil {
 			t.Errorf("%+v rejected: %v", sch.Effects, err)

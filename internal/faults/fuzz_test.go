@@ -23,7 +23,7 @@ func FuzzScenario(f *testing.F) {
 			return
 		}
 		for _, e := range s.Effects {
-			if e.OpCount > 64 {
+			if e.OpCount > 1000 {
 				t.Skip("a larger transient-error budget only lengthens the retry loop")
 			}
 		}

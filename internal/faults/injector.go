@@ -176,9 +176,6 @@ func (in *Injector) NoteRetry(backoff units.Duration) {
 	in.backoff.Add(int64(backoff / units.Microsecond))
 }
 
-// Schedule reports the attached schedule.
-func (in *Injector) Schedule() *Schedule { return in.sch }
-
 // spanHorizon caps the rendered end of open-ended fault windows: Perfetto
 // needs a finite span, and an hour of virtual time outlasts every
 // experiment in the suite.
@@ -234,11 +231,4 @@ func emitWindows(sch *Schedule, configName string) {
 		}
 		tr.Span(name, int64(from), int64(to), args...)
 	}
-}
-
-// ResetEmitted clears the per-process span-emission dedup set (tests).
-func ResetEmitted() {
-	emittedMu.Lock()
-	emittedWindows = map[string]bool{}
-	emittedMu.Unlock()
 }

@@ -62,7 +62,7 @@ func (f *File) collective(r *mpi.Rank, op trace.Op, offEtypes, size int64) {
 	}
 	f.coll.arrivals = append(f.coll.arrivals, arrival)
 	if len(f.coll.arrivals) < f.sys.world.Size() {
-		r.Proc().Park("collective " + string(op))
+		r.Proc().Park("collective", string(op))
 	} else {
 		f.runTwoPhase(r, op)
 	}

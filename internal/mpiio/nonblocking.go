@@ -85,7 +85,7 @@ func (q *Request) Wait(r *mpi.Rank) {
 	r.NextTick() // MPI_Wait is an MPI event
 	if !q.done {
 		q.waiter = r.Proc()
-		r.Proc().Park("mpi_wait")
+		r.Proc().Park("mpi_wait", "")
 	}
 	q.sys.record(trace.Event{
 		Rank: q.rank, File: q.file.id, Op: q.op, Offset: q.off, Tick: q.tick,

@@ -21,7 +21,6 @@ import (
 type LinkParams struct {
 	Bandwidth units.Bandwidth // payload rate after protocol overhead
 	Latency   units.Duration  // per-message one-way latency
-	MTU       int64           // pipelining granularity; 0 means no chunking
 }
 
 // PathCost reports the uncontended cost of one fabric Send between two

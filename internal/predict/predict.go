@@ -348,10 +348,9 @@ func CompareByFamily(est *Estimate, measured *core.Model) ([]GroupComparison, er
 
 // Choice is one configuration's estimated total.
 type Choice struct {
-	Config  string
-	Total   units.Duration
-	ByGroup []GroupComparison // TimeMD zero (no measurement involved)
-	Est     *Estimate
+	Config string
+	Total  units.Duration
+	Est    *Estimate
 }
 
 // SelectConfig estimates the model on every candidate and returns the

@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"iophases/internal/core"
 	"iophases/internal/obs"
 )
 
@@ -141,122 +146,173 @@ func TestLimiterQueueBoundExactUnderRace(t *testing.T) {
 	}
 }
 
+// flightServer builds a ready server over corpus (the shared test model
+// when nil) that admits one computation at a time and queues at most
+// queue more, logging into the returned buffer.
+func flightServer(t *testing.T, queue int, corpus map[string]*core.Model) (*Server, *bytes.Buffer) {
+	t.Helper()
+	if corpus == nil {
+		corpus = map[string]*core.Model{"madbench2": testModel(t)}
+	}
+	logBuf := &bytes.Buffer{}
+	s, err := New(Options{Corpus: corpus, Inflight: 1, Queue: queue, AccessLog: logBuf, FastPath: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetReady(true)
+	return s, logBuf
+}
+
+// predictOn runs one predict query through s's handler under ctx.
+func predictOn(ctx context.Context, s *Server, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// leadBlocked takes s's only admission slot and starts a query of body, so
+// its computation waits in the admission queue until the caller releases
+// the slot; it returns once that computation is running, with the
+// channel its response arrives on.
+func leadBlocked(t *testing.T, s *Server, body string) <-chan *httptest.ResponseRecorder {
+	t.Helper()
+	if err := s.limiter.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- predictOn(context.Background(), s, body) }()
+	for s.flights.Len() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	return leader
+}
+
+const flightBody = `{"model":"madbench2","configs":["configA"]}`
+
+// Identical queries that arrive while one computes are counted in
+// serve/coalesced before the leader returns and get its bytes; a repeat
+// afterwards is a stored hit counted in serve/cache_hits.
 func TestFlightGroupCoalesces(t *testing.T) {
-	reg := obs.NewRegistry()
-	g := newFlightGroup(reg)
-	block := make(chan struct{})
-	started := make(chan struct{})
-	leaderDone := make(chan struct{})
-	var leaderRes flightResult
-	go func() {
-		defer close(leaderDone)
-		res, coalesced, cached, err := g.do(context.Background(), "k", func() flightResult {
-			close(started)
-			<-block
-			return flightResult{status: 200, body: []byte("payload")}
-		})
-		if err != nil || coalesced || cached {
-			t.Errorf("leader: res=%+v coalesced=%v cached=%v err=%v", res, coalesced, cached, err)
-		}
-		leaderRes = res
-	}()
-	<-started
+	s, logBuf := flightServer(t, 8, nil)
+	coalesced := obs.Default().Counter("serve/coalesced")
+	cacheHits := obs.Default().Counter("serve/cache_hits")
+	leader := leadBlocked(t, s, flightBody)
+	coalescedBefore, hitsBefore := coalesced.Value(), cacheHits.Value()
 
 	const n = 8
 	var wg sync.WaitGroup
-	results := make([]flightResult, n)
-	for i := 0; i < n; i++ {
+	followers := make([]*httptest.ResponseRecorder, n)
+	for i := range followers {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			res, coalesced, cached, err := g.do(context.Background(), "k", func() flightResult {
-				t.Error("follower ran the computation")
-				return flightResult{}
-			})
-			if err != nil || !coalesced || cached {
-				t.Errorf("follower %d: coalesced=%v cached=%v err=%v", i, coalesced, cached, err)
-			}
-			results[i] = res
-		}(i)
+			followers[i] = predictOn(context.Background(), s, flightBody)
+		}()
 	}
-	// All followers must be registered before the leader finishes; wait for
-	// the coalesce counter to reach n.
-	for reg.Counter("serve/coalesced").Value() != n {
+	for coalesced.Value() != coalescedBefore+n {
 		time.Sleep(time.Millisecond)
 	}
-	close(block)
+	s.limiter.Release()
+	lead := <-leader
 	wg.Wait()
-	<-leaderDone
-	for i, res := range results {
-		if res.status != 200 || string(res.body) != "payload" {
-			t.Fatalf("follower %d got %+v", i, res)
+	if lead.Code != http.StatusOK {
+		t.Fatalf("leader status %d: %s", lead.Code, lead.Body)
+	}
+	for i, f := range followers {
+		if f.Code != http.StatusOK || !bytes.Equal(f.Body.Bytes(), lead.Body.Bytes()) {
+			t.Fatalf("follower %d: status %d, body %s", i, f.Code, f.Body)
 		}
 	}
-	if leaderRes.status != 200 {
-		t.Fatalf("leader got %+v", leaderRes)
-	}
 
-	// A later identical query is a response-cache hit: the stored bytes come
-	// back and the computation never runs.
-	res, coalesced, cached, err := g.do(context.Background(), "k", func() flightResult {
-		t.Error("cache hit ran the computation")
-		return flightResult{}
-	})
-	if err != nil || coalesced || !cached {
-		t.Fatalf("cached repeat: coalesced=%v cached=%v err=%v", coalesced, cached, err)
+	repeat := predictOn(context.Background(), s, flightBody)
+	if !bytes.Equal(repeat.Body.Bytes(), lead.Body.Bytes()) {
+		t.Fatalf("repeat body %s", repeat.Body)
 	}
-	if string(res.body) != "payload" {
-		t.Fatalf("cached repeat res %+v", res)
+	if got := cacheHits.Value() - hitsBefore; got != 1 {
+		t.Fatalf("serve/cache_hits advanced by %d, want 1", got)
 	}
-	if got := reg.Counter("serve/cache_hits").Value(); got != 1 {
-		t.Fatalf("cache_hits %d", got)
+	var joined int
+	entries := parseAccessLog(t, logBuf)
+	for _, e := range entries {
+		if e.Coalesced {
+			joined++
+		}
+	}
+	if last := entries[len(entries)-1]; joined != n || last.Cache != "hit" || last.Coalesced {
+		t.Fatalf("%d coalesced entries, last entry %+v", joined, last)
 	}
 }
 
 // TestFlightErrorsNotCached: non-200 results must be recomputed, not stuck
 // in the response cache.
 func TestFlightErrorsNotCached(t *testing.T) {
-	g := newFlightGroup(obs.NewRegistry())
-	g.do(context.Background(), "k", func() flightResult {
-		return flightResult{status: 503, body: []byte("saturated")}
-	})
-	res, _, cached, err := g.do(context.Background(), "k", func() flightResult {
-		return flightResult{status: 200, body: []byte("recovered")}
-	})
-	if err != nil || cached || string(res.body) != "recovered" {
-		t.Fatalf("res=%+v cached=%v err=%v", res, cached, err)
+	s, logBuf := flightServer(t, -1, nil)
+	if err := s.limiter.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rec := predictOn(context.Background(), s, flightBody); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated query: status %d", rec.Code)
+	}
+	s.limiter.Release()
+	for _, want := range []string{"miss", "hit"} {
+		if rec := predictOn(context.Background(), s, flightBody); rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		entries := parseAccessLog(t, logBuf)
+		if got := entries[len(entries)-1].Cache; got != want {
+			t.Fatalf("cache %q, want %q", got, want)
+		}
 	}
 }
 
+// A follower whose client goes away is logged as 499 with nothing written,
+// and the leader still answers.
 func TestFlightFollowerHonorsContext(t *testing.T) {
-	g := newFlightGroup(obs.NewRegistry())
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go g.do(context.Background(), "k", func() flightResult {
-		close(started)
-		<-block
-		return flightResult{status: 200}
-	})
-	<-started
+	s, logBuf := flightServer(t, 8, nil)
+	leader := leadBlocked(t, s, flightBody)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, coalesced, _, err := g.do(ctx, "k", func() flightResult { return flightResult{} })
-	if !coalesced || !errors.Is(err, context.Canceled) {
-		t.Fatalf("coalesced=%v err=%v", coalesced, err)
+	if rec := predictOn(ctx, s, flightBody); rec.Body.Len() != 0 {
+		t.Fatalf("canceled follower got a body: %s", rec.Body)
 	}
-	close(block)
+	s.limiter.Release()
+	if rec := <-leader; rec.Code != http.StatusOK {
+		t.Fatalf("leader status %d", rec.Code)
+	}
+	follower := parseAccessLog(t, logBuf)[0]
+	if follower.Status != 499 || !follower.Coalesced || !strings.Contains(follower.Err, "canceled") {
+		t.Fatalf("follower entry %+v", follower)
+	}
 }
 
+// The response cache keeps at most respCacheCap responses, dropping the
+// least recently used one first.
 func TestFlightResponseCacheBounded(t *testing.T) {
-	g := newFlightGroup(obs.NewRegistry())
-	for i := 0; i < respCacheCap+10; i++ {
-		key := fmt.Sprintf("k%d", i)
-		g.do(context.Background(), key, func() flightResult { return flightResult{status: 200} })
+	corpus := map[string]*core.Model{}
+	for i := 0; i <= respCacheCap; i++ {
+		corpus[fmt.Sprintf("m%d", i)] = testModel(t)
 	}
-	g.mu.Lock()
-	n := len(g.resp)
-	g.mu.Unlock()
-	if n > respCacheCap {
-		t.Fatalf("response cache grew to %d, cap %d", n, respCacheCap)
+	s, _ := flightServer(t, 8, corpus)
+	cacheHits := obs.Default().Counter("serve/cache_hits")
+	stored := func(i int) bool {
+		before := cacheHits.Value()
+		body := fmt.Sprintf(`{"model":"m%d","configs":["configA"]}`, i)
+		if rec := predictOn(context.Background(), s, body); rec.Code != http.StatusOK {
+			t.Fatalf("m%d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		return cacheHits.Value() != before
+	}
+	for i := 0; i <= respCacheCap; i++ {
+		stored(i)
+	}
+	if got := s.flights.Len(); got != respCacheCap {
+		t.Fatalf("response cache holds %d, cap %d", got, respCacheCap)
+	}
+	if !stored(respCacheCap) {
+		t.Fatal("the newest response was dropped")
+	}
+	if stored(0) {
+		t.Fatal("the least recently used response survived")
 	}
 }

@@ -15,10 +15,11 @@
 //     per-request (ids, timestamps) ever enters a body.
 //
 //   - One underlying simulation per concurrent identical burst. Identical
-//     in-flight queries coalesce at the HTTP layer (flightGroup) on a
-//     canonical fingerprint, and distinct replays below that dedup through
-//     the simcache singleflight — so N identical concurrent predicts cost
-//     one computation, pinned by TestConcurrentPredictByteStability.
+//     in-flight queries coalesce at the HTTP layer (a simcache.Memo of
+//     responses) on a canonical fingerprint, and distinct replays below
+//     that dedup through the simcache replay memo — so N identical
+//     concurrent predicts cost one computation, pinned by
+//     TestConcurrentPredictByteStability.
 //
 //   - The simulation budget is explicit. Leaders pass a bounded admission
 //     limiter before touching the sweep pool; the queue depth, inflight
@@ -52,6 +53,7 @@ import (
 	"iophases/internal/obs"
 	"iophases/internal/predict"
 	"iophases/internal/prof"
+	"iophases/internal/simcache"
 	"iophases/internal/sweep"
 	"iophases/internal/units"
 )
@@ -91,7 +93,7 @@ type endpointMetrics struct {
 
 // Server is the resident prediction service: corpus and zoo are immutable
 // after New, so request handling takes no server-level locks outside the
-// flight group's map access.
+// response memo.
 type Server struct {
 	corpus     map[string]*core.Model
 	modelNames []string // sorted
@@ -101,18 +103,19 @@ type Server struct {
 	scenarios  []string // sorted preset names
 
 	limiter  *Limiter
-	flights  *flightGroup
+	flights  *simcache.Memo[flightResult]
 	logger   *accessLogger
 	fastpath string
 	ready    atomic.Bool
 	reqSeq   atomic.Int64
 	mux      *http.ServeMux
 
-	em       map[string]*endpointMetrics
-	cHTTP    *obs.Counter
-	cErrors  *obs.Counter
-	cPanics  *obs.Counter
-	cWarmEst *obs.Counter
+	em         map[string]*endpointMetrics
+	cHTTP      *obs.Counter
+	cErrors    *obs.Counter
+	cPanics    *obs.Counter
+	cWarmEst   *obs.Counter
+	cCacheHits *obs.Counter
 }
 
 // New builds a server over a model corpus. The corpus must be non-empty
@@ -136,18 +139,19 @@ func New(opts Options) (*Server, error) {
 	}
 	reg := obs.Default()
 	s := &Server{
-		corpus:    opts.Corpus,
-		zoo:       zoo,
-		zooByName: make(map[string]cluster.Spec, len(zoo)),
-		scenarios: faults.PresetNames(),
-		limiter:   NewLimiter(inflight, queue, reg),
-		flights:   newFlightGroup(reg),
-		logger:    newAccessLogger(opts.AccessLog),
-		fastpath:  opts.FastPath,
-		cHTTP:     reg.Counter("serve/http_requests"),
-		cErrors:   reg.Counter("serve/http_errors"),
-		cPanics:   reg.Counter("serve/panics"),
-		cWarmEst:  reg.Counter("serve/warm_estimates"),
+		corpus:     opts.Corpus,
+		zoo:        zoo,
+		zooByName:  make(map[string]cluster.Spec, len(zoo)),
+		scenarios:  faults.PresetNames(),
+		limiter:    NewLimiter(inflight, queue, reg),
+		flights:    simcache.NewMemo[flightResult](respCacheCap, reg.Counter("serve/coalesced"), nil, nil),
+		logger:     newAccessLogger(opts.AccessLog),
+		fastpath:   opts.FastPath,
+		cHTTP:      reg.Counter("serve/http_requests"),
+		cErrors:    reg.Counter("serve/http_errors"),
+		cPanics:    reg.Counter("serve/panics"),
+		cWarmEst:   reg.Counter("serve/warm_estimates"),
+		cCacheHits: reg.Counter("serve/cache_hits"),
 	}
 	for name, m := range s.corpus {
 		if name == "" || m == nil {
@@ -278,6 +282,27 @@ func strictUnmarshal(raw []byte, v any) error {
 	return nil
 }
 
+// flightResult is the materialized outcome of one query computation — the
+// exact status and body every request for its fingerprint writes. Bodies
+// are built deterministically (struct-ordered JSON over deterministic
+// simulation results), which is what makes sharing them sound: a joined
+// or stored response is byte-identical to what the request would have
+// computed itself.
+type flightResult struct {
+	status int
+	body   []byte
+}
+
+// respCacheCap bounds the response memo (Server.flights). A fingerprint
+// whose computation answered 200 keeps its bytes, and later queries get
+// them with no admission and no recomputation; identical queries that
+// arrive while it computes join it. Other results (saturation, errors
+// found at compute time, panics) reach the requests already waiting but
+// are not kept, so a transient failure cannot stick. Predict bodies are
+// roughly a kilobyte, so the bound is a few MiB; past it the least
+// recently used response is dropped.
+const respCacheCap = 4096
+
 // jsonBody renders an API payload as a response body: compact JSON plus a
 // trailing newline. Marshal failure is a programming error in the DTOs —
 // it degrades to a 500 body rather than a panic.
@@ -335,23 +360,25 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, endpoint string, 
 	entry.FP = hex.EncodeToString(sum[:8])
 
 	var queueUS int64
-	res, coalesced, cached, ferr := s.flights.do(r.Context(), string(sum[:]), func() flightResult {
+	res, out, ferr := s.flights.Do(r.Context(), string(sum[:]), func() (flightResult, bool) {
 		qt := now()
 		if err := s.limiter.Acquire(r.Context()); err != nil {
 			if errors.Is(err, ErrSaturated) {
 				return jsonBody(http.StatusServiceUnavailable,
-					ErrorResponse{Error: "admission queue full; retry"})
+					ErrorResponse{Error: "admission queue full; retry"}), false
 			}
 			return jsonBody(http.StatusServiceUnavailable,
-				ErrorResponse{Error: "canceled while queued: " + err.Error()})
+				ErrorResponse{Error: "canceled while queued: " + err.Error()}), false
 		}
 		queueUS = since(qt).Microseconds()
 		defer s.limiter.Release()
-		return s.safeCompute(p.compute, &entry)
+		res := s.safeCompute(p.compute, &entry)
+		return res, res.status == http.StatusOK
 	})
 	entry.QueueUS = queueUS
-	entry.Coalesced = coalesced
-	if cached {
+	entry.Coalesced = out == simcache.Joined
+	if out == simcache.Stored {
+		s.cCacheHits.Inc()
 		entry.Cache = "hit"
 	} else {
 		entry.Cache = "miss"

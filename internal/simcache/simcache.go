@@ -40,21 +40,20 @@
 // prefix-free again. A prefix-free code is injective, so equal bytes mean
 // values equal bit for bit, and the domain prefixes keep the three kinds of key apart.
 //
-// The cache is safe for concurrent use and deduplicates in-flight work:
-// when several sweep workers miss on one key simultaneously, a single
-// simulation runs and the rest wait for its result.
+// The cache is one Memo, safe for concurrent use and deduplicating
+// in-flight work: when several sweep workers miss on one key
+// simultaneously, a single simulation runs and the rest wait for its
+// result. iod's response cache is another Memo.
 package simcache
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
-	"sync/atomic"
 
 	"iophases/internal/cluster"
 	"iophases/internal/coexec"
@@ -130,20 +129,6 @@ func appendValue(b []byte, v reflect.Value) []byte {
 	panic("simcache: no key encoding for type " + v.Type().String())
 }
 
-// entry is a singleflight slot: the first goroutine to claim a key runs the
-// simulation inside once; concurrent missers block on the same once and
-// read the stored result. done flips once the result is stored, so a hit on
-// a still-running entry is distinguishable as a singleflight wait — and an
-// in-flight entry is never an eviction candidate (evicting it would orphan
-// the running simulation and re-run it on the next lookup).
-type entry struct {
-	once sync.Once
-	res  any
-	done atomic.Bool
-	key  string
-	elem *list.Element // position in the recency list, guarded by mu
-}
-
 // DefaultCapacity bounds the cache to a generous working set: an entry is
 // one IOR Result (or peak pair) plus its key, so even the full experiment
 // suite stays well under this; the cap exists so a long-lived server
@@ -153,14 +138,8 @@ const DefaultCapacity = 4096
 // Cache traffic counters live on the obs default registry — they are part of
 // the package's API (Stats, the -v summary) regardless of telemetry flags,
 // and registering them there puts them in every -metrics dump for free. The
-// cost is unchanged from the bespoke atomics they replaced: one atomic add
-// per lookup.
+// cost is one atomic add per lookup.
 var (
-	mu       sync.Mutex
-	entries  = map[string]*entry{}
-	recency  = list.New() // front = most recently used; values are *entry
-	capacity = DefaultCapacity
-
 	cHits      = obs.Default().Counter("simcache/hits")
 	cMisses    = obs.Default().Counter("simcache/misses")
 	cBypass    = obs.Default().Counter("simcache/bypass")
@@ -169,84 +148,28 @@ var (
 
 	// Occupancy gauges: a dashboard reading /metrics can tell "evictions
 	// because the working set exceeds the cap" from "cache barely used"
-	// without calling Len/Capacity in-process.
+	// without calling Len in-process.
 	gSize     = obs.Default().Gauge("simcache/size")
 	gCapacity = obs.Default().Gauge("simcache/capacity")
+
+	// cache holds every replay, co-execution and device-peak result; a
+	// lookup that joins a running simulation is a singleflight wait.
+	cache = NewMemo[any](DefaultCapacity, cSFWaits, cEvictions, gSize)
 )
 
-func init() { gCapacity.Set(int64(capacity)) }
+func init() { gCapacity.Set(DefaultCapacity) }
 
-// SetCapacity changes the entry cap and evicts down to it immediately.
-// A non-positive capacity is rejected: an unbounded cache is spelled
-// `SetCapacity(math.MaxInt)`, not zero.
-func SetCapacity(n int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("simcache: capacity %d", n))
-	}
-	mu.Lock()
-	capacity = n
-	evicted := evictLocked()
-	gCapacity.Set(int64(n))
-	gSize.Set(int64(len(entries)))
-	mu.Unlock()
-	cEvictions.Add(evicted)
-}
-
-// Capacity reports the current entry cap.
-func Capacity() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return capacity
-}
-
-// evictLocked drops least-recently-used completed entries until the cache
-// fits the cap, reporting how many it removed. In-flight entries (done not
-// yet set) are skipped: their simulations are still running and concurrent
-// missers hold their pointers. Callers hold mu.
-func evictLocked() (n int64) {
-	over := len(entries) - capacity
-	for el := recency.Back(); el != nil && over > 0; {
-		prev := el.Prev()
-		e := el.Value.(*entry)
-		if e.done.Load() {
-			recency.Remove(el)
-			delete(entries, e.key)
-			over--
-			n++
-		}
-		el = prev
-	}
-	return n
-}
-
-// lookup returns the entry for key, counting it as a hit, a miss, or — when
-// the hit entry's simulation is still in flight on another goroutine — a
-// singleflight wait. Hits refresh recency; a miss inserts at the front and
-// evicts the coldest completed entries beyond the cap.
-func lookup(key string) *entry {
-	var evicted int64
-	mu.Lock()
-	e, ok := entries[key]
-	if !ok {
-		e = &entry{key: key}
-		e.elem = recency.PushFront(e)
-		entries[key] = e
-		evicted = evictLocked()
-	} else {
-		recency.MoveToFront(e.elem)
-	}
-	gSize.Set(int64(len(entries)))
-	mu.Unlock()
-	cEvictions.Add(evicted)
-	if !ok {
+// recall returns key's result, running fn on a miss, and counts the
+// lookup as a hit or a miss. Its callers keep every result. Do's error is
+// dropped because a background context never ends.
+func recall(key string, fn func() (any, bool)) any {
+	v, out, _ := cache.Do(context.Background(), key, fn)
+	if out == Computed {
 		cMisses.Inc()
 	} else {
 		cHits.Inc()
-		if !e.done.Load() {
-			cSFWaits.Inc()
-		}
 	}
-	return e
+	return v
 }
 
 // RunIOR is a memoized ior.Run under the package-default fast-path mode: a
@@ -266,12 +189,9 @@ func RunIORMode(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result 
 		cBypass.Inc()
 		return ior.Run(spec, p)
 	}
-	e := lookup(Fingerprint(spec, p))
-	e.once.Do(func() {
-		e.res = computeIOR(spec, p, mode)
-		e.done.Store(true)
-	})
-	return e.res.(ior.Result)
+	return recall(Fingerprint(spec, p), func() (any, bool) {
+		return computeIOR(spec, p, mode), true
+	}).(ior.Result)
 }
 
 // computeIOR resolves the mode and runs the fast path, the DES, or both.
@@ -322,14 +242,11 @@ func RunCoexec(spec coexec.Spec) (*coexec.Result, error) {
 	if err := coexec.Validate(spec); err != nil {
 		return nil, err
 	}
-	e := lookup(FingerprintCoexec(spec))
-	e.once.Do(func() {
+	s := recall(FingerprintCoexec(spec), func() (any, bool) {
 		var s coexecSlot
 		s.res, s.err = coexec.Run(spec)
-		e.res = s
-		e.done.Store(true)
-	})
-	s := e.res.(coexecSlot)
+		return s, true
+	}).(coexecSlot)
 	return s.res, s.err
 }
 
@@ -342,14 +259,11 @@ type peaks struct {
 // peak of a configuration is re-derived by every utilization table and
 // usage computation, but only depends on the spec and the sweep sizes.
 func PeakBandwidth(spec cluster.Spec, fileSize, requestSize int64) (write, read units.Bandwidth) {
-	e := lookup(peakKey(spec, fileSize, requestSize))
-	e.once.Do(func() {
+	p := recall(peakKey(spec, fileSize, requestSize), func() (any, bool) {
 		var p peaks
 		p.write, p.read = iozone.PeakOfConfig(spec, fileSize, requestSize)
-		e.res = p
-		e.done.Store(true)
-	})
-	p := e.res.(peaks)
+		return p, true
+	}).(peaks)
 	return p.write, p.read
 }
 
@@ -377,21 +291,14 @@ func SingleflightWaits() uint64 { return uint64(cSFWaits.Value()) }
 // Evictions reports how many completed entries the LRU cap has dropped.
 func Evictions() uint64 { return uint64(cEvictions.Value()) }
 
-// Len reports the number of cached simulation results.
-func Len() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return len(entries)
-}
+// Len reports the number of cached simulation results, running ones
+// included.
+func Len() int { return cache.Len() }
 
 // Reset drops every cached result and zeroes the counters (tests,
 // long-lived servers reclaiming memory).
 func Reset() {
-	mu.Lock()
-	entries = map[string]*entry{}
-	recency = list.New()
-	gSize.Set(0)
-	mu.Unlock()
+	cache.Reset()
 	cHits.Reset()
 	cMisses.Reset()
 	cBypass.Reset()

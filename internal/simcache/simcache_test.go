@@ -254,138 +254,24 @@ func TestSingleflightWaitsCounted(t *testing.T) {
 	}
 }
 
-// sizedParams returns an admissible np=1 parameter set whose BlockSize
-// varies with i, so each i is a distinct cache key with a cheap (analytic
-// fast path) fill.
-func sizedParams(i int) ior.Params {
-	return ior.Params{
-		NP: 1, BlockSize: int64(i+1) * units.MiB, Transfer: 256 * units.KiB,
-		Segments: 1, DoWrite: true, Fsync: true,
-	}
-}
-
-// The LRU cap drops the coldest completed entry: after overfilling a
-// 3-entry cache, the first (never re-touched) key misses again while the
-// hot tail still hits.
-func TestLRUEvictsColdest(t *testing.T) {
-	Reset()
-	SetCapacity(3)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
-	spec := cluster.ConfigA()
-	for i := 0; i < 4; i++ {
-		RunIOR(spec, sizedParams(i))
-	}
-	if got := Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-	if got := Evictions(); got != 1 {
-		t.Fatalf("Evictions = %d, want 1", got)
-	}
-	_, missBefore, _ := Stats()
-	RunIOR(spec, sizedParams(0)) // evicted: must miss and refill
-	if _, miss, _ := Stats(); miss != missBefore+1 {
-		t.Fatalf("evicted key did not miss (misses %d -> %d)", missBefore, miss)
-	}
-	hitBefore, _, _ := Stats()
-	RunIOR(spec, sizedParams(3)) // recent: must still hit
-	if hit, _, _ := Stats(); hit != hitBefore+1 {
-		t.Fatalf("recent key did not hit")
-	}
-}
-
-// A hit refreshes recency: touching the oldest entry makes the other one
-// the eviction victim.
-func TestLRUTouchOnHit(t *testing.T) {
-	Reset()
-	SetCapacity(2)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
-	spec := cluster.ConfigA()
-	RunIOR(spec, sizedParams(0))
-	RunIOR(spec, sizedParams(1))
-	RunIOR(spec, sizedParams(0)) // touch: 0 becomes most recent
-	RunIOR(spec, sizedParams(2)) // evicts 1, not 0
-	hitBefore, _, _ := Stats()
-	RunIOR(spec, sizedParams(0))
-	if hit, _, _ := Stats(); hit != hitBefore+1 {
-		t.Fatal("touched entry was evicted")
-	}
-	_, missBefore, _ := Stats()
-	RunIOR(spec, sizedParams(1))
-	if _, miss, _ := Stats(); miss != missBefore+1 {
-		t.Fatal("untouched entry survived over the touched one")
-	}
-}
-
-// SetCapacity evicts down immediately and rejects non-positive caps.
-func TestSetCapacityImmediateAndValidated(t *testing.T) {
-	Reset()
-	SetCapacity(DefaultCapacity)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
-	spec := cluster.ConfigA()
-	for i := 0; i < 5; i++ {
-		RunIOR(spec, sizedParams(i))
-	}
-	SetCapacity(2)
-	if got := Len(); got != 2 {
-		t.Fatalf("Len after shrink = %d, want 2", got)
-	}
-	if got := Evictions(); got != 3 {
-		t.Fatalf("Evictions after shrink = %d, want 3", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetCapacity(0): no panic")
-		}
-	}()
-	SetCapacity(0)
-}
-
-// In-flight entries — claimed but not yet computed — are never eviction
-// victims: dropping one would orphan its running simulation.
-func TestLRUNeverEvictsInFlight(t *testing.T) {
-	Reset()
-	SetCapacity(1)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
-	inflight := lookup("inflight-key") // claimed, done never set
-	for i := 0; i < 3; i++ {
-		RunIOR(cluster.ConfigA(), sizedParams(i)) // each insert overflows the cap
-	}
-	mu.Lock()
-	_, ok := entries["inflight-key"]
-	mu.Unlock()
-	if !ok {
-		t.Fatal("in-flight entry was evicted")
-	}
-	inflight.res = struct{}{} // settle it so nothing dangles
-	inflight.done.Store(true)
-}
-
-// Occupancy gauges mirror Len/Capacity on the obs default registry, so a
-// dashboard scraping /metrics can tell a saturated cache from an idle one
-// without in-process calls. They must track inserts, capacity changes, and
-// Reset, and show up in both exposition formats.
+// Occupancy gauges mirror Len and the cap on the obs default registry, so
+// a dashboard scraping /metrics can tell a saturated cache from an idle one
+// without in-process calls. They must track inserts and Reset, and show up
+// in both exposition formats.
 func TestOccupancyGaugesTrackCache(t *testing.T) {
 	Reset()
-	defer func() {
-		SetCapacity(DefaultCapacity)
-		Reset()
-	}()
+	defer Reset()
 	reg := obs.Default()
 	if got := reg.Gauge("simcache/size").Value(); got != 0 {
 		t.Fatalf("size gauge after Reset: %d", got)
 	}
-	if got := reg.Gauge("simcache/capacity").Value(); got != int64(Capacity()) {
-		t.Fatalf("capacity gauge %d != Capacity() %d", got, Capacity())
+	if got := reg.Gauge("simcache/capacity").Value(); got != DefaultCapacity {
+		t.Fatalf("capacity gauge %d != DefaultCapacity %d", got, DefaultCapacity)
 	}
 
 	RunIOR(cluster.ConfigB(), testParams())
 	if got := reg.Gauge("simcache/size").Value(); got != int64(Len()) || got != 1 {
 		t.Fatalf("size gauge %d, Len() %d, want 1", got, Len())
-	}
-
-	SetCapacity(2)
-	if got := reg.Gauge("simcache/capacity").Value(); got != 2 {
-		t.Fatalf("capacity gauge after SetCapacity(2): %d", got)
 	}
 
 	var text bytes.Buffer
