@@ -174,7 +174,8 @@ func BenchmarkPhaseIdentWide(b *testing.B) {
 
 // BenchmarkStreamIdentSynth measures the bounded-memory streaming pipeline
 // end to end: a generated synthetic source (8 ranks × 64k events) flows
-// through the per-rank incremental miners and two-pass identification.
+// through the per-rank incremental miners, which also time the split dump
+// repetitions, and phase identification, which reads each rank once.
 // Events are produced on the fly, so the measured footprint is the
 // pipeline's own — the property the 256 MiB CI smoke enforces at 10M+
 // events.
@@ -200,9 +201,8 @@ func BenchmarkStreamIdentSynth(b *testing.B) {
 
 // BenchmarkStreamIdentBinary is perfbench extract-bin's op in-repo:
 // core.BuildStream over a freshly opened IOBIN1 directory of 2^19 synthetic
-// events (8 ranks × 64k), so IOBIN1 decoding, which runs again on every
-// rank that pass 2 rescans, shares the time with mining and identification.
-// MB/s is trace-file bytes.
+// events (8 ranks × 64k), so IOBIN1 decoding, once per rank, shares the
+// time with mining and identification. MB/s is trace-file bytes.
 func BenchmarkStreamIdentBinary(b *testing.B) {
 	src, err := trace.Synth(trace.SynthSpec{NP: 8, EventsPerRank: 64 << 10})
 	if err != nil {

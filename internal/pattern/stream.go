@@ -26,6 +26,21 @@
 // replayed as the next position's prefix. (When input ends with a candidate
 // still inside its second repetition, j < 2·MaxPeriod and the ring holds
 // the whole position.)
+//
+// Repetition timing (pinned by FuzzMiner): a LAP is contiguous when every
+// tick step inside it is +1. A repeated LAP that is not becomes one phase
+// per repetition, and each of those phases needs its repetition's first
+// tick, start time and busy time. The Miner notes each position's first
+// tick step other than +1; when that step lies within the position's
+// first 2·MaxPeriod events — still in the ring — it seeds a log of (tick,
+// start, cumulative duration) from the ring and extends it to the end of
+// the position, and the decision times every repetition of a LAP that
+// spans the step from it. Such a LAP covers at least two events, so it
+// repeats and splits into one phase per repetition; a LAP that ends before
+// the step leaves a position of fewer than window + MaxPeriod events. So
+// the log holds at most that many events more than the split phases it
+// yields, whatever the ticks do. A step past the window starts no log,
+// and phase identification re-reads the rank for such a LAP instead.
 package pattern
 
 import (
@@ -37,9 +52,9 @@ import (
 // events, the carry limit promised by the streaming design.
 const window = 2 * MaxPeriod
 
-// RepMeta is the measured timing of one repetition of a StreamLAP —
-// recorded only for LAPs whose repetitions become separate phases (the
-// family-split case), by the rescan pass.
+// RepMeta is the measured timing of one repetition of a StreamLAP, needed
+// only for LAPs whose repetitions become separate phases (the family-split
+// case).
 type RepMeta struct {
 	Tick    int64          // tick of the repetition's first slot
 	Start   units.Duration // virtual time of the repetition's first slot
@@ -47,28 +62,28 @@ type RepMeta struct {
 }
 
 // StreamLAP is a mined LAP plus the aggregates phase identification needs
-// once the underlying events are gone: boundary ticks for the contiguity
-// test, first-op start time, and the total busy time.
+// once the underlying events are gone: first tick and start time, the
+// total busy time, the contiguity test, and per-repetition timing when
+// the repetitions split.
 type StreamLAP struct {
 	LAP
 	FirstTick  int64
-	LastTick   int64
 	FirstStart units.Duration
 	Elapsed    units.Duration // sum of op durations over all repetitions
-	Reps       []RepMeta      // per-repetition detail; nil unless rescanned
+	// Reps times each repetition. The Miner records it for a repeated,
+	// non-contiguous LAP whose first tick step other than +1 lies within
+	// its first 2·MaxPeriod events; otherwise it is nil until phase
+	// identification re-reads the rank to fill it.
+	Reps []RepMeta
+
+	stepped bool // some tick step inside the LAP is not +1
 }
 
-// Contiguous reports whether the run's events occupy consecutive ticks,
-// i.e. no other MPI events were interleaved. This is the paper's criterion
-// for keeping repetitions inside one phase ("there are not other MPI
-// events between the reading operations") versus splitting them.
-func (l *StreamLAP) Contiguous() bool {
-	n := l.Len()
-	if n <= 1 {
-		return true
-	}
-	return l.LastTick-l.FirstTick == int64(n-1)
-}
+// Contiguous reports whether every tick step inside the run is +1, i.e.
+// no other MPI events were interleaved. This is the paper's criterion for
+// keeping repetitions inside one phase ("there are not other MPI events
+// between the reading operations") versus splitting them.
+func (l *StreamLAP) Contiguous() bool { return !l.stepped }
 
 // minerCand is one period candidate of the current position.
 type minerCand struct {
@@ -94,6 +109,15 @@ type Miner struct {
 	ringCum [window]units.Duration
 	sum     units.Duration
 	cand    [MaxPeriod]minerCand
+
+	// step is the index of the position's first event whose tick is not
+	// its predecessor's +1 (0: none yet). When step < window, log holds
+	// every event of the position so far: its tick, its start, and in
+	// Elapsed the position-relative cumulative duration. A decision
+	// rewrites the log in place into the winner's Reps and carves them
+	// off its front, so the log's spare capacity serves later positions.
+	step int
+	log  []RepMeta
 
 	feedSeq int // chunks folded so far
 	posSeq  int // feedSeq when the current position started
@@ -175,7 +199,20 @@ func (m *Miner) feedOne(ev trace.Event) {
 		}
 		alive = true
 	}
+	if j > 0 && m.step == 0 && ev.Tick != m.at(j-1).Tick+1 {
+		m.step = j
+		if j < window {
+			// Events 0..j-1 of the position are still in the ring.
+			for i := 0; i < j; i++ {
+				s := (m.start + i) % window
+				m.logEvent(RepMeta{m.ring[s].Tick, m.ring[s].Time, m.ringCum[s]})
+			}
+		}
+	}
 	m.sum += ev.Duration
+	if m.step > 0 && m.step < window {
+		m.logEvent(RepMeta{ev.Tick, ev.Time, m.sum})
+	}
 	slot := (m.start + j) % window
 	m.ring[slot] = ev
 	m.ringCum[slot] = m.sum
@@ -187,8 +224,9 @@ func (m *Miner) feedOne(ev trace.Event) {
 
 // decide picks the winning (period, repetitions) for the current position —
 // the greedy rule: maximize covered events, ties to the smallest period,
-// composite units must repeat at least twice — emits the LAP, and
-// replays the ≤ MaxPeriod leftover events as the next position's prefix.
+// composite units must repeat at least twice — emits the LAP, timing its
+// repetitions from the log when it spans a logged step, and replays the
+// ≤ MaxPeriod leftover events as the next position's prefix.
 func (m *Miner) decide() {
 	if m.j == 0 {
 		return
@@ -214,14 +252,32 @@ func (m *Miner) decide() {
 		unit[s] = Template{File: ev.File, Op: ev.Op, Size: ev.Size, InitOffset: ev.Offset, Disp: disp}
 	}
 	c := bestK * bestRep
-	last := m.at(c - 1)
-	m.out = append(m.out, StreamLAP{
+	l := StreamLAP{
 		LAP:        LAP{Rank: m.rank, Start: m.start, Unit: unit, Rep: bestRep},
 		FirstTick:  m.head[0].Tick,
-		LastTick:   last.Tick,
 		FirstStart: m.head[0].Time,
 		Elapsed:    m.ringCum[(m.start+c-1)%window],
-	})
+		stepped:    m.step > 0 && m.step < c,
+	}
+	if l.stepped && m.step < window {
+		// A stepped LAP covers at least two events, so it repeats.
+		// Repetition r reads log entries r·k .. r·k+k−1 and writes
+		// entry r ≤ r·k, so the rewrite never clobbers an unread entry.
+		var prev units.Duration
+		for r := 0; r < bestRep; r++ {
+			first, cum := m.log[r*bestK], m.log[(r+1)*bestK-1].Elapsed
+			m.log[r] = RepMeta{Tick: first.Tick, Start: first.Start, Elapsed: cum - prev}
+			prev = cum
+		}
+		l.Reps = m.log[:bestRep:bestRep]
+		m.log = m.log[bestRep:]
+	}
+	if m.out == nil {
+		// A rank usually mines a handful of LAPs: let the first four
+		// share one allocation.
+		m.out = make([]StreamLAP, 0, 4)
+	}
+	m.out = append(m.out, l)
 	if m.feedSeq > m.posSeq {
 		m.merges++
 	}
@@ -237,7 +293,21 @@ func (m *Miner) decide() {
 	m.j = 0
 	m.sum = 0
 	m.cand = [MaxPeriod]minerCand{}
+	m.step = 0
+	m.log = m.log[:0]
 	for i, base := 0, m.start; i < over; i++ {
 		m.feedOne(m.ring[(base+i)%window])
 	}
+}
+
+// logEvent appends one event to the repetition log, growing it fourfold
+// at a time: a long split LAP costs a few allocations, not one per
+// doubling.
+func (m *Miner) logEvent(e RepMeta) {
+	if len(m.log) == cap(m.log) {
+		grown := make([]RepMeta, len(m.log), max(2*window, 4*len(m.log)))
+		copy(grown, m.log)
+		m.log = grown
+	}
+	m.log = append(m.log, e)
 }

@@ -3,6 +3,7 @@ package pattern
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -91,22 +92,8 @@ func TestMinerMatchesExtract(t *testing.T) {
 				t.Logf("seed %d lap %d:\ngot  %+v\nwant %+v", seed, i, got[i].LAP, want[i])
 				return false
 			}
-			covered := data[want[i].Start : want[i].Start+want[i].Len()]
-			first, last := covered[0], covered[len(covered)-1]
-			var elapsed units.Duration
-			for _, ev := range covered {
-				elapsed += ev.Duration
-			}
-			g := got[i]
-			if g.FirstTick != first.Tick || g.LastTick != last.Tick ||
-				g.FirstStart != first.Time || g.Elapsed != elapsed {
-				t.Logf("seed %d lap %d aggregates: got {%d %d %d %d} want {%d %d %d %d}",
-					seed, i, g.FirstTick, g.LastTick, g.FirstStart, g.Elapsed,
-					first.Tick, last.Tick, first.Time, elapsed)
-				return false
-			}
-			if contig := last.Tick-first.Tick == int64(len(covered)-1); g.Contiguous() != contig {
-				t.Logf("seed %d lap %d contiguity mismatch", seed, i)
+			if err := checkAggregates(&got[i], data); err != nil {
+				t.Logf("seed %d lap %d: %v", seed, i, err)
 				return false
 			}
 		}
@@ -169,6 +156,51 @@ func TestMinerEmptyAndNonData(t *testing.T) {
 	m.Feed([]trace.Event{{Rank: 0, File: 1, Op: trace.OpOpen}})
 	if laps := m.Finish(); len(laps) != 0 {
 		t.Fatalf("laps %+v, want none", laps)
+	}
+}
+
+// TestMinerAllocBounded: the bytes a Miner allocates do not grow with the
+// length of one repeated unit, whether its ticks are contiguous throughout
+// or first jump after 100 events — past the window, where no repetition
+// log starts. A Miner that logged every position from its start would
+// allocate per event.
+func TestMinerAllocBounded(t *testing.T) {
+	buf := make([]trace.Event, 2048)
+	mine := func(n, jumpAt int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := NewMiner(0)
+		tick := int64(0)
+		for i := 0; i < n; {
+			c := min(len(buf), n-i)
+			for j := range buf[:c] {
+				tick++
+				if i+j == jumpAt {
+					tick += 10
+				}
+				buf[j] = trace.Event{Rank: 0, File: 1, Op: trace.OpWrite,
+					Offset: int64(i+j) * 100, Size: 100, Tick: tick, Duration: 1}
+			}
+			m.Feed(buf[:c])
+			i += c
+		}
+		laps := m.Finish()
+		runtime.ReadMemStats(&after)
+		if len(laps) != 1 {
+			t.Fatalf("n=%d jump at %d: %d laps, want 1", n, jumpAt, len(laps))
+		}
+		if l := laps[0]; l.Rep != n || l.Contiguous() != (jumpAt < 0) || l.Reps != nil {
+			t.Fatalf("n=%d jump at %d: rep %d, contiguous %v, %d Reps", n, jumpAt, l.Rep, l.Contiguous(), len(l.Reps))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slack = 16 << 10
+	for _, jumpAt := range []int{-1, 100} {
+		small, large := mine(1<<14, jumpAt), mine(1<<20, jumpAt)
+		if large > small+slack {
+			t.Errorf("jump at %d: the Miner allocated %d B for 2^14 events and %d B for 2^20", jumpAt, small, large)
+		}
 	}
 }
 

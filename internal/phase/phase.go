@@ -173,12 +173,15 @@ type Result struct {
 // fits offset functions, and returns phases ordered by tick. It is
 // IdentifyStream over the set's own Source, which trace.Each reads from
 // the resident slices without copying; the returned Result's Set is set
-// itself, events included.
+// itself, events included. Identify panics where IdentifyStream would
+// return an error; its sets come from the simulator, whose volumes fit
+// in int64, so none arises.
 func Identify(set *trace.Set) *Result {
 	res, err := identify(set.Source(), set)
 	if err != nil {
 		// A Set's Source only fails on an out-of-range rank, and
-		// identify asks for ranks [0, NP) alone.
+		// identify asks for ranks [0, NP) alone; the only other
+		// error is a volume that overflows int64.
 		panic(err)
 	}
 	return res
@@ -241,8 +244,8 @@ func splits(ms []member) bool {
 // buildPhases turns similarity groups into phases: contiguous (or
 // single-repetition) groups become one phase, groups whose repetitions are
 // separated by other MPI events split into per-round phase families; then
-// tick-sort, number, and fit family offset functions.
-func buildPhases(set *trace.Set, g grouped) []*Phase {
+// tick-sort, number, weigh, and fit family offset functions.
+func buildPhases(set *trace.Set, g grouped) ([]*Phase, error) {
 	var phases []*Phase
 	family := 0
 	for _, key := range g.order {
@@ -264,8 +267,51 @@ func buildPhases(set *trace.Set, g grouped) []*Phase {
 	for i, ph := range phases {
 		ph.ID = i + 1
 	}
+	if err := weigh(phases); err != nil {
+		return nil, err
+	}
 	fitFamilies(phases)
-	return phases
+	return phases, nil
+}
+
+// weigh sets each phase's weight, rep · Σ rs · np. A weight, or a running
+// total across phases, that overflows int64 is an error naming the phase:
+// a trace's sizes are untrusted, and a wrapped volume would give a model
+// of 0 or negative bytes. A negative request size does not wrap; it
+// passes here, and core.Load rejects it at the model-file boundary.
+func weigh(phases []*Phase) error {
+	var total int64
+	for _, ph := range phases {
+		w, ok := int64(0), true
+		for _, op := range ph.Ops {
+			w, ok = addVolume(w, op.Size, ok)
+		}
+		w, ok = mulVolume(w, int64(ph.Rep), ok)
+		w, ok = mulVolume(w, int64(ph.NP), ok)
+		if !ok {
+			return fmt.Errorf("phase: phase %d (tick %d): weight rep·Σrs·np (rep %d, %d ops, np %d) overflows int64",
+				ph.ID, ph.Tick, ph.Rep, len(ph.Ops), ph.NP)
+		}
+		ph.Weight = w
+		if total, ok = addVolume(total, w, true); !ok {
+			return fmt.Errorf("phase: phase %d (tick %d): total volume through this phase overflows int64",
+				ph.ID, ph.Tick)
+		}
+	}
+	return nil
+}
+
+// addVolume and mulVolume are int64 byte arithmetic that reports false,
+// and keeps reporting it, once a result overflows. mulVolume's count n is
+// a repetition or rank count, at least 1.
+func addVolume(a, b int64, ok bool) (int64, bool) {
+	s := a + b
+	return s, ok && (s > a) == (b > 0)
+}
+
+func mulVolume(a, n int64, ok bool) (int64, bool) {
+	p := a * n
+	return p, ok && n > 0 && p/n == a
 }
 
 // recordTelemetry reports the decomposition to the run-telemetry layer:
@@ -333,7 +379,8 @@ func (m *member) firstOf(round int) (tick int64, start units.Duration, off int64
 
 // elapsed sums the member's op durations over rep repetitions starting at
 // round. The whole-LAP case is answered from the running aggregate; split
-// rounds need the per-repetition detail pass 2 fills in.
+// rounds need the per-repetition detail the Miner records or the fallback
+// re-read fills in.
 func (m *member) elapsed(round, rep int) units.Duration {
 	if round == 0 && rep == m.lap.Rep {
 		return m.lap.Elapsed
@@ -370,11 +417,6 @@ func buildPhase(set *trace.Set, members []member, spec mergedSpec, familyID, fam
 			ph.Collective = true
 		}
 	}
-	var unitBytes int64
-	for _, op := range ph.Ops {
-		unitBytes += op.Size
-	}
-	ph.Weight = unitBytes * int64(spec.rep) * int64(len(members))
 	ph.Tick = int64(1) << 62
 	for i := range members {
 		m := &members[i]

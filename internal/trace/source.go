@@ -28,8 +28,9 @@ type Reader interface {
 
 // Source provides per-rank event streams plus the set metadata. OpenRank may
 // be called any number of times per rank — every call restarts the rank's
-// stream from the beginning, which is what lets multi-pass analyses
-// (phase.IdentifyStream's repetition rescan) run without buffering events.
+// stream from the beginning, which is what lets phase.IdentifyStream's
+// fallback re-read a rank, for split repetitions its miner could not time,
+// without buffering events.
 type Source interface {
 	Meta() Meta
 	OpenRank(p int) (Reader, error)

@@ -48,7 +48,7 @@ func TestOpenDirMissingRankFile(t *testing.T) {
 
 func TestSourceRestartable(t *testing.T) {
 	// The Source contract: OpenRank restarts the stream every call — the
-	// property the streaming rescan pass depends on.
+	// property phase identification's fallback re-read depends on.
 	dir := t.TempDir()
 	s := adversarialSet()
 	if err := WriteDir(s.Source(), dir, FormatBinary); err != nil {
