@@ -36,6 +36,10 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-np", "0"}, 1, "iorsim: "},
 		// b·np = 2^64: the file extent overflows int64.
 		{[]string{"-b", "4611686018427387904", "-t", "4611686018427387904", "-r=false"}, 1, "iorsim: ior: file extent b=4611686018427387904 × np=4 × s=1 overflows int64"},
+		// One step past each per-pass cap, which would simulate for
+		// minutes to days.
+		{[]string{"-b", "262145m", "-t", "1m", "-r=false"}, 1, "iorsim: ior: pass volume b=274878955520 × np=4 × s=1 exceeds MaxPassBytes (1099511627776)"},
+		{[]string{"-b", "4194308k", "-t", "4k", "-r=false"}, 1, "iorsim: ior: pass transfers b/t=1048577 × np=4 × s=1 exceed MaxPassTransfers (4194304)"},
 		{[]string{"-frobnicate"}, 2, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

@@ -406,14 +406,17 @@ func (m *Model) Diff(o *Model) []string {
 	return out
 }
 
-// Save writes the model as JSON.
+// Save writes the model as Encode renders it.
 func (m *Model) Save(path string) error {
-	raw, err := json.MarshalIndent(m, "", "  ")
+	raw, err := m.Encode()
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, raw, 0o644)
 }
+
+// Encode renders the model as indented JSON.
+func (m *Model) Encode() ([]byte, error) { return json.MarshalIndent(m, "", "  ") }
 
 // Load reads a model saved by Save.
 func Load(path string) (*Model, error) {
@@ -421,9 +424,19 @@ func Load(path string) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := Decode(raw)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %v", path, err)
+	}
+	return m, nil
+}
+
+// Decode parses a model from Encode's JSON. It checks the syntax only;
+// ior.ValidateModel checks that every phase can be replayed.
+func Decode(raw []byte) (*Model, error) {
 	var m Model
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("core: %s: %v", path, err)
+		return nil, err
 	}
 	return &m, nil
 }

@@ -54,7 +54,27 @@ type Params struct {
 // testFile is the one file every IOR run writes and reads.
 const testFile = "/ior.testfile"
 
-// Validate checks parameter consistency.
+// The simulator's cost grows with a pass's bytes (every transfer is cut
+// into stripe chunks and device requests) and with its transfer count
+// (every transfer is an MPI-IO call on each rank's process), so Validate
+// bounds both, and a model or flag cannot ask for days of simulation.
+// The times below are for configA with the fast path off, on a 2-vCPU
+// host.
+//
+// MaxPassBytes bounds one pass's volume b·np·s. It is 8.09× the largest
+// pass `experiments -run all` makes (135,834,624,000 B). A write pass at
+// it (np 4, b 256 GiB, t 256 MiB) simulates in 5.9 s.
+//
+// MaxPassTransfers bounds one pass's transfer count (b/t)·np·s. It is
+// 693× the largest count `experiments -run all` makes (6,050). A write
+// pass at it (np 4, b 4 GiB, t 4 KiB) simulates in 11.0 s, and one at
+// both caps (np 4, b 256 GiB, t 256 KiB) in 11.1 s.
+const (
+	MaxPassBytes     = 1 << 40
+	MaxPassTransfers = 1 << 22
+)
+
+// Validate checks parameter consistency and the per-pass caps.
 func (p Params) Validate() error {
 	if p.NP <= 0 {
 		return fmt.Errorf("ior: np=%d", p.NP)
@@ -69,6 +89,15 @@ func (p Params) Validate() error {
 	// forming the product: b·np·s <= max iff b <= max/np/s.
 	if p.BlockSize > math.MaxInt64/int64(p.NP)/int64(p.Segments) {
 		return fmt.Errorf("ior: file extent b=%d × np=%d × s=%d overflows int64", p.BlockSize, p.NP, p.Segments)
+	}
+	// The caps are checked the same way.
+	if p.BlockSize > MaxPassBytes/int64(p.NP)/int64(p.Segments) {
+		return fmt.Errorf("ior: pass volume b=%d × np=%d × s=%d exceeds MaxPassBytes (%d)",
+			p.BlockSize, p.NP, p.Segments, int64(MaxPassBytes))
+	}
+	if p.BlockSize/p.Transfer > MaxPassTransfers/int64(p.NP)/int64(p.Segments) {
+		return fmt.Errorf("ior: pass transfers b/t=%d × np=%d × s=%d exceed MaxPassTransfers (%d)",
+			p.BlockSize/p.Transfer, p.NP, p.Segments, MaxPassTransfers)
 	}
 	if !p.DoWrite && !p.DoRead {
 		return fmt.Errorf("ior: neither write nor read selected")

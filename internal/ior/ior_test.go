@@ -46,30 +46,62 @@ func TestValidate(t *testing.T) {
 
 // TestValidateRejectsExtentOverflow pins that Validate refuses a file
 // extent b·np·s past int64, whose offsets would wrap negative mid-run,
-// and still accepts one that reaches the largest int64 exactly.
+// and that an extent which fits int64 but not MaxPassBytes, up to the
+// largest int64 exactly, is refused by the volume cap instead.
 func TestValidateRejectsExtentOverflow(t *testing.T) {
+	const overflow, volume = "overflows int64", "exceeds MaxPassBytes"
 	cases := []struct {
 		b, t  int64
 		np, s int
-		ok    bool
+		want  string
 	}{
-		{1 << 62, 1 << 62, 4, 1, false},             // 2^64 wraps to 0
-		{1 << 62, 1 << 62, 2, 1, false},             // 2^63 wraps negative
-		{1 << 40, 1 << 20, 1 << 10, 1 << 14, false}, // overflow in the segments
-		{1 << 61, 1 << 61, 2, 2, false},
-		{1 << 61, 1 << 61, 2, 1, true},
-		{math.MaxInt64, math.MaxInt64, 1, 1, true},
-		{math.MaxInt64 / 7, math.MaxInt64 / 7, 7, 1, true},
-		{math.MaxInt64/7 + 1, math.MaxInt64/7 + 1, 7, 1, false},
+		{1 << 62, 1 << 62, 4, 1, overflow},             // 2^64 wraps to 0
+		{1 << 62, 1 << 62, 2, 1, overflow},             // 2^63 wraps negative
+		{1 << 40, 1 << 20, 1 << 10, 1 << 14, overflow}, // overflow in the segments
+		{1 << 61, 1 << 61, 2, 2, overflow},
+		{1 << 61, 1 << 61, 2, 1, volume},
+		{math.MaxInt64, math.MaxInt64, 1, 1, volume},
+		{math.MaxInt64 / 7, math.MaxInt64 / 7, 7, 1, volume},
+		{math.MaxInt64/7 + 1, math.MaxInt64/7 + 1, 7, 1, overflow},
+	}
+	for _, tc := range cases {
+		p := Params{NP: tc.np, BlockSize: tc.b, Transfer: tc.t, Segments: tc.s, DoWrite: true}
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("b=%d np=%d s=%d: Validate() = %v, want an error naming %q", tc.b, tc.np, tc.s, err, tc.want)
+		}
+	}
+}
+
+// TestValidatePassCaps pins the per-pass caps: a pass at MaxPassBytes or
+// at MaxPassTransfers is accepted, and one step past either is refused
+// with an error naming the cap, however b, np and s share the product.
+func TestValidatePassCaps(t *testing.T) {
+	const volume, transfers = "exceeds MaxPassBytes", "exceed MaxPassTransfers"
+	cases := []struct {
+		b, t  int64
+		np, s int
+		want  string // "" = accepted
+	}{
+		{MaxPassBytes, MaxPassBytes, 1, 1, ""},
+		{MaxPassBytes / 4, 256 * units.MiB, 4, 1, ""},
+		{MaxPassBytes/4 + units.MiB, units.MiB, 4, 1, volume},
+		{MaxPassBytes / 16, 256 * units.KiB, 2, 8, ""}, // both caps exactly
+		{MaxPassBytes/16 + 256*units.KiB, 256 * units.KiB, 2, 8, volume},
+		{MaxPassBytes + 1, MaxPassBytes + 1, 1, 1, volume},
+		{1, 1, MaxPassTransfers, 1, ""},
+		{1, 1, MaxPassTransfers + 1, 1, transfers},
+		{4 * units.GiB, 4 * units.KiB, 4, 1, ""},
+		{4*units.GiB + 4*units.KiB, 4 * units.KiB, 4, 1, transfers},
+		{4 * units.KiB, 4 * units.KiB, 1 << 11, 1<<11 + 1, transfers},
 	}
 	for _, tc := range cases {
 		p := Params{NP: tc.np, BlockSize: tc.b, Transfer: tc.t, Segments: tc.s, DoWrite: true}
 		err := p.Validate()
-		if ok := err == nil; ok != tc.ok {
-			t.Errorf("b=%d np=%d s=%d: Validate() = %v, want ok=%v", tc.b, tc.np, tc.s, err, tc.ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), "overflows int64") {
-			t.Errorf("b=%d np=%d s=%d: error %q does not name the overflow", tc.b, tc.np, tc.s, err)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("b=%d t=%d np=%d s=%d: rejected: %v", tc.b, tc.t, tc.np, tc.s, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("b=%d t=%d np=%d s=%d: Validate() = %v, want an error naming %q", tc.b, tc.t, tc.np, tc.s, err, tc.want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package predict
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
@@ -49,11 +50,17 @@ func ExploreOpts(m *core.Model, variants []Variant, opts EstimateOptions) ([]Exp
 	if err != nil {
 		return nil, fmt.Errorf("variant %s: %w", variants[failed].Name, err)
 	}
-	out := make([]ExploreResult, len(ests))
-	for i, est := range ests {
-		out[i] = ExploreResult{Variant: variants[i], Total: est.TotalCH, Est: est}
+	// Rank the indices, not the results: an ExploreResult holds a whole
+	// cluster.Spec, so each result is written once, in ranked order.
+	order := make([]int, len(ests))
+	for i := range order {
+		order[i] = i
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Total < out[j].Total })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ests[a].TotalCH, ests[b].TotalCH) })
+	out := make([]ExploreResult, len(ests))
+	for k, i := range order {
+		out[k] = ExploreResult{Variant: variants[i], Total: ests[i].TotalCH, Est: ests[i]}
+	}
 	return out, nil
 }
 

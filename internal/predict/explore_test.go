@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iophases/internal/cluster"
+	"iophases/internal/ior"
 	"iophases/internal/simcache"
 	"iophases/internal/sweep"
 	"iophases/internal/units"
@@ -144,6 +145,32 @@ func TestEstimateParallelEqualsSerial(t *testing.T) {
 	for i := range serial.Phases {
 		if serial.Phases[i].BWch != parallel.Phases[i].BWch {
 			t.Fatalf("phase %d BW_CH differs", i)
+		}
+	}
+}
+
+// A cold Explore misses once per distinct replay, as Fingerprint counts
+// them, and hits nothing; a second Explore over the same variants hits
+// once per distinct replay and misses nothing.
+func TestExploreCacheTraffic(t *testing.T) {
+	m := measureMadbench(t, cluster.ConfigA(), 4, units.MiB)
+	variants := StandardVariants(cluster.ConfigA())
+	distinct := map[string]bool{}
+	for _, v := range variants {
+		for _, pm := range m.Phases {
+			distinct[simcache.Fingerprint(v.Spec, ior.FromReplay(pm.Replay(m.AccessType)))] = true
+		}
+	}
+	n := uint64(len(distinct))
+	simcache.Reset()
+	defer simcache.Reset()
+	for i, want := range []struct{ hits, misses uint64 }{{0, n}, {n, n}} {
+		if _, err := Explore(m, variants); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, _ := simcache.Stats(); hits != want.hits || misses != want.misses {
+			t.Fatalf("after Explore %d: %d hits, %d misses; want %d, %d (%d distinct replays)",
+				i+1, hits, misses, want.hits, want.misses, n)
 		}
 	}
 }

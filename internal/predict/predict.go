@@ -126,12 +126,15 @@ capacity:
 	}
 	// First pass: dedupe each configuration's replay specs in model
 	// order. phaseJob[i*len(m.Phases)+k] is the job of configuration i's
-	// phase k; firstJob[i] is configuration i's first job.
-	var jobs []job
+	// phase k; firstJob[i] is configuration i's first job. targets[i]
+	// encodes configuration i's replay-key prefix once for all its jobs.
+	jobs := make([]job, 0, stop*len(m.Phases))
 	phaseJob := make([]int, stop*len(m.Phases))
 	firstJob := make([]int, stop+1)
+	targets := make([]simcache.Target, stop)
 	slot := make(map[bwKey]int) // key -> index into jobs
-	for i := range specs[:stop] {
+	for i, spec := range specs[:stop] {
+		targets[i] = simcache.NewTarget(spec)
 		clear(slot)
 		firstJob[i] = len(jobs)
 		for k, pm := range m.Phases {
@@ -155,12 +158,11 @@ capacity:
 		err error
 	}
 	bws := sweep.Map(jobs, func(_ int, j job) bwRes {
-		spec := specs[j.spec]
 		if j.faithful {
-			r, err := replay.PhaseMode(spec, m, j.pm, opts.FastPath)
+			r, err := replay.PhaseMode(specs[j.spec], m, j.pm, opts.FastPath)
 			return bwRes{r.BW, err}
 		}
-		return bwRes{runReplay(spec, j.rs, opts.FastPath), nil}
+		return bwRes{runReplay(&targets[j.spec], j.rs, opts.FastPath), nil}
 	})
 	// Third pass: assemble the estimates in the given order. A
 	// configuration's first failing job (in model order) is its error.
@@ -171,7 +173,8 @@ capacity:
 				return nil, i, b.err
 			}
 		}
-		est := &Estimate{App: m.App, Config: specs[i].Name, IORRuns: firstJob[i+1] - firstJob[i]}
+		est := &Estimate{App: m.App, Config: specs[i].Name, IORRuns: firstJob[i+1] - firstJob[i],
+			Phases: make([]PhaseEstimate, len(m.Phases))}
 		for k, pm := range m.Phases {
 			j := phaseJob[i*len(m.Phases)+k]
 			bw := bws[j].bw
@@ -179,7 +182,7 @@ capacity:
 			if bw > 0 {
 				pe.TimeCH = units.TransferTime(pm.Weight, bw)
 			}
-			est.Phases = append(est.Phases, pe)
+			est.Phases[k] = pe
 			est.TotalCH += pe.TimeCH
 		}
 		recordTelemetry(m, specs[i].Name, est)
@@ -226,16 +229,16 @@ func recordTelemetry(m *core.Model, config string, est *Estimate) {
 	}
 }
 
-// runReplay executes the IOR replica for a replay spec and reports the
-// phase's characterized bandwidth. Mixed phases average the write and read
-// rates — the paper's stated treatment, and the documented source of its
-// ≈50% error on MADBench2's phase 3 (§V). Runs are memoized through the
-// content-addressed simcache: an identical (spec, params) replay anywhere
-// in the process — another variant of a sweep, another table of the
-// experiment suite — returns the stored result without simulating.
-func runReplay(spec cluster.Spec, rs core.ReplaySpec, mode fastpath.Mode) units.Bandwidth {
-	p := ior.FromReplay(rs)
-	res := simcache.RunIORMode(spec, p, mode)
+// runReplay executes the IOR replica for a replay spec on a target
+// configuration and reports the phase's characterized bandwidth. Mixed
+// phases average the write and read rates — the paper's stated
+// treatment, and the documented source of its ≈50% error on MADBench2's
+// phase 3 (§V). Runs are memoized through the content-addressed
+// simcache: an identical (spec, params) replay anywhere in the process —
+// another variant of a sweep, another table of the experiment suite —
+// returns the stored result without simulating.
+func runReplay(t *simcache.Target, rs core.ReplaySpec, mode fastpath.Mode) units.Bandwidth {
+	res := t.RunIOR(ior.FromReplay(rs), mode)
 	switch rs.Direction {
 	case core.Write:
 		return res.WriteBW

@@ -28,6 +28,7 @@ const (
 type Memo[V any] struct {
 	mu       sync.Mutex
 	cells    map[string]*cell[V]
+	gen      uint64  // bumped by Reset, which forgets every older cell
 	lru      cell[V] // ring sentinel of the kept cells, most recent first
 	kept     int
 	capacity int
@@ -39,6 +40,7 @@ type Memo[V any] struct {
 // cell is one key's running or kept computation.
 type cell[V any] struct {
 	key  string
+	gen  uint64 // Memo.gen when the cell was made
 	val  V
 	done bool          // val is final; guarded by Memo.mu
 	wait chan struct{} // made when a second caller arrives, closed when done
@@ -93,7 +95,7 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, bool)) (V, O
 			return zero, Joined, ctx.Err()
 		}
 	}
-	c := &cell[V]{key: key}
+	c := &cell[V]{key: key, gen: m.gen}
 	m.cells[key] = c
 	m.size.Set(int64(len(m.cells)))
 	m.mu.Unlock()
@@ -106,13 +108,14 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, bool)) (V, O
 }
 
 // settle ends c's computation: it keeps the value, or forgets the cell,
-// and wakes c's waiters. A cell that Reset dropped is neither kept nor
-// removed, so a newer cell for the same key survives.
+// and wakes c's waiters. A running cell leaves cells only by Reset, so
+// one from an older generation is neither kept nor removed, and a newer
+// cell for the same key survives.
 func (m *Memo[V]) settle(c *cell[V], finished, keep bool) {
 	var evicted int64
 	m.mu.Lock()
 	c.done = finished
-	if m.cells[c.key] == c {
+	if c.gen == m.gen {
 		if finished && keep {
 			m.pushFront(c)
 			for m.kept++; m.kept > m.capacity; m.kept-- {
@@ -155,6 +158,7 @@ func (m *Memo[V]) Len() int {
 func (m *Memo[V]) Reset() {
 	m.mu.Lock()
 	clear(m.cells)
+	m.gen++
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	m.kept = 0
 	m.size.Set(0)

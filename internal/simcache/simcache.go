@@ -7,17 +7,18 @@
 // results — a cache hit can return the stored result and skip the whole
 // cluster build and event loop.
 //
-// Keys are fingerprints of the whole input value — (cluster.Spec,
-// ior.Params) for a replay, the coexec.Spec for a co-execution, the spec
-// and the two sweep sizes for a device peak — hashed with SHA-256. No field
-// is excluded. Even names reach the result: Spec.Name prefixes every link
+// A key is an exact binary encoding of the whole input value —
+// (cluster.Spec, ior.Params) for a replay, the coexec.Spec for a
+// co-execution, the spec and the two sweep sizes for a device peak — and
+// the encoding is the key itself: no digest is taken. No field is
+// excluded. Even names reach the result: Spec.Name prefixes every link
 // name, which a fault's Match selects on, and co-execution results carry
 // their apps' names. So two inputs share an entry only when they are
 // equal. Traced runs (Params.TraceRun) bypass the cache: their value is
 // the trace, which is per-run mutable state.
 //
-// The hashed bytes are a domain prefix ("ior/", "coexec/" or
-// "iozone-peak/") and then an exact binary encoding of each input:
+// A key is a domain prefix ("ior/", "coexec/" or "iozone-peak/") and
+// then the encoding of each input:
 //
 //   - a pointer is a 0 (nil) or 1 tag byte, then its target's encoding, so
 //     two specs that describe the same hardware through different pointers
@@ -37,8 +38,16 @@
 // another's: tags, varints and fixed-width scalars are prefix-free on
 // their own, a slice or string states its length before its elements,
 // and a concatenation of prefix-free codes whose order the type fixes is
-// prefix-free again. A prefix-free code is injective, so equal bytes mean
-// values equal bit for bit, and the domain prefixes keep the three kinds of key apart.
+// prefix-free again. A prefix-free code is injective, so equal keys mean
+// values equal bit for bit, and the domain prefixes keep the three kinds
+// of key apart. A digest would add only a collision argument.
+//
+// A key costs its length in memory. A preset spec encodes in 186–223
+// bytes and a replay's parameters in 20 more, so a replay key is 210–250
+// bytes. A co-execution key holds its apps' whole models and grows with
+// them: two four-rank MADBench2 apps on configA take 1.2 KB. So the
+// DefaultCapacity (4096) kept keys hold about 5 MB even if every one were
+// a co-execution key of that size, and about 1 MB of replay keys.
 //
 // The cache is one Memo, safe for concurrent use and deduplicating
 // in-flight work: when several sweep workers miss on one key
@@ -48,9 +57,7 @@ package simcache
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
@@ -64,30 +71,27 @@ import (
 	"iophases/internal/units"
 )
 
-// Fingerprint is the content-addressed replay key: SHA-256 over "ior/",
-// the encoding of spec and the encoding of p. It holds nothing of the
-// execution mode, so a result cached with the fast path off is reused
-// with it on, and vice versa, which is sound because verify mode pins
-// the two paths to bit-identical results. Whether the fast path admits a
-// run is a pure function of (spec, p), which the key already encodes in
-// full, and the cache lives for one process, so no entry can outlive a
-// revision of the admission rule.
+// Fingerprint is the content-addressed replay key: "ior/", the encoding
+// of spec and the encoding of p. It holds nothing of the execution mode,
+// so a result cached with the fast path off is reused with it on, and
+// vice versa, which is sound because verify mode pins the two paths to
+// bit-identical results. Whether the fast path admits a run is a pure
+// function of (spec, p), which the key already encodes in full, and the
+// cache lives for one process, so no entry can outlive a revision of the
+// admission rule. A Target keys many replays on one spec with the same
+// bytes, encoding the spec once.
 func Fingerprint(spec cluster.Spec, p ior.Params) string {
 	b := make([]byte, 0, keyBufSize)
 	b = append(b, "ior/"...)
 	b = appendValue(b, reflect.ValueOf(spec))
-	b = appendValue(b, reflect.ValueOf(p))
-	return hashKey(b)
+	return string(appendValue(b, reflect.ValueOf(p)))
 }
 
 // keyBufSize covers the encoding of a preset spec and its replay
-// parameters, so a replay key is encoded without growing its buffer.
+// parameters, so a replay key is encoded in a buffer on the stack and
+// copied once into the key string. Larger inputs, such as co-execution
+// specs, grow the buffer on the heap.
 const keyBufSize = 512
-
-func hashKey(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
 
 // appendValue appends the exact binary encoding of v (see the package
 // doc) to b. It panics on a kind the encoding does not cover, naming the
@@ -183,14 +187,45 @@ func RunIOR(spec cluster.Spec, p ior.Params) ior.Result {
 // how a missing result is computed — it is not part of the key, which is
 // sound because every mode yields the bit-identical Result (ModeVerify
 // enforces exactly that by running both paths and panicking on any
-// difference).
+// difference). It is a Target's RunIOR for a single replay.
 func RunIORMode(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result {
+	t := NewTarget(spec)
+	return t.RunIOR(p, mode)
+}
+
+// Target is one configuration ready to run many memoized replays: its
+// spec and the prefix every replay key on it starts with ("ior/" and
+// the encoding of the spec), encoded once. A what-if fan-out prices
+// every phase of a model on each configuration, so each replay key then
+// encodes only its IOR parameters. The spec, pointer targets included,
+// must not change while the Target is in use.
+type Target struct {
+	spec   cluster.Spec
+	prefix string
+}
+
+// NewTarget encodes spec's replay-key prefix.
+func NewTarget(spec cluster.Spec) Target {
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, "ior/"...)
+	return Target{spec: spec, prefix: string(appendValue(b, reflect.ValueOf(spec)))}
+}
+
+// key is Fingerprint(t.spec, p): the prefix, then the encoding of p.
+func (t *Target) key(p ior.Params) string {
+	b := make([]byte, 0, keyBufSize)
+	b = append(b, t.prefix...)
+	return string(appendValue(b, reflect.ValueOf(p)))
+}
+
+// RunIOR is RunIORMode on the target's spec.
+func (t *Target) RunIOR(p ior.Params, mode fastpath.Mode) ior.Result {
 	if p.TraceRun {
 		cBypass.Inc()
-		return ior.Run(spec, p)
+		return ior.Run(t.spec, p)
 	}
-	return recall(Fingerprint(spec, p), func() (any, bool) {
-		return computeIOR(spec, p, mode), true
+	return recall(t.key(p), func() (any, bool) {
+		return computeIOR(t.spec, p, mode), true
 	}).(ior.Result)
 }
 
@@ -216,13 +251,14 @@ func computeIOR(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result 
 }
 
 // FingerprintCoexec is the content-addressed key for a co-execution spec:
-// SHA-256 over "coexec/" and the encoding of the whole spec — the shared
-// cluster, then each application in order. App order is part of the key,
-// because it fixes core allocation and launch order.
+// "coexec/" and the encoding of the whole spec — the shared cluster, then
+// each application in order, models included, so the key grows with
+// them. App order is part of the key, because it fixes core allocation
+// and launch order.
 func FingerprintCoexec(spec coexec.Spec) string {
 	b := make([]byte, 0, keyBufSize)
 	b = append(b, "coexec/"...)
-	return hashKey(appendValue(b, reflect.ValueOf(spec)))
+	return string(appendValue(b, reflect.ValueOf(spec)))
 }
 
 // coexecSlot stores a completed co-execution (result and error together,
@@ -267,14 +303,14 @@ func PeakBandwidth(spec cluster.Spec, fileSize, requestSize int64) (write, read 
 	return p.write, p.read
 }
 
-// peakKey is PeakBandwidth's key: SHA-256 over "iozone-peak/", the
-// encoding of spec and the two sweep sizes as varints.
+// peakKey is PeakBandwidth's key: "iozone-peak/", the encoding of spec
+// and the two sweep sizes as varints.
 func peakKey(spec cluster.Spec, fileSize, requestSize int64) string {
 	b := make([]byte, 0, keyBufSize)
 	b = append(b, "iozone-peak/"...)
 	b = appendValue(b, reflect.ValueOf(spec))
 	b = binary.AppendVarint(b, fileSize)
-	return hashKey(binary.AppendVarint(b, requestSize))
+	return string(binary.AppendVarint(b, requestSize))
 }
 
 // Stats reports cache traffic since process start (or the last Reset):

@@ -57,11 +57,15 @@ func Map[T, R any](items []T, fn func(i int, item T) R) []R {
 // Telemetry is first-class: task counts, cumulative busy time, the pool's
 // high-water width, and the high-water entry backlog (sweep/queue_max —
 // items beyond what the pool width can start immediately) land on the
-// always-on obs default registry, so a resident server's /metrics sees pool
-// pressure without any telemetry flag. The per-task cost is two clock reads
-// and two atomic adds — no allocation. Timeline spans (one per task, per
-// worker track) remain gated on an active recorder, since they format
-// labels and grow the span ring.
+// always-on obs default registry, so a resident server's /metrics sees
+// pool pressure without any telemetry flag. Busy time is each worker's
+// running time, from its start until it finds no item left, summed over
+// the workers. A worker reads the clock twice and keeps its tallies in
+// its own slot; the caller adds them to sweep/tasks and sweep/busy_ns
+// once, before MapN returns, so the shared counters take two atomic adds
+// per call and none per task. Timeline spans (one per task, per worker
+// track) remain gated on an active recorder, since they format labels
+// and grow the span ring.
 func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	out := make([]R, len(items))
 	if len(items) == 0 {
@@ -79,17 +83,16 @@ func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	}
 	tl := obs.Timeline()
 	run := func(tr *obs.Track, i int, item T) R {
-		t0 := time.Now()
+		if tr == nil {
+			return fn(i, item)
+		}
 		s0 := tl.WallNow()
 		r := fn(i, item)
-		cTasks.Inc()
-		cBusy.Add(int64(time.Since(t0)))
-		if tr != nil {
-			tr.Span(fmt.Sprintf("task %d", i), s0, tl.WallNow())
-		}
+		tr.Span(fmt.Sprintf("task %d", i), s0, tl.WallNow())
 		return r
 	}
 	if workers <= 1 {
+		t0 := time.Now()
 		var tr *obs.Track
 		if tl != nil {
 			tr = tl.Track("sweep pool", "serial")
@@ -97,27 +100,44 @@ func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 		for i, item := range items {
 			out[i] = run(tr, i, item)
 		}
+		cTasks.Add(int64(len(items)))
+		cBusy.Add(int64(time.Since(t0)))
 		return out
 	}
+	// tally is one worker's task count and running time, written by that
+	// worker before wg.Done and read by the caller after wg.Wait.
+	type tally struct{ tasks, busy int64 }
+	tallies := make([]tally, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			t0 := time.Now()
 			var tr *obs.Track
 			if tl != nil {
 				tr = tl.Track("sweep pool", fmt.Sprintf("worker %d", w))
 			}
+			n := 0
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
-					return
+					break
 				}
 				out[i] = run(tr, i, items[i])
+				n++
 			}
+			tallies[w] = tally{int64(n), int64(time.Since(t0))}
 		}(w)
 	}
 	wg.Wait()
+	var sum tally
+	for _, t := range tallies {
+		sum.tasks += t.tasks
+		sum.busy += t.busy
+	}
+	cTasks.Add(sum.tasks)
+	cBusy.Add(sum.busy)
 	return out
 }

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"iophases/internal/obs"
 )
 
 // Pool telemetry is first-class: it lands on the obs default registry with
 // telemetry disabled, so a resident server's /metrics sees pool pressure
-// without any flag.
+// without any flag. The task and busy-time tallies land before MapN
+// returns, and busy time covers every task's running time.
 func TestPoolMetricsAlwaysOn(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("test assumes telemetry is disabled")
@@ -19,14 +21,17 @@ func TestPoolMetricsAlwaysOn(t *testing.T) {
 	tasks0 := reg.Counter("sweep/tasks").Value()
 	busy0 := reg.Counter("sweep/busy_ns").Value()
 
-	const items, workers = 12, 3
-	MapN(workers, make([]int, items), func(i int, _ int) int { return i * i })
+	const items, workers, d = 12, 3, time.Millisecond
+	MapN(workers, make([]int, items), func(i int, _ int) int {
+		time.Sleep(d)
+		return i * i
+	})
 
 	if got := reg.Counter("sweep/tasks").Value() - tasks0; got != items {
 		t.Fatalf("sweep/tasks advanced by %d, want %d", got, items)
 	}
-	if got := reg.Counter("sweep/busy_ns").Value(); got < busy0 {
-		t.Fatalf("sweep/busy_ns went backwards: %d -> %d", busy0, got)
+	if got := time.Duration(reg.Counter("sweep/busy_ns").Value() - busy0); got < items*d {
+		t.Fatalf("sweep/busy_ns advanced by %v, want at least %v for %d tasks of %v", got, items*d, items, d)
 	}
 	// High-water gauges: other tests in the package share the default
 	// registry, so assert the floor this call guarantees, not equality.

@@ -71,9 +71,10 @@ func TestWorkflowModelPersistence(t *testing.T) {
 
 // TestLoadModelRejectsMalformed pins the model-file boundary: a phase
 // with no operations, with np 0, with a negative request size (from a
-// trace row whose RequestSize is -5) or with a replay file extent past
-// int64 is a load error naming the file and the phase, not a panic later
-// in prediction.
+// trace row whose RequestSize is -5), with a replay file extent past
+// int64 or with a replay pass past a per-pass cap is a load error naming
+// the file and the phase, not a panic or a days-long simulation later in
+// prediction.
 func TestLoadModelRejectsMalformed(t *testing.T) {
 	params := iophases.DefaultMADBench()
 	params.RS = 1 << 20
@@ -100,6 +101,12 @@ func TestLoadModelRejectsMalformed(t *testing.T) {
 		{"extent past int64", valid, func(m *iophases.Model) {
 			m.Phases[0].Ops[0].Size, m.Phases[0].Rep = 1<<62, 1
 		}, "model phase 1: ior: file extent b=4611686018427387904 × np=4 × s=1 overflows int64"},
+		{"volume past MaxPassBytes", valid, func(m *iophases.Model) {
+			m.Phases[0].Ops[0].Size, m.Phases[0].Weight = 1<<20, 4*(256<<30+1<<20)
+		}, "model phase 1: ior: pass volume b=274878955520 × np=4 × s=1 exceeds MaxPassBytes (1099511627776)"},
+		{"transfers past MaxPassTransfers", valid, func(m *iophases.Model) {
+			m.Phases[0].Ops[0].Size, m.Phases[0].Weight = 4<<10, 4*(4<<30+4<<10)
+		}, "model phase 1: ior: pass transfers b/t=1048577 × np=4 × s=1 exceed MaxPassTransfers (4194304)"},
 	}
 	for _, tc := range cases {
 		m := iophases.Extract(tc.set)
