@@ -159,7 +159,7 @@ func main() {
 	metrics := flag.String("metrics", "", "write run metrics to this file at exit (.json = JSON, else text)")
 	timeline := flag.String("timeline", "", "write a Chrome trace_event timeline (Perfetto-loadable JSON) to this file at exit")
 	faultsFlag := flag.String("faults", "", "fault scenario (preset name or scenario JSON path): append a degraded-mode delta analysis")
-	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free simulations: off, on, or verify (run both, panic on divergence)")
+	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free IOR replays: off, on, or verify (run both, panic on divergence)")
 	flag.Parse()
 
 	fpMode, err := iophases.ParseFastPath(*fastpathFlag)

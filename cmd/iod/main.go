@@ -54,7 +54,7 @@ func main() {
 	inflight := flag.Int("inflight", 0, "max concurrent query computations (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max queued query computations before 503 (0 = 1024)")
 	jobs := flag.Int("j", 0, "sweep worker pool size per computation (0 = GOMAXPROCS)")
-	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free simulations: off, on, or verify")
+	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free IOR replays: off, on, or verify")
 	accessLog := flag.String("access-log", "-", "JSON access-log destination: '-' = stdout, '' = disabled, else a file path (appended)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof/ runtime profiling endpoints")
 	timeline := flag.String("timeline", "", "record per-request wall-clock spans and write a Chrome trace_event timeline here at shutdown")

@@ -23,7 +23,7 @@ type WriteCache struct {
 	chunk    int64
 
 	level    int64 // dirty bytes not yet flushed
-	dirty    dirtySet
+	dirty    CacheLedger
 	flushing bool
 	waiters  []*des.Proc
 
@@ -39,21 +39,22 @@ type cacheExtent struct {
 	offset, size int64
 }
 
-// dirtySet tracks dirty extents in offset order plus the flusher's SCAN
-// (elevator) position: flushing resumes at or above scanPos and wraps when
-// nothing dirty remains higher. Without it the flusher would restart at
-// the lowest dirty offset after every chunk and thrash between concurrent
-// streams' regions, paying a seek per chunk. Factored out of WriteCache so
-// the fast path's flusher model (mirror.go's CacheLedger) gathers chunks
-// in exactly the same order.
-type dirtySet struct {
+// CacheLedger tracks a WriteCache's dirty extents in offset order plus the
+// flusher's SCAN (elevator) position: flushing resumes at or above scanPos
+// and wraps when nothing dirty remains higher. Without it the flusher
+// would restart at the lowest dirty offset after every chunk and thrash
+// between concurrent streams' regions, paying a seek per chunk. The fast
+// path's flusher model gathers from one too, so its chunks come in exactly
+// the simulated flusher's order. Reset readies one for use.
+type CacheLedger struct {
 	extents []cacheExtent
 	scanPos int64
 	chunk   int64 // flusher request size
 }
 
-// recentIndex is the recently-written read index behind WriteCache.Read,
-// shared with mirror.go's RecentIndex.
+// recentIndex is the recently-written read index behind WriteCache.Read.
+// Only the simulated cache keeps one: the fast path bails on a read
+// after a cached write instead of pricing a hit.
 type recentIndex struct {
 	m        map[int64]recentWrite // offset -> the latest write there
 	q        []recentWrite         // remembered writes, oldest first, from q[head]
@@ -96,8 +97,8 @@ func NewWriteCache(eng *des.Engine, name string, dev Device, params CacheParams)
 		capacity: params.Capacity,
 		memBW:    params.MemBW,
 		chunk:    params.Chunk,
-		dirty:    dirtySet{chunk: params.Chunk},
 	}
+	c.dirty.Reset(params.Chunk)
 	c.recent.reset(params.Capacity)
 	return c
 }
@@ -121,7 +122,7 @@ func (c *WriteCache) Write(p *des.Proc, offset, size int64) {
 		}
 		p.Sleep(units.TransferTime(n, c.memBW))
 		c.level += n
-		c.dirty.add(cacheExtent{offset, n})
+		c.dirty.Add(offset, n)
 		c.recent.remember(cacheExtent{offset, n})
 		offset += n
 		remaining -= n
@@ -129,11 +130,21 @@ func (c *WriteCache) Write(p *des.Proc, offset, size int64) {
 	}
 }
 
-// add inserts an extent into the offset-sorted dirty list, merging with
-// neighbours — the page cache's per-file radix tree, which lets the
-// flusher write large sequential clusters no matter how many concurrent
-// streams interleaved their arrivals.
-func (s *dirtySet) add(e cacheExtent) {
+// Reset empties the ledger for a cache with the given flush chunk size,
+// keeping its extent buffer.
+func (s *CacheLedger) Reset(chunk int64) {
+	*s = CacheLedger{extents: s.extents[:0], chunk: chunk}
+}
+
+// Dirty reports whether any extent remains unflushed.
+func (s *CacheLedger) Dirty() bool { return len(s.extents) > 0 }
+
+// Add records a deposit of [offset, offset+size) in the offset-sorted dirty
+// list, merging with neighbours — the page cache's per-file radix tree,
+// which lets the flusher write large sequential clusters no matter how
+// many concurrent streams interleaved their arrivals.
+func (s *CacheLedger) Add(offset, size int64) {
+	e := cacheExtent{offset, size}
 	i := 0
 	for i < len(s.extents) && s.extents[i].offset < e.offset {
 		i++
@@ -190,9 +201,6 @@ func (r *recentIndex) hit(offset, size int64) bool {
 	return ok && w.end >= offset+size
 }
 
-// invalidate drops the whole index.
-func (r *recentIndex) invalidate() { r.reset(r.capacity) }
-
 // reset empties the index in place for a capacity-byte budget, keeping
 // the map's and the queue's storage.
 func (r *recentIndex) reset(capacity int64) {
@@ -221,8 +229,8 @@ func (c *WriteCache) kickFlusher() {
 	}
 	c.flushing = true
 	c.eng.Spawn("flusher:"+c.name, func(fp *des.Proc) {
-		for len(c.dirty.extents) > 0 {
-			off, n := c.dirty.gather()
+		for c.dirty.Dirty() {
+			off, n := c.dirty.Gather()
 			c.dev.Write(fp, off, n)
 			c.level -= n
 			c.wakeWaiters()
@@ -231,12 +239,12 @@ func (c *WriteCache) kickFlusher() {
 	})
 }
 
-// gather pops up to one chunk of dirty data from the lowest-offset run
-// (elevator order), cutting at chunk-aligned boundaries so steady-state
-// flushes stay stripe-aligned. Without large aligned flushes, a full cache
-// degenerates into sliver writes that force RAID5 read-modify-write on
-// what is really a streaming write.
-func (s *dirtySet) gather() (off, n int64) {
+// Gather pops up to one chunk of dirty data in elevator order, cutting at
+// chunk-aligned boundaries so steady-state flushes stay stripe-aligned.
+// Without large aligned flushes, a full cache degenerates into sliver
+// writes that force RAID5 read-modify-write on what is really a streaming
+// write.
+func (s *CacheLedger) Gather() (off, n int64) {
 	// SCAN: continue from the elevator position, wrapping to the lowest
 	// dirty run when the sweep passes the top.
 	i := 0
@@ -297,7 +305,7 @@ func (c *WriteCache) wakeWaiters() {
 // /proc/sys/vm/drop_caches). Dirty data is unaffected; call Drain first for
 // a full flush-and-drop.
 func (c *WriteCache) Invalidate() {
-	c.recent.invalidate()
+	c.recent.reset(c.recent.capacity)
 }
 
 // Drain blocks until all dirty data reaches the device (fsync / close).

@@ -354,17 +354,17 @@ func TestPresetDiskParams(t *testing.T) {
 // of one extent must leave the newer one indexed while it is among the
 // most recent capacity bytes, and only its own eviction drops it.
 func TestRecentIndexKeepsRewrittenExtent(t *testing.T) {
-	var x RecentIndex
-	x.Reset(3 * units.MiB)
-	x.Remember(0, units.MiB)
-	x.Remember(0, units.MiB)
-	x.Remember(units.MiB, units.MiB)
-	x.Remember(2*units.MiB, units.MiB) // evicts the first write of [0, 1 MiB)
-	if !x.Hit(0, units.MiB) {
+	var x recentIndex
+	x.reset(3 * units.MiB)
+	x.remember(cacheExtent{0, units.MiB})
+	x.remember(cacheExtent{0, units.MiB})
+	x.remember(cacheExtent{units.MiB, units.MiB})
+	x.remember(cacheExtent{2 * units.MiB, units.MiB}) // evicts the first write of [0, 1 MiB)
+	if !x.hit(0, units.MiB) {
 		t.Fatal("rewritten extent un-indexed while its newer write is retained")
 	}
-	x.Remember(3*units.MiB, units.MiB) // evicts the second
-	if x.Hit(0, units.MiB) {
+	x.remember(cacheExtent{3 * units.MiB, units.MiB}) // evicts the second
+	if x.hit(0, units.MiB) {
 		t.Fatal("extent still indexed after both its writes were evicted")
 	}
 }

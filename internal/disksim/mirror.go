@@ -5,13 +5,13 @@ import "iophases/internal/units"
 // This file exports pure "clock" mirrors of the simulated devices for the
 // analytic fast path (internal/fastpath). A clock computes exactly the
 // virtual-time cost the DES device would charge for the same request
-// sequence — same formulas, same stateful head/cache bookkeeping, same
-// integer arithmetic through units.TransferTime — without an engine, a
-// process or an event queue. The guarantee is structural: each clock calls
-// the very functions the device calls (HeadClock.serviceTime, Stripe,
-// raid5Parts, dirtySet.add/gather, recentIndex), so a formula change in the
-// device is automatically a formula change in the mirror. Divergence is a
-// bug; predict's FastPath=verify mode runs both and panics on any.
+// sequence — same formulas, same stateful head bookkeeping, same integer
+// arithmetic through units.TransferTime — without an engine, a process or
+// an event queue. The guarantee is structural: each clock calls the very
+// functions the device calls (HeadClock.ServiceTime, Stripe, raid5Parts),
+// so a formula change in the device is automatically a formula change in
+// the mirror; the cache needs no mirror, as WriteCache's own CacheLedger
+// is exported. Divergence is a bug; FastPath=verify runs both and panics.
 
 // HeadClock is the stateful service-time model of one disk spindle: head
 // position (sequential vs seek), read/write turnaround, per-request
@@ -154,48 +154,3 @@ func (a *ArrayClock) OpTime(offset, size int64, write bool) units.Duration {
 	}
 	return total
 }
-
-// CacheLedger is the dirty-extent bookkeeping of a WriteCache, exported so
-// the fast path's flusher model gathers chunks in exactly the elevator
-// (SCAN) order the simulated flusher uses. Reset readies one for use.
-type CacheLedger struct {
-	d dirtySet
-}
-
-// Reset empties the ledger for a cache with the given flush chunk size,
-// keeping its extent buffer.
-func (l *CacheLedger) Reset(chunk int64) {
-	l.d = dirtySet{extents: l.d.extents[:0], chunk: chunk}
-}
-
-// Add records a dirty extent (WriteCache deposit).
-func (l *CacheLedger) Add(offset, size int64) {
-	l.d.add(cacheExtent{offset, size})
-}
-
-// Gather pops the next flush chunk in elevator order.
-func (l *CacheLedger) Gather() (off, n int64) { return l.d.gather() }
-
-// Dirty reports whether any extent remains unflushed.
-func (l *CacheLedger) Dirty() bool { return len(l.d.extents) > 0 }
-
-// RecentIndex is the WriteCache's recently-written read index, exported for
-// the fast path's read-hit decisions. Reset readies one for use.
-type RecentIndex struct {
-	r recentIndex
-}
-
-// Reset empties the index and bounds it to capacity bytes, keeping its
-// map and queue storage.
-func (x *RecentIndex) Reset(capacity int64) { x.r.reset(capacity) }
-
-// Remember indexes a written extent (evicting the oldest beyond capacity).
-func (x *RecentIndex) Remember(offset, size int64) {
-	x.r.remember(cacheExtent{offset, size})
-}
-
-// Hit reports whether [offset, offset+size) is fully cached.
-func (x *RecentIndex) Hit(offset, size int64) bool { return x.r.hit(offset, size) }
-
-// Invalidate drops the whole index (DropCaches).
-func (x *RecentIndex) Invalidate() { x.r.invalidate() }

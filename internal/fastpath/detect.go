@@ -2,7 +2,6 @@ package fastpath
 
 import (
 	"iophases/internal/cluster"
-	"iophases/internal/core"
 	"iophases/internal/disksim"
 	"iophases/internal/fsim"
 	"iophases/internal/ior"
@@ -66,20 +65,6 @@ func admitIOR(spec cluster.Spec, p ior.Params) string {
 		return "np"
 	}
 	if p.Collective {
-		return "collective"
-	}
-	return ""
-}
-
-// admitReplay reports why a phase replay is statically inadmissible, or "".
-func admitReplay(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) string {
-	if r := specReason(spec); r != "" {
-		return r
-	}
-	if pm.NP != 1 {
-		return "np"
-	}
-	if pm.Collective {
 		return "collective"
 	}
 	return ""

@@ -21,7 +21,7 @@ import (
 // exactly except at virtual-time ties, where event order would depend on
 // scheduling sequence numbers the walker does not track. Ties, cache
 // pressure (a deposit larger than free space, which would park the client)
-// and device reads racing a flush all set bail instead of guessing.
+// and a read after a cached write all set bail instead of guessing.
 type serverSim struct {
 	dev disksim.DeviceClock // &head or &array
 
@@ -29,6 +29,11 @@ type serverSim struct {
 	capacity int64
 	memBW    units.Bandwidth
 	level    int64 // dirty bytes: ledger plus the in-flight chunk
+
+	// wrote records a cached write since the last cache drop. While it is
+	// clear the cache holds nothing a read could hit, no dirty bytes and
+	// no running flush, so a read costs exactly the device's time.
+	wrote bool
 
 	fBusy bool           // a gathered chunk is being written to the device
 	fDone units.Duration // its completion time
@@ -41,21 +46,19 @@ type serverSim struct {
 	head   disksim.HeadClock
 	array  disksim.ArrayClock
 	ledger disksim.CacheLedger // dirty extents not yet gathered
-	recent disksim.RecentIndex
 }
 
 // reset readies the analytic target for a spec's storage side: every
 // scalar field back to zero, the device clock and cache state back to the
 // state cluster.Build's freshly built devices start in.
 func (s *serverSim) reset(st cluster.StorageSpec) {
-	*s = serverSim{head: s.head, array: s.array, ledger: s.ledger, recent: s.recent}
+	*s = serverSim{head: s.head, array: s.array, ledger: s.ledger}
 	s.dev = s.deviceClock(st)
 	if c := st.Cache; c != nil {
 		s.hasCache = true
 		s.capacity = c.Capacity
 		s.memBW = c.MemBW
 		s.ledger.Reset(c.Chunk)
-		s.recent.Reset(c.Capacity)
 	}
 }
 
@@ -137,7 +140,7 @@ func (s *serverSim) write(t units.Duration, offset, size int64) units.Duration {
 	}
 	s.level += size
 	s.ledger.Add(offset, size)
-	s.recent.Remember(offset, size)
+	s.wrote = true
 	if !s.fBusy && s.ledger.Dirty() {
 		s.startFlusher(end)
 	}
@@ -145,21 +148,10 @@ func (s *serverSim) write(t units.Duration, offset, size int64) units.Duration {
 }
 
 // read advances the clock through one server-side read landing at time t.
-// Recent-index hits cost a memory copy; misses go to the device, but only
-// when the cache is fully clean — a device read overlapping a flush would
-// contend on the member queues, which only the DES prices.
+// After a cached write it bails: the DES might serve the read from the
+// cache's recently-written index or race the flusher for the device.
 func (s *serverSim) read(t units.Duration, offset, size int64) units.Duration {
-	if !s.hasCache {
-		return t + s.dev.OpTime(offset, size, false)
-	}
-	s.advance(t)
-	if s.bail {
-		return t
-	}
-	if s.recent.Hit(offset, size) {
-		return t + units.TransferTime(size, s.memBW)
-	}
-	if s.fBusy || s.level > 0 {
+	if s.wrote {
 		s.bail = true
 		return t
 	}
@@ -186,11 +178,4 @@ func (s *serverSim) drain(t units.Duration) units.Duration {
 		s.bail = true
 	}
 	return end
-}
-
-// invalidate drops the recently-written index (DropCaches).
-func (s *serverSim) invalidate() {
-	if s.hasCache {
-		s.recent.Invalidate()
-	}
 }

@@ -1,23 +1,25 @@
-// Package fastpath computes IOR runs and phase replays in closed form when
-// the workload provably cannot contend: one rank, one storage target, no
-// fault schedule. Under those conditions the discrete-event simulation
-// degenerates into a single chain of operations (plus at most one
-// background flusher with fully determined completion times), so the
-// virtual clock can be advanced arithmetically — same formulas, same
-// stateful head/cache bookkeeping, same integer rounding — without building
-// an engine, spawning coroutines or scheduling events.
+// Package fastpath computes IOR runs in closed form when the workload
+// provably cannot contend: one rank, one storage target, no fault schedule.
+// Under those conditions the discrete-event simulation degenerates into a
+// single chain of operations (plus at most one background flusher with
+// fully determined completion times), so the virtual clock can be advanced
+// arithmetically — same formulas, same stateful head/cache bookkeeping,
+// same integer rounding — without building an engine, spawning coroutines
+// or scheduling events. Phase-faithful replays (internal/replay) always run
+// the DES: none that an experiment or a benchmark workload makes is
+// single-rank, so a closed form for them would never be admitted.
 //
-// Exactness is structural, not approximate: the walkers call the very
+// Exactness is structural, not approximate: the walker calls the very
 // functions the simulated devices call (netsim.LinkParams.PathCost,
-// disksim.HeadClock/ArrayClock, disksim.CacheLedger/RecentIndex,
+// disksim.HeadClock/ArrayClock, disksim.CacheLedger,
 // ior.Params.Offset/ChunkOrder), so a formula change in a device is
 // automatically a formula change here. Whenever the walker meets a
 // situation whose event interleaving it cannot reproduce bit-exactly — a
-// virtual-time tie with the flusher, a cache-pressure stall, a read racing
-// a flush — it bails out and the caller falls back to the full DES.
-// ModeVerify runs both and panics on any divergence; the corpus tests in
-// fastpath_test.go compare against the DES for every built-in
-// configuration.
+// virtual-time tie with the flusher, a cache-pressure stall, a read after
+// a cached write that no cache drop has cleared — it bails out and the
+// caller falls back to the full DES. ModeVerify runs both and panics on
+// any divergence; the corpus tests in fastpath_test.go compare against the
+// DES for every built-in configuration.
 //
 // # Sanctioned cost seams
 //

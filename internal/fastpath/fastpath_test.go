@@ -122,3 +122,33 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestReadAfterUndroppedWriteBails pins the guard bit on configA's write
+// cache. A read of an extent written since the last cache drop bails: the
+// DES may serve it from the cache's recently-written index, or race the
+// flusher for the device. After a drop the same read is priced from the
+// device.
+func TestReadAfterUndroppedWriteBails(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		w := getWalker(cluster.ConfigA())
+		w.open()
+		w.writeExtent(0, units.MiB)
+		if w.bailed() {
+			t.Fatal("a write into an empty cache bailed")
+		}
+		if drop {
+			w.dropCaches()
+		}
+		before := w.now
+		w.readExtent(0, units.MiB)
+		switch {
+		case !drop && !w.bailed():
+			t.Error("a read of an extent written since the last drop was priced")
+		case drop && w.bailed():
+			t.Error("a read after a cache drop bailed")
+		case drop && w.now <= before:
+			t.Errorf("a read after a cache drop cost %v", w.now-before)
+		}
+		walkers.Put(w)
+	}
+}

@@ -25,9 +25,9 @@ type walker struct {
 	now      units.Duration
 }
 
-// walkers recycles walkers across runs. A walker's device clocks, dirty
-// ledger and recently-written index keep their slices and map between
-// runs, so a steady-state replay allocates nothing for its state.
+// walkers recycles walkers across runs. A walker's device clocks and dirty
+// ledger keep their slices between runs, so a steady-state replay
+// allocates nothing for its state.
 var walkers = sync.Pool{New: func() any { return new(walker) }}
 
 // getWalker returns a walker at the start of a run on spec: the state
@@ -112,9 +112,11 @@ func (w *walker) readExtent(offset, size int64) {
 func (w *walker) fsync() { w.now = w.srv.drain(w.now) }
 
 // dropCaches charges the flush-and-invalidate between benchmark passes.
+// Invalidating costs nothing; once drained, the cache holds nothing a read
+// could hit.
 func (w *walker) dropCaches() {
 	w.now = w.srv.drain(w.now)
-	w.srv.invalidate()
+	w.srv.wrote = false
 }
 
 // bailed reports whether the walk hit a situation only the DES can price.

@@ -1,7 +1,6 @@
-// Cross-validation of the analytic fast path against the full DES, from an
-// external test package: the replay package imports fastpath (PhaseMode
-// dispatches here), so a test that runs both sides must live outside the
-// import cycle.
+// Tests of the fast path's admission boundary from an external test
+// package: they reach the fast path through predict, which imports it, so
+// they cannot live inside package fastpath.
 package fastpath_test
 
 import (
@@ -12,111 +11,13 @@ import (
 	"iophases/internal/fastpath"
 	"iophases/internal/faults"
 	"iophases/internal/ior"
-	"iophases/internal/replay"
+	"iophases/internal/predict"
 	"iophases/internal/trace"
 	"iophases/internal/units"
 )
 
-// OpModel aliases keep the case table readable.
-type OpModel = core.OpModel
-
-// phaseModels are synthetic single-rank phase models covering the
-// op-sequence surface the replayer executes: single-op and mixed phases,
-// repetition displacement, inter-slot skew (MADBench2's phase 3 shape),
-// offset bases, and family repetition scaling.
-func phaseModels() []*core.PhaseModel {
-	mk := func(id int, rep int, weight int64, ops ...OpModel) *core.PhaseModel {
-		return &core.PhaseModel{ID: id, NP: 1, Rep: rep, Weight: weight, Ops: ops,
-			OffsetOK: true}
-	}
-	w := func(size, disp, skew int64) OpModel {
-		return OpModel{Op: trace.OpWriteAt, Size: size, Disp: disp, Skew: skew}
-	}
-	r := func(size, disp, skew int64) OpModel {
-		return OpModel{Op: trace.OpReadAt, Size: size, Disp: disp, Skew: skew}
-	}
-	cases := []*core.PhaseModel{
-		mk(0, 8, 8*units.MiB, w(units.MiB, units.MiB, 0)),
-		mk(1, 8, 8*units.MiB, r(units.MiB, units.MiB, 0)),
-		// Mixed write+read per repetition — the shape IOR cannot replay.
-		mk(2, 6, 12*units.MiB, w(units.MiB, 2*units.MiB, 0), r(units.MiB, 2*units.MiB, units.MiB)),
-		// Read running two bins ahead of the write (MADBench2 phase 3).
-		mk(3, 4, 8*units.MiB, w(units.MiB, units.MiB, 0), r(units.MiB, units.MiB, 2*units.MiB)),
-		// Request sizes crossing the server-request clamp.
-		mk(4, 3, 24*units.MiB, w(4*units.MiB, 4*units.MiB, 0)),
-		// Small requests below every boundary.
-		mk(5, 16, units.MiB, w(64*units.KiB, 64*units.KiB, 0)),
-		// Zero-size slot mixed in: free on both paths.
-		mk(6, 4, 4*units.MiB, w(units.MiB, units.MiB, 0), w(0, 0, 0)),
-	}
-	// Offset base and family repetition variants.
-	fam := mk(7, 4, 4*units.MiB, w(units.MiB, units.MiB, 0))
-	fam.OffsetC = 16 * units.MiB
-	fam.FamilyID = 1
-	fam.FamilyRep = 3
-	cases = append(cases, fam)
-	return cases
-}
-
-// TestReplayPhaseMatchesDES cross-validates ReplayPhase against the full
-// replayer for every built-in configuration and phase case: when the fast
-// path answers, the busy time must be bit-identical to replay.PhaseMode
-// with the fast path forced off.
-func TestReplayPhaseMatchesDES(t *testing.T) {
-	for _, spec := range cluster.Presets() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			m := &core.Model{App: "xval", NP: 1, AccessType: "shared"}
-			hits := 0
-			for _, pm := range phaseModels() {
-				fast, ok := fastpath.ReplayPhase(spec, m, pm)
-				if !ok {
-					continue
-				}
-				hits++
-				des, err := replay.PhaseMode(spec, m, pm, fastpath.ModeOff)
-				if err != nil {
-					t.Fatalf("phase %d: %v", pm.ID, err)
-				}
-				if fast != des.Elapsed {
-					t.Errorf("%s phase %d: fast %v des %v", spec.Name, pm.ID, fast, des.Elapsed)
-				}
-			}
-			admissible := effectiveStripes(spec) == 1
-			if admissible && hits == 0 {
-				t.Errorf("%s: no fast-path hits on an admissible configuration", spec.Name)
-			}
-			if !admissible && hits != 0 {
-				t.Errorf("%s: %d hits on an inadmissible configuration", spec.Name, hits)
-			}
-		})
-	}
-}
-
-// TestVerifyModeAgrees runs PhaseMode in verify mode — which panics on any
-// fast/DES divergence — across the whole corpus, and checks the result
-// matches the forced-off DES result exactly.
-func TestVerifyModeAgrees(t *testing.T) {
-	for _, spec := range cluster.Presets() {
-		m := &core.Model{App: "xval", NP: 1, AccessType: "shared"}
-		for _, pm := range phaseModels() {
-			got, err := replay.PhaseMode(spec, m, pm, fastpath.ModeVerify)
-			if err != nil {
-				t.Fatalf("%s phase %d: %v", spec.Name, pm.ID, err)
-			}
-			want, err := replay.PhaseMode(spec, m, pm, fastpath.ModeOff)
-			if err != nil {
-				t.Fatalf("%s phase %d: %v", spec.Name, pm.ID, err)
-			}
-			if got != want {
-				t.Errorf("%s phase %d: verify %+v off %+v", spec.Name, pm.ID, got, want)
-			}
-		}
-	}
-}
-
 // TestFaultPresetsBail pins the admission rule's first gate: any fault
-// schedule — all five built-in presets — makes both entry points bail, so
+// schedule — all five built-in presets — makes RunIOR bail, so
 // degraded-mode analysis always runs the full DES.
 func TestFaultPresetsBail(t *testing.T) {
 	names := faults.PresetNames()
@@ -125,8 +26,6 @@ func TestFaultPresetsBail(t *testing.T) {
 	}
 	p := ior.Params{NP: 1, BlockSize: units.MiB, Transfer: 256 * units.KiB,
 		Segments: 1, DoWrite: true, DoRead: true, Fsync: true}
-	m := &core.Model{App: "xval", NP: 1, AccessType: "shared"}
-	pm := phaseModels()[0]
 	for _, name := range names {
 		spec := cluster.ConfigA()
 		sched, ok := faults.Preset(name)
@@ -137,17 +36,32 @@ func TestFaultPresetsBail(t *testing.T) {
 		if _, ok := fastpath.RunIOR(spec, p); ok {
 			t.Errorf("RunIOR admitted faulted spec (preset %s)", name)
 		}
-		if _, ok := fastpath.ReplayPhase(spec, m, pm); ok {
-			t.Errorf("ReplayPhase admitted faulted spec (preset %s)", name)
-		}
 	}
 }
 
-func effectiveStripes(spec cluster.Spec) int {
-	n := spec.Storage.IONodes
-	sc := spec.Storage.FileStripeCount
-	if sc <= 0 || sc > n {
-		return n
+// TestFaithfulReplayRunsDES: a phase-faithful replay never reaches the
+// fast path, even one it could price (one rank on configA, whose one I/O
+// node holds a RAID5 array behind a write cache). The model's only phase
+// writes each 1 MiB extent and reads it back, so a FaithfulMixed estimate
+// makes no IOR replay either, and the fast-path counters must not move.
+func TestFaithfulReplayRunsDES(t *testing.T) {
+	m := &core.Model{App: "xval", NP: 1, AccessType: "shared", Phases: []*core.PhaseModel{{
+		ID: 1, NP: 1, Rep: 8, Weight: 16 * units.MiB, OffsetOK: true,
+		Ops: []core.OpModel{
+			{Op: trace.OpWriteAt, Size: units.MiB, Disp: units.MiB},
+			{Op: trace.OpReadAt, Size: units.MiB, Disp: units.MiB},
+		},
+	}}}
+	hits, bails := fastpath.Stats()
+	est, err := predict.EstimateTimeOpts(m, cluster.ConfigA(),
+		predict.EstimateOptions{FaithfulMixed: true, FastPath: fastpath.ModeOn})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sc
+	if pe := est.Phases[0]; !pe.Faithful || pe.BWch <= 0 {
+		t.Fatalf("phase estimate %+v, want a faithful replay with a positive bandwidth", pe)
+	}
+	if h, b := fastpath.Stats(); h != hits || b != bails {
+		t.Errorf("fast-path hits %d → %d, bailouts %d → %d; want both unchanged", hits, h, bails, b)
+	}
 }

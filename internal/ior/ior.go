@@ -300,11 +300,17 @@ func FromReplay(rs core.ReplaySpec) Params {
 
 // ValidateModel reports the first phase of m that cannot be replayed,
 // naming its id: a phase needs np ≥ 1, at least one operation, rep ≥ 1,
-// and replay parameters that Validate accepts. The IOR replay transfers
-// slot 0's request size and the phase-faithful replay every slot's, so
-// each slot's size is checked as the transfer. A model read from JSON, or
-// extracted from a corrupt trace, can break any of these, and each would
-// otherwise panic mid-prediction.
+// replay parameters that Validate accepts, and a weight of exactly
+// rep·Σsize·np, the volume extraction and core.Rescale give it. The IOR
+// replay transfers slot 0's request size and the phase-faithful replay
+// every slot's, so each slot's size is checked as the transfer. A model
+// read from JSON, or extracted from a corrupt trace, can break any of
+// these, and each would otherwise panic mid-prediction.
+//
+// The weight identity is what bounds the phase-faithful replay and
+// co-execution, which loop rep times over every slot on every rank:
+// with it, the smallest slot's transfer cap gives
+// rep·len(ops)·np ≤ MaxPassTransfers.
 func ValidateModel(m *core.Model) error {
 	for i, pm := range m.Phases {
 		if pm == nil {
@@ -326,10 +332,34 @@ func ValidateModel(m *core.Model) error {
 					break
 				}
 			}
+			if err == nil {
+				err = checkWeight(pm)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("model phase %d: %w", pm.ID, err)
 		}
+	}
+	return nil
+}
+
+// checkWeight reports an error unless pm's weight is rep·Σsize·np. The
+// caller has checked that rep and np are positive and every size is.
+func checkWeight(pm *core.PhaseModel) error {
+	v, ok := int64(0), true
+	for _, op := range pm.Ops {
+		ok = ok && op.Size <= math.MaxInt64-v
+		v += op.Size
+	}
+	for _, n := range [2]int64{int64(pm.Rep), int64(pm.NP)} {
+		ok = ok && v <= math.MaxInt64/n
+		v *= n
+	}
+	switch {
+	case !ok:
+		return fmt.Errorf("rep·Σsize·np (rep %d, %d ops, np %d) overflows int64", pm.Rep, len(pm.Ops), pm.NP)
+	case v != pm.Weight:
+		return fmt.Errorf("weight %d, want rep·Σsize·np = %d", pm.Weight, v)
 	}
 	return nil
 }

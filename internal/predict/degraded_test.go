@@ -52,10 +52,14 @@ func TestCompareDegradedValidatesSchedule(t *testing.T) {
 	}
 }
 
-// The panics this layer used to raise are now errors a CLI can print.
+// The panics this layer used to raise are now errors a CLI can print. The
+// weight scales with the rank count, as a model extracted at 10,000 ranks
+// would have it, so the model passes validation and reaches the capacity
+// check.
 func TestEstimateTimeRejectsOversizedModel(t *testing.T) {
 	m := measureMadbench(t, cluster.ConfigA(), 8, 4*units.MiB)
 	for _, pm := range m.Phases {
+		pm.Weight = pm.Weight / int64(pm.NP) * 10_000
 		pm.NP = 10_000
 	}
 	_, err := EstimateTime(m, cluster.ConfigA())

@@ -54,11 +54,12 @@ type EstimateOptions struct {
 	// write and read passes — the improvement the paper's §V proposes
 	// to cut the ≈50% error on complex phases.
 	FaithfulMixed bool
-	// FastPath selects how contention-free phase replays are priced:
+	// FastPath selects how contention-free IOR replays are priced:
 	// ModeOff always simulates, ModeOn answers admissible replays in
 	// closed form (bit-identical by construction), ModeVerify runs both
 	// and panics on any divergence. The zero value defers to the
-	// fastpath package default.
+	// fastpath package default. It governs IOR replays only: a
+	// FaithfulMixed replay always runs the DES.
 	FastPath fastpath.Mode
 }
 
@@ -159,7 +160,7 @@ capacity:
 	}
 	bws := sweep.Map(jobs, func(_ int, j job) bwRes {
 		if j.faithful {
-			r, err := replay.PhaseMode(specs[j.spec], m, j.pm, opts.FastPath)
+			r, err := replay.Phase(specs[j.spec], m, j.pm)
 			return bwRes{r.BW, err}
 		}
 		return bwRes{runReplay(&targets[j.spec], j.rs, opts.FastPath), nil}

@@ -20,7 +20,6 @@ import (
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
-	"iophases/internal/fastpath"
 	"iophases/internal/mpi"
 	"iophases/internal/mpiio"
 	"iophases/internal/obs"
@@ -35,19 +34,13 @@ type Result struct {
 }
 
 // Phase replays pm (a phase of model m) on a freshly built configuration
-// and reports the characterized bandwidth, under the package-default
-// fast-path mode. A model whose phase needs more ranks than the
-// configuration has cores is a usage error, reported as an error rather
-// than a panic so CLIs can print a diagnostic and exit.
+// and reports the characterized bandwidth. It checks the phase's rank
+// count and offsets, then runs the DES: the analytic fast path prices IOR
+// replays only, so a faithful replay is always simulated. A model whose
+// phase needs more ranks than the configuration has cores is a usage
+// error, reported as an error rather than a panic so CLIs can print a
+// diagnostic and exit.
 func Phase(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) (Result, error) {
-	return PhaseMode(spec, m, pm, fastpath.ModeDefault)
-}
-
-// PhaseMode is Phase with an explicit fast-path mode: contention-free
-// phases (one rank, one storage target, no faults) can be priced in closed
-// form instead of simulated; ModeVerify runs both and panics if the busy
-// times differ by even a nanosecond.
-func PhaseMode(spec cluster.Spec, m *core.Model, pm *core.PhaseModel, mode fastpath.Mode) (Result, error) {
 	if pm.NP > spec.MaxProcs() {
 		return Result{}, fmt.Errorf("replay: %d ranks exceed %s capacity %d (use a larger configuration or a smaller model)",
 			pm.NP, spec.Name, spec.MaxProcs())
@@ -55,22 +48,22 @@ func PhaseMode(spec cluster.Spec, m *core.Model, pm *core.PhaseModel, mode fastp
 	if err := CheckOffsets(m.App, pm); err != nil {
 		return Result{}, fmt.Errorf("replay: %w", err)
 	}
-	switch mode.Resolve() {
-	case fastpath.ModeOn:
-		if elapsed, ok := fastpath.ReplayPhase(spec, m, pm); ok {
-			return finishPhase(spec, m, pm, elapsed), nil
-		}
-	case fastpath.ModeVerify:
-		if elapsed, ok := fastpath.ReplayPhase(spec, m, pm); ok {
-			des := phaseBusy(spec, m, pm)
-			if des != elapsed {
-				panic(fmt.Sprintf("fastpath: replay divergence on %s phase %d: fast %v des %v",
-					spec.Name, pm.ID, elapsed, des))
-			}
-			return finishPhase(spec, m, pm, des), nil
-		}
+	busy := phaseBusy(spec, m, pm)
+	res := Result{Elapsed: busy}
+	if busy > 0 {
+		res.BW = units.BandwidthOf(pm.Weight, busy)
 	}
-	return finishPhase(spec, m, pm, phaseBusy(spec, m, pm)), nil
+	if tl := obs.Timeline(); tl != nil {
+		// One span per replayed phase on its own track: the replay's
+		// virtual clock starts at zero, so the busy window is [0, busy].
+		tl.Track("replay "+m.App+"@"+spec.Name, fmt.Sprintf("phase %d", pm.ID)).
+			Span(fmt.Sprintf("replay phase %d", pm.ID), 0, int64(busy),
+				obs.Arg{Key: "weight", Value: pm.Weight},
+				obs.Arg{Key: "rs", Value: pm.RequestSize()},
+				obs.Arg{Key: "np", Value: pm.NP},
+				obs.Arg{Key: "bwMBps", Value: res.BW.MBpsValue()})
+	}
+	return res, nil
 }
 
 // phaseBusy runs the full DES replay and reports the maximum per-rank I/O
@@ -207,27 +200,6 @@ func (c *checked) add(factors ...int64) {
 	s := c.v + p
 	c.ok = c.ok && ok && (s > c.v) == (p > 0)
 	c.v = s
-}
-
-// finishPhase assembles the Result for a measured busy time and emits the
-// telemetry span. Both the DES and the fast path report through here, so a
-// timeline records the same spans whichever priced the phase.
-func finishPhase(spec cluster.Spec, m *core.Model, pm *core.PhaseModel, max units.Duration) Result {
-	res := Result{Elapsed: max}
-	if max > 0 {
-		res.BW = units.BandwidthOf(pm.Weight, max)
-	}
-	if tl := obs.Timeline(); tl != nil {
-		// One span per replayed phase on its own track: the replay's
-		// virtual clock starts at zero, so the busy window is [0, max].
-		tl.Track("replay "+m.App+"@"+spec.Name, fmt.Sprintf("phase %d", pm.ID)).
-			Span(fmt.Sprintf("replay phase %d", pm.ID), 0, int64(max),
-				obs.Arg{Key: "weight", Value: pm.Weight},
-				obs.Arg{Key: "rs", Value: pm.RequestSize()},
-				obs.Arg{Key: "np", Value: pm.NP},
-				obs.Arg{Key: "bwMBps", Value: res.BW.MBpsValue()})
-	}
-	return res
 }
 
 // Model replays every phase of a model and sums Eq. 1 — the fully

@@ -427,7 +427,7 @@ func Characterize(cfg Config, opts CharzOptions) *CharzReport {
 // runs always execute the full simulation.
 func RunIOR(cfg Config, p IORParams) IORResult { return simcache.RunIOR(cfg, p) }
 
-// FastPathMode selects how contention-free simulations are priced: off
+// FastPathMode selects how contention-free IOR replays are priced: off
 // (always run the DES), on (closed-form when provably equivalent), or
 // verify (run both, panic on any divergence).
 type FastPathMode = fastpath.Mode

@@ -107,6 +107,12 @@ func TestLoadModelRejectsMalformed(t *testing.T) {
 		{"transfers past MaxPassTransfers", valid, func(m *iophases.Model) {
 			m.Phases[0].Ops[0].Size, m.Phases[0].Weight = 4<<10, 4*(4<<30+4<<10)
 		}, "model phase 1: ior: pass transfers b/t=1048577 × np=4 × s=1 exceed MaxPassTransfers (4194304)"},
+		// A weight that disagrees with rep·Σsize·np: the IOR replay reads
+		// the weight, the faithful replay and co-execution loop rep times.
+		{"negative weight", valid, func(m *iophases.Model) { m.Phases[0].Weight = -5 },
+			"model phase 1: weight -5, want rep·Σsize·np = 33554432"},
+		{"rep past weight", valid, func(m *iophases.Model) { m.Phases[1].Rep = 1 << 22 },
+			"model phase 2: weight 8388608, want rep·Σsize·np = 17592186044416"},
 	}
 	for _, tc := range cases {
 		m := iophases.Extract(tc.set)
