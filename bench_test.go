@@ -20,6 +20,7 @@ import (
 	"iophases/internal/des"
 	"iophases/internal/disksim"
 	"iophases/internal/fastpath"
+	"iophases/internal/faults"
 	"iophases/internal/ior"
 	"iophases/internal/iozone"
 	"iophases/internal/mpi"
@@ -597,19 +598,24 @@ func BenchmarkAblationTickSplit(b *testing.B) {
 }
 
 // BenchmarkAblationDegradedRAID measures the read penalty of a RAID5
-// array running with a failed member (reconstruction reads).
+// array running with a failed member (reconstruction reads). The member
+// is lost by a raid-member-lost effect with no window end, attached
+// before the disks are built as cluster.Build attaches a scenario.
 func BenchmarkAblationDegradedRAID(b *testing.B) {
+	lost := &faults.Schedule{Name: "lost", Effects: []faults.Effect{
+		{Kind: faults.RAIDMemberLost, Member: 1},
+	}}
 	read := func(degrade bool) units.Duration {
 		eng := des.NewEngine()
+		if degrade {
+			faults.Attach(eng, lost, "bench")
+		}
 		var members []*disksim.Disk
 		for i := 0; i < 5; i++ {
 			members = append(members, disksim.NewDisk(eng, fmt.Sprintf("d%d", i),
 				disksim.SATA7200(units.TiB)))
 		}
 		a := disksim.NewArray(eng, "r5", disksim.RAID5, members, 256*units.KiB)
-		if degrade {
-			a.Fail(1)
-		}
 		eng.Spawn("r", func(p *des.Proc) {
 			for i := int64(0); i < 64; i++ {
 				a.Read(p, i*4*units.MiB, 4*units.MiB)

@@ -13,31 +13,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"iophases"
 	"iophases/internal/units"
 )
-
-// parseSize accepts "32m", "1g", "256k" or plain bytes.
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "k"):
-		mult, s = units.KiB, s[:len(s)-1]
-	case strings.HasSuffix(s, "m"):
-		mult, s = units.MiB, s[:len(s)-1]
-	case strings.HasSuffix(s, "g"):
-		mult, s = units.GiB, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return n * mult, nil
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -77,11 +56,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *np > cfg.MaxProcs() {
 		return fail("%d processes exceed %s capacity (%d)", *np, cfg.Name, cfg.MaxProcs())
 	}
-	bs, err := parseSize(*b)
+	bs, err := units.ParseSize(*b)
 	if err != nil {
 		return fail("-b: %v", err)
 	}
-	ts, err := parseSize(*t)
+	ts, err := units.ParseSize(*t)
 	if err != nil {
 		return fail("-t: %v", err)
 	}

@@ -33,6 +33,8 @@ func TestFlagErrors(t *testing.T) {
 	}{
 		{[]string{"-config", "nope"}, 1, `iorsim: unknown configuration "nope"`},
 		{[]string{"-b", "12x"}, 1, "iorsim: -b:"},
+		// 2^64 + 1024 bytes: refused, not wrapped to b=1KB.
+		{[]string{"-b", "18014398509481985k", "-t", "1k", "-np", "1", "-r=false"}, 1, `iorsim: -b: size "18014398509481985k" overflows int64`},
 		{[]string{"-np", "0"}, 1, "iorsim: "},
 		// b·np = 2^64: the file extent overflows int64.
 		{[]string{"-b", "4611686018427387904", "-t", "4611686018427387904", "-r=false"}, 1, "iorsim: ior: file extent b=4611686018427387904 × np=4 × s=1 overflows int64"},

@@ -148,3 +148,17 @@ func TestNegativeOffsetModelExitsOne(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q; want 1 and one line naming the negative offset", code, stderr)
 	}
 }
+
+// TestGridPastBoundExitsOne: a step or window whose offset grid has more
+// than schedule.MaxGridSteps points — here a count past every int — is
+// refused with a diagnostic naming the bound, exit 1, instead of the
+// co-start plan printed as if the search had run.
+func TestGridPastBoundExitsOne(t *testing.T) {
+	a, b := saveModels(t)
+	for _, flags := range [][]string{{"-step", "1e-300"}, {"-window", "1e300"}} {
+		code, stdout, stderr := runCLI(t, append([]string{"-jobs", a + "," + b}, flags...)...)
+		if code != 1 || !strings.Contains(stderr, "MaxGridSteps") || strings.Contains(stdout, "planned schedule:") {
+			t.Errorf("%v: exit %d, stderr %q; want 1, the bound named and no plan", flags, code, stderr)
+		}
+	}
+}

@@ -13,9 +13,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"iophases"
 	"iophases/internal/cluster"
@@ -24,75 +23,75 @@ import (
 	"iophases/internal/units"
 )
 
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "k"):
-		mult, s = units.KiB, s[:len(s)-1]
-	case strings.HasSuffix(s, "m"):
-		mult, s = units.MiB, s[:len(s)-1]
-	case strings.HasSuffix(s, "g"):
-		mult, s = units.GiB, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	return n * mult, nil
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	config := flag.String("config", "configA", "target configuration")
-	fz := flag.String("s", "2g", "file size (-s); the paper requires >= 2x RAM")
-	rs := flag.String("y", "8m", "request size (-y)")
-	pat := flag.String("pattern", "", "sequential | strided | random (default: all)")
-	stride := flag.Int64("stride", 4, "stride count for -pattern strided")
-	peak := flag.Bool("peak", false, "only report BW_PK per Eq. 3-4")
-	flag.Parse()
+// run is the testable entry point. Exit codes: 0 success, 1 a flag
+// value the simulation cannot run, 2 a flag that does not parse.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iozonesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	config := fs.String("config", "configA", "target configuration")
+	fz := fs.String("s", "2g", "file size (-s); the paper requires >= 2x RAM")
+	rs := fs.String("y", "8m", "request size (-y)")
+	pat := fs.String("pattern", "", "sequential | strided | random (default: all)")
+	stride := fs.Int64("stride", 4, "stride count for -pattern strided")
+	peak := fs.Bool("peak", false, "only report BW_PK per Eq. 3-4")
+	if err := fs.Parse(argv); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "iozonesim: "+format+"\n", args...)
+		return 1
+	}
 
 	cfg, ok := iophases.ConfigByName(*config)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "iozonesim: unknown configuration %q\n", *config)
-		os.Exit(1)
+		return fail("unknown configuration %q", *config)
 	}
-	fileSize, err := parseSize(*fz)
+	fileSize, err := units.ParseSize(*fz)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iozonesim: -s: %v\n", err)
-		os.Exit(1)
+		return fail("-s: %v", err)
 	}
-	reqSize, err := parseSize(*rs)
+	reqSize, err := units.ParseSize(*rs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iozonesim: -y: %v\n", err)
-		os.Exit(1)
+		return fail("-y: %v", err)
 	}
 
 	if *peak {
+		if _, err := iozone.PeakParams(cfg, fileSize, reqSize); err != nil {
+			return fail("%v", err)
+		}
 		w, r := iophases.PeakBandwidth(cfg, fileSize, reqSize)
-		fmt.Printf("BW_PK(%s) over %d I/O node(s): write %.1f MB/s, read %.1f MB/s\n",
+		fmt.Fprintf(stdout, "BW_PK(%s) over %d I/O node(s): write %.1f MB/s, read %.1f MB/s\n",
 			cfg.Name, cfg.Storage.IONodes, w.MBpsValue(), r.MBpsValue())
-		return
+		return 0
 	}
 
 	patterns := []iozone.Pattern{iozone.Sequential, iozone.Strided, iozone.Random}
 	if *pat != "" {
 		patterns = []iozone.Pattern{iozone.Pattern(*pat)}
 	}
+	runs := make([]iophases.IOzoneParams, len(patterns))
+	for i, p := range patterns {
+		runs[i] = iophases.IOzoneParams{
+			FileSize: fileSize, RequestSize: reqSize,
+			Pattern: p, StrideCount: *stride,
+		}
+		if err := runs[i].Validate(); err != nil {
+			return fail("%v", err)
+		}
+	}
 	var rows [][]string
 	for ion := 0; ion < cfg.Storage.IONodes; ion++ {
-		for _, p := range patterns {
-			params := iophases.IOzoneParams{
-				FileSize: fileSize, RequestSize: reqSize,
-				Pattern: p, StrideCount: *stride,
-			}
-			if err := params.Validate(); err != nil {
-				fmt.Fprintf(os.Stderr, "iozonesim: %v\n", err)
-				os.Exit(1)
-			}
+		for _, params := range runs {
 			c := cluster.Build(cfg)
 			res := iozone.RunOnDevice(c.Eng, c.IODevice(ion), params)
 			rows = append(rows, []string{
-				fmt.Sprintf("ion%02d", ion), string(p),
+				fmt.Sprintf("ion%02d", ion), string(params.Pattern),
 				units.FormatBytes(fileSize), units.FormatBytes(reqSize),
 				fmt.Sprintf("%.1f", res.WriteBW.MBpsValue()),
 				fmt.Sprintf("%.1f", res.ReadBW.MBpsValue()),
@@ -101,7 +100,8 @@ func main() {
 			})
 		}
 	}
-	fmt.Print(report.Table(
+	fmt.Fprint(stdout, report.Table(
 		fmt.Sprintf("IOzone on %s devices", cfg.Name),
 		[]string{"node", "pattern", "FZ", "RS", "BW_w", "BW_r", "IOPS_w", "IOPS_r"}, rows))
+	return 0
 }

@@ -8,21 +8,18 @@ import (
 	"iophases/internal/predict"
 	"iophases/internal/replay"
 	"iophases/internal/report"
-	"iophases/internal/trace"
-	"iophases/internal/units"
 )
 
-func drops(spec cluster.Spec, m *core.Model, set *trace.Set) {
-	replay.TraceSet(spec, set)    // want `error result of replay.TraceSet is discarded`
+func drops(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) {
+	replay.Phase(spec, m, pm)     // want `error result of replay.Phase is discarded`
 	predict.EstimateTime(m, spec) // want `error result of predict.EstimateTime is discarded`
 	report.SaveTelemetry("", "")  // want `error result of report.SaveTelemetry is discarded`
 }
 
-func blanks(spec cluster.Spec, m *core.Model, set *trace.Set) {
-	_, _, _ = replay.Model(spec, m)        // want `error result of replay.Model is assigned to _`
-	_, _ = predict.EstimateTime(m, spec)   // want `error result of predict.EstimateTime is assigned to _`
-	total, _ := replay.TraceSet(spec, set) // want `error result of replay.TraceSet is assigned to _`
-	_ = total
+func blanks(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) {
+	_, _ = predict.EstimateTime(m, spec) // want `error result of predict.EstimateTime is assigned to _`
+	res, _ := replay.Phase(spec, m, pm)  // want `error result of replay.Phase is assigned to _`
+	_ = res
 }
 
 func deferred() {
@@ -31,14 +28,14 @@ func deferred() {
 }
 
 // handled is the sanctioned shape: every error reaches a name.
-func handled(spec cluster.Spec, m *core.Model, set *trace.Set) (units.Duration, error) {
+func handled(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) (replay.Result, error) {
 	if _, err := predict.EstimateTime(m, spec); err != nil {
-		return 0, err
+		return replay.Result{}, err
 	}
 	if err := report.SaveTelemetry("", ""); err != nil {
-		return 0, err
+		return replay.Result{}, err
 	}
-	return replay.TraceSet(spec, set)
+	return replay.Phase(spec, m, pm)
 }
 
 // nonError results may be discarded freely — only the error matters.

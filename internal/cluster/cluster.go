@@ -60,9 +60,6 @@ type Spec struct {
 	CoresPerNode int
 	Net          netsim.LinkParams
 	Storage      StorageSpec
-	// LocalDisk, when non-nil, attaches a DAS disk to every compute node
-	// (used by IOzone's CN rows in Table IV).
-	LocalDisk *disksim.DiskParams
 	// Faults, when non-nil, attaches a deterministic fault schedule to the
 	// cluster: the service layers consult it on every request, so the
 	// configuration runs degraded. It is part of the spec's physical
@@ -84,7 +81,6 @@ type Cluster struct {
 
 	computeNodes []string
 	ioNodes      []string
-	localDisks   map[string]*disksim.Disk
 	ioDevices    []disksim.Device // per-I/O-node device (cache-wrapped if configured)
 	memberDisks  [][]*disksim.Disk
 }
@@ -105,18 +101,14 @@ func Build(spec Spec) *Cluster {
 	}
 	fab := netsim.NewFabric(eng, spec.Name, spec.Net)
 	c := &Cluster{
-		Spec:       spec,
-		Eng:        eng,
-		Fabric:     fab,
-		localDisks: make(map[string]*disksim.Disk),
+		Spec:   spec,
+		Eng:    eng,
+		Fabric: fab,
 	}
 	for i := 0; i < spec.ComputeNodes; i++ {
 		node := fmt.Sprintf("cn%02d", i)
 		fab.AddEndpoint(node)
 		c.computeNodes = append(c.computeNodes, node)
-		if spec.LocalDisk != nil {
-			c.localDisks[node] = disksim.NewDisk(eng, node+"/das", *spec.LocalDisk)
-		}
 	}
 	var targets []fsim.Target
 	for i := 0; i < spec.Storage.IONodes; i++ {
@@ -215,9 +207,6 @@ func (c *Cluster) IODevice(i int) disksim.Device { return c.ioDevices[i] }
 // device-level monitoring (Figure 8).
 func (c *Cluster) MemberDisks(i int) []*disksim.Disk { return c.memberDisks[i] }
 
-// LocalDisk returns a compute node's DAS disk, or nil.
-func (c *Cluster) LocalDisk(node string) *disksim.Disk { return c.localDisks[node] }
-
 // ConfigA returns the Aohyper NFS configuration (Table VI, left column).
 func ConfigA() Spec {
 	return Spec{
@@ -236,7 +225,6 @@ func ConfigA() Spec {
 			FSStripe:      64 * units.KiB,
 			ServerRequest: units.MiB, // NFS wsize/rsize with server merging
 		},
-		LocalDisk: localDiskParams(disksim.SATA7200(150 * units.GiB)),
 	}
 }
 
@@ -260,7 +248,6 @@ func ConfigB() Spec {
 			FSStripe:      64 * units.KiB,
 			ServerRequest: 256 * units.KiB, // PVFS2 flow buffer
 		},
-		LocalDisk: localDiskParams(disksim.SATA7200(150 * units.GiB)),
 	}
 }
 
@@ -282,7 +269,6 @@ func ConfigC() Spec {
 			FSStripe:      64 * units.KiB,
 			ServerRequest: units.MiB,
 		},
-		LocalDisk: localDiskParams(disksim.SAS15K(160 * units.GiB)),
 	}
 }
 
@@ -315,8 +301,6 @@ func Finisterrae() Spec {
 		},
 	}
 }
-
-func localDiskParams(p disksim.DiskParams) *disksim.DiskParams { return &p }
 
 // Presets lists the four paper configurations in presentation order.
 func Presets() []Spec {

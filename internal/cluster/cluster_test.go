@@ -120,17 +120,6 @@ func TestFinisterraeOutrunsConfigCOnSharedFile(t *testing.T) {
 	}
 }
 
-func TestLocalDisksPresent(t *testing.T) {
-	c := Build(ConfigA())
-	if c.LocalDisk("cn00") == nil {
-		t.Fatal("configA compute nodes should have DAS disks")
-	}
-	f := Build(Finisterrae())
-	if f.LocalDisk("cn00") != nil {
-		t.Fatal("finisterrae nodes are diskless in this model")
-	}
-}
-
 func TestPlacementStrategies(t *testing.T) {
 	c := Build(ConfigA()) // 8 nodes × 2 cores
 	if c.Place(0, 4, PlaceBlock) != "cn00" || c.Place(1, 4, PlaceBlock) != "cn00" {

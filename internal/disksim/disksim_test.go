@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"iophases/internal/des"
+	"iophases/internal/faults"
 	"iophases/internal/units"
 )
 
@@ -257,23 +258,28 @@ func TestWriteCacheReadHit(t *testing.T) {
 	}
 }
 
+// lostMember is the raid-member-lost effect with neither forSec nor
+// rebuildMBps: member i is lost for the whole run.
+func lostMember(i int) *faults.Schedule {
+	return &faults.Schedule{Name: "lost", Effects: []faults.Effect{
+		{Kind: faults.RAIDMemberLost, Member: i},
+	}}
+}
+
 func TestDegradedRAID5ReadsSlower(t *testing.T) {
-	read := func(degrade bool) units.Duration {
-		return measure(t, func(eng *des.Engine, p *des.Proc) {
+	read := func(sch *faults.Schedule) units.Duration {
+		return measureOn(t, sch, func(eng *des.Engine, p *des.Proc) {
 			var members []*Disk
 			for i := 0; i < 5; i++ {
 				members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
 			}
 			a := NewArray(eng, "r5", RAID5, members, 256*units.KiB)
-			if degrade {
-				a.Fail(2)
-			}
 			for i := int64(0); i < 32; i++ {
 				a.Read(p, i*4*units.MiB, 4*units.MiB)
 			}
 		})
 	}
-	healthy, degraded := read(false), read(true)
+	healthy, degraded := read(nil), read(lostMember(2))
 	if degraded <= healthy {
 		t.Fatalf("degraded reads (%v) should cost more than healthy (%v)", degraded, healthy)
 	}
@@ -284,15 +290,12 @@ func TestDegradedRAID5ReadsSlower(t *testing.T) {
 
 func TestDegradedRAID5StillWrites(t *testing.T) {
 	eng := des.NewEngine()
+	faults.Attach(eng, lostMember(0), "test")
 	var members []*Disk
 	for i := 0; i < 5; i++ {
 		members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
 	}
 	a := NewArray(eng, "r5", RAID5, members, 256*units.KiB)
-	a.Fail(0)
-	if !a.Degraded() {
-		t.Fatal("not degraded")
-	}
 	eng.Spawn("w", func(p *des.Proc) {
 		a.Write(p, 0, 8*units.MiB)
 	})
@@ -305,35 +308,24 @@ func TestDegradedRAID5StillWrites(t *testing.T) {
 	}
 }
 
+// TestRAID0CannotFail checks the effect's RAID0 rule: an array without
+// redundancy ignores a lost member, so its reads and writes time exactly
+// as on a healthy run.
 func TestRAID0CannotFail(t *testing.T) {
-	eng := des.NewEngine()
-	var members []*Disk
-	for i := 0; i < 2; i++ {
-		members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
+	run := func(sch *faults.Schedule) units.Duration {
+		return measureOn(t, sch, func(eng *des.Engine, p *des.Proc) {
+			var members []*Disk
+			for i := 0; i < 2; i++ {
+				members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
+			}
+			a := NewArray(eng, "r0", RAID0, members, 256*units.KiB)
+			a.Write(p, 0, 8*units.MiB)
+			a.Read(p, 0, 8*units.MiB)
+		})
 	}
-	a := NewArray(eng, "r0", RAID0, members, 256*units.KiB)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RAID0 Fail did not panic")
-		}
-	}()
-	a.Fail(0)
-}
-
-func TestSecondFailurePanics(t *testing.T) {
-	eng := des.NewEngine()
-	var members []*Disk
-	for i := 0; i < 3; i++ {
-		members = append(members, NewDisk(eng, fmt.Sprintf("d%d", i), testDiskParams()))
+	if healthy, lost := run(nil), run(lostMember(0)); lost != healthy {
+		t.Fatalf("raid-member-lost changed RAID0 timing: %v vs %v", lost, healthy)
 	}
-	a := NewArray(eng, "r5", RAID5, members, 256*units.KiB)
-	a.Fail(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double failure accepted")
-		}
-	}()
-	a.Fail(2)
 }
 
 func TestPresetDiskParams(t *testing.T) {

@@ -38,7 +38,6 @@ type Array struct {
 	stripeUnit int64
 	queue      *des.Resource
 	ctr        Counters
-	failed     int              // failed member index, -1 = healthy
 	flt        *faults.Injector // nil on a healthy cluster
 }
 
@@ -61,7 +60,6 @@ func NewArray(eng *des.Engine, name string, level RAIDLevel, members []*Disk, st
 		level:      level,
 		members:    members,
 		stripeUnit: stripeUnit,
-		failed:     -1,
 		flt:        faults.For(eng),
 		// The controller admits a handful of requests concurrently;
 		// member queues provide the real serialization.
@@ -207,18 +205,16 @@ func raid5Parts(offset, size, stripe int64) (parts [3]raidPart, n int) {
 	return parts, n
 }
 
-// effectiveFailed reports the member lost at now: a permanent Fail() if
-// set, otherwise a fault-schedule raid-member-lost window. RAID0 has no
-// redundancy, so schedule-driven loss does not apply to it (a permanent
-// Fail on RAID0 already panics).
+// effectiveFailed reports the member a fault-schedule raid-member-lost
+// window has lost at now, -1 when the array is healthy. RAID0 has no
+// redundancy, so the effect does not apply to it.
 func (a *Array) effectiveFailed(now units.Duration) int {
-	failed := a.failed
-	if failed < 0 && a.flt != nil && a.level == RAID5 {
+	if a.flt != nil && a.level == RAID5 {
 		if m, ok := a.flt.LostMember(a.name, now, len(a.members), a.members[0].Capacity()); ok {
-			failed = m
+			return m
 		}
 	}
-	return failed
+	return -1
 }
 
 // issue runs the extent's member runs against the member disks
@@ -327,26 +323,6 @@ func (a *Array) Counters() Counters {
 
 // Members exposes the member disks (for device-level monitoring).
 func (a *Array) Members() []*Disk { return a.members }
-
-// Fail marks member i failed. RAID5 keeps serving in degraded mode: reads
-// of chunks on the failed member reconstruct from every surviving member
-// (a full-stripe read per lost chunk); writes skip the lost member.
-// RAID0 panics — it has no redundancy.
-func (a *Array) Fail(i int) {
-	if a.level != RAID5 {
-		panic(fmt.Sprintf("disksim: %s: RAID0 cannot lose a member", a.name))
-	}
-	if i < 0 || i >= len(a.members) {
-		panic(fmt.Sprintf("disksim: %s: no member %d", a.name, i))
-	}
-	if a.failed >= 0 && a.failed != i {
-		panic(fmt.Sprintf("disksim: %s: second failure (member %d already lost)", a.name, a.failed))
-	}
-	a.failed = i
-}
-
-// Degraded reports whether a member has failed.
-func (a *Array) Degraded() bool { return a.failed >= 0 }
 
 // PeakBandwidth estimates the array's streaming bandwidth for reads or
 // writes — the quantity IOzone's sequential test converges to.

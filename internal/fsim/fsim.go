@@ -215,9 +215,9 @@ func (fs *FS) metaOp(p *des.Proc, client string) {
 	fs.met.metaOps.Inc()
 }
 
-// ChargeMetaOp exposes the metadata-operation cost to upper layers (e.g.
-// MPI-IO shared file pointers, which serialize through the target in real
-// implementations).
+// ChargeMetaOp exposes the metadata-operation cost to upper layers: the
+// HDF5 layer charges one per chunk a chunked dataset allocates (the
+// B-tree insertion).
 func (fs *FS) ChargeMetaOp(p *des.Proc, client string) { fs.metaOp(p, client) }
 
 // Name reports the file's path.

@@ -65,25 +65,6 @@ func Create(sys *mpiio.System, r *mpi.Rank, name string) *File {
 	}
 }
 
-// Open reopens an existing file collectively (the metadata read).
-func Open(sys *mpiio.System, r *mpi.Rank, name string) *File {
-	f := sys.Open(r, name, mpiio.Shared)
-	if r.ID() == 0 {
-		f.ReadAt(r, 0, superblockSize)
-	}
-	r.Sync()
-	return &File{
-		sys:      sys,
-		f:        f,
-		name:     name,
-		allocEnd: superblockSize,
-		datasets: make(map[string]*Dataset),
-	}
-}
-
-// Underlying exposes the MPI-IO handle (for tests).
-func (h *File) Underlying() *mpiio.File { return h.f }
-
 // Close closes the file collectively.
 func (h *File) Close(r *mpi.Rank) { h.f.Close(r) }
 
@@ -162,9 +143,6 @@ type Slab struct {
 	Count Dims
 }
 
-// Bytes reports the slab's data volume.
-func (s Slab) Bytes(elemSize int64) int64 { return s.Count.Elems() * elemSize }
-
 // pattern reduces a slab to (firstByte, runBytes, strideBytes, runCount)
 // relative to the dataset start, requiring the equal-runs-constant-stride
 // shape one strided MPI datatype can express.
@@ -204,11 +182,12 @@ func (ds *Dataset) pattern(s Slab) (first, run, stride, count int64) {
 	}
 }
 
-// access performs a hyperslab data operation through a strided MPI-IO
-// view (one traced MPI call, like H5Dwrite over MPI-IO).
-func (ds *Dataset) access(r *mpi.Rank, s Slab, write, collective bool) {
+// WriteSlab writes the rank's hyperslab through a strided MPI-IO view (one
+// traced MPI call, like H5Dwrite over MPI-IO); collective selects
+// H5FD_MPIO collective transfer.
+func (ds *Dataset) WriteSlab(r *mpi.Rank, s Slab, collective bool) {
 	first, run, stride, count := ds.pattern(s)
-	if ds.layout == Chunked && write {
+	if ds.layout == Chunked {
 		// Chunk allocation: a metadata operation per chunk first
 		// touched by this rank (B-tree insertion). The single-threaded
 		// engine makes the map race-free.
@@ -228,27 +207,11 @@ func (ds *Dataset) access(r *mpi.Rank, s Slab, write, collective bool) {
 		Phase:  first,
 	})
 	offEtypes := int64(0) // the view already points at the slab
-	switch {
-	case write && collective:
+	if collective {
 		ds.file.f.WriteAtAll(r, offEtypes, bytes)
-	case write:
+	} else {
 		ds.file.f.WriteAt(r, offEtypes, bytes)
-	case collective:
-		ds.file.f.ReadAtAll(r, offEtypes, bytes)
-	default:
-		ds.file.f.ReadAt(r, offEtypes, bytes)
 	}
-}
-
-// WriteSlab writes the rank's hyperslab (collective selects H5FD_MPIO
-// collective transfer).
-func (ds *Dataset) WriteSlab(r *mpi.Rank, s Slab, collective bool) {
-	ds.access(r, s, true, collective)
-}
-
-// ReadSlab reads the rank's hyperslab.
-func (ds *Dataset) ReadSlab(r *mpi.Rank, s Slab, collective bool) {
-	ds.access(r, s, false, collective)
 }
 
 // RowDecompose splits dimension 1 (y) of a dataset evenly over np ranks —

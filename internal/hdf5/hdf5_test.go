@@ -153,26 +153,6 @@ func TestChunkedLayoutChargesAllocation(t *testing.T) {
 	}
 }
 
-func TestReadSlabRoundTrip(t *testing.T) {
-	set, _ := runProgram(t, 2, func(sys *mpiio.System, r *mpi.Rank) {
-		h := Create(sys, r, "/rw.h5")
-		dims := Dims{2, 16, 16}
-		ds := h.CreateDataset(r, "d", dims, 8, Contiguous, 0)
-		slab := RowDecompose(dims, r.ID(), 2)
-		ds.WriteSlab(r, slab, true)
-		ds.ReadSlab(r, slab, true)
-		h.Close(r)
-	})
-	w, rd := set.TotalBytes()
-	data := (Dims{2, 16, 16}).Elems() * int64(8)
-	if rd != data {
-		t.Fatalf("read %d, want %d", rd, data)
-	}
-	if w < data {
-		t.Fatalf("wrote %d", w)
-	}
-}
-
 func TestUnknownDatasetPanics(t *testing.T) {
 	runProgram(t, 1, func(sys *mpiio.System, r *mpi.Rank) {
 		h := Create(sys, r, "/x.h5")

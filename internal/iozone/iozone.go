@@ -8,6 +8,7 @@ package iozone
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"iophases/internal/cluster"
@@ -35,6 +36,15 @@ type Params struct {
 	Seed        int64   // deterministic offset shuffle for Random
 }
 
+// MaxPassRequests bounds one pass's request count s/y, the bound
+// ior.MaxPassTransfers sets for IOR. A pass holds its offsets in memory
+// and the simulation runs every request, so an unbounded count can
+// exhaust memory (s 2g at y 1 is 2^31 offsets) or run for hours. The
+// largest pass experiments, iocharz and iod make is 16,384 requests. A
+// sequential run at the cap on configA (s 16g, y 4k, a write then a read
+// pass) simulates in 9.8 s on a 2-vCPU host.
+const MaxPassRequests = 1 << 22
+
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if p.FileSize <= 0 || p.RequestSize <= 0 {
@@ -42,6 +52,9 @@ func (p Params) Validate() error {
 	}
 	if p.FileSize%p.RequestSize != 0 {
 		return fmt.Errorf("iozone: file size %d not a multiple of request %d", p.FileSize, p.RequestSize)
+	}
+	if n := p.FileSize / p.RequestSize; n > MaxPassRequests {
+		return fmt.Errorf("iozone: s/y=%d requests exceed MaxPassRequests (%d)", n, MaxPassRequests)
 	}
 	switch p.Pattern {
 	case Sequential, Strided, Random:
@@ -149,28 +162,47 @@ func Sweep(eng *des.Engine, dev disksim.Device, fileSize int64, requestSizes []i
 	return out
 }
 
+// PeakParams reports the sequential pass PeakOfConfig runs on each I/O
+// node (its strided pass differs only in Pattern) for the requested
+// sizes: the file raised to four times the configuration's write cache,
+// the paper's FZ ≥ 2·RAM rule, so that the sustained device rate rather
+// than the cache is measured, then rounded up to whole requests. Sizes
+// that are not positive, and a pass Validate refuses, are errors.
+func PeakParams(spec cluster.Spec, fileSize, requestSize int64) (Params, error) {
+	if fileSize <= 0 || requestSize <= 0 {
+		return Params{}, fmt.Errorf("iozone: s=%d y=%d", fileSize, requestSize)
+	}
+	if c := spec.Storage.Cache; c != nil && fileSize < 4*c.Capacity {
+		fileSize = 4 * c.Capacity
+	}
+	if r := fileSize % requestSize; r != 0 {
+		if fileSize > math.MaxInt64-(requestSize-r) {
+			return Params{}, fmt.Errorf("iozone: s=%d rounded up to whole y=%d requests overflows int64", fileSize, requestSize)
+		}
+		fileSize += requestSize - r
+	}
+	p := Params{FileSize: fileSize, RequestSize: requestSize, Pattern: Sequential, StrideCount: 4}
+	return p, p.Validate()
+}
+
 // PeakOfConfig measures BW_PK for a cluster configuration per Eq. 3–4: run
 // IOzone on every I/O node's device, take each node's maximum over
 // patterns, and sum across nodes (parallel filesystems) — the ideal case
 // "where I/O devices are working in parallel without influence of other
 // components". A fresh cluster is built per device so runs do not share
-// state.
+// state. Sizes PeakParams refuses panic: callers with outside input check
+// them there first.
 func PeakOfConfig(spec cluster.Spec, fileSize, requestSize int64) (write, read units.Bandwidth) {
-	// Enforce the paper's FZ ≥ 2·RAM rule against the configuration's
-	// actual cache so the sustained device rate, not the cache, is
-	// measured.
-	if c := spec.Storage.Cache; c != nil && fileSize < 4*c.Capacity {
-		fileSize = 4 * c.Capacity
-	}
-	if fileSize%requestSize != 0 {
-		fileSize += requestSize - fileSize%requestSize
+	p, err := PeakParams(spec, fileSize, requestSize)
+	if err != nil {
+		panic(err)
 	}
 	nio := spec.Storage.IONodes
 	for i := 0; i < nio; i++ {
 		var bestW, bestR units.Bandwidth
 		for _, pat := range []Pattern{Sequential, Strided} {
 			c := cluster.Build(spec)
-			p := Params{FileSize: fileSize, RequestSize: requestSize, Pattern: pat, StrideCount: 4}
+			p.Pattern = pat
 			r := RunOnDevice(c.Eng, c.IODevice(i), p)
 			if r.WriteBW > bestW {
 				bestW = r.WriteBW

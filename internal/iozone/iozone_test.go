@@ -1,6 +1,8 @@
 package iozone
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"iophases/internal/cluster"
@@ -36,6 +38,32 @@ func TestValidate(t *testing.T) {
 	bad.Pattern = Strided
 	if bad.Validate() == nil {
 		t.Fatal("strided without stride count accepted")
+	}
+	capped := Params{FileSize: MaxPassRequests * 4 * units.KiB, RequestSize: 4 * units.KiB, Pattern: Sequential}
+	if err := capped.Validate(); err != nil {
+		t.Fatalf("a pass of exactly MaxPassRequests refused: %v", err)
+	}
+	capped.FileSize += capped.RequestSize
+	if err := capped.Validate(); err == nil || !strings.Contains(err.Error(), "MaxPassRequests") {
+		t.Fatalf("a pass one request past MaxPassRequests: err = %v", err)
+	}
+}
+
+// TestPeakParams pins the pass PeakOfConfig runs for given sizes and the
+// sizes it refuses: a request of 0 would divide by zero, and a negative
+// file on a cached configuration would be raised to the cache rule's
+// size.
+func TestPeakParams(t *testing.T) {
+	p, err := PeakParams(cluster.ConfigA(), 64*units.MiB, 3*units.MiB)
+	if want := 2*units.GiB + units.MiB; err != nil || p.FileSize != want || p.RequestSize != 3*units.MiB {
+		t.Fatalf("PeakParams(configA, 64m, 3m) = %+v, %v; want file %d (4×cache, rounded up to whole requests)", p, err, want)
+	}
+	for _, c := range []struct{ file, rs int64 }{
+		{2 * units.GiB, 0}, {-units.GiB, 8 * units.MiB}, {math.MaxInt64 - 1, 3}, {2 * units.GiB, 1},
+	} {
+		if p, err := PeakParams(cluster.ConfigA(), c.file, c.rs); err == nil {
+			t.Errorf("PeakParams(configA, %d, %d) = %+v, want an error", c.file, c.rs, p)
+		}
 	}
 }
 

@@ -5,11 +5,6 @@
 package monitor
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
-
 	"iophases/internal/des"
 	"iophases/internal/disksim"
 	"iophases/internal/units"
@@ -88,37 +83,6 @@ type Rate struct {
 	ReadBW      []units.Bandwidth
 	WriteBW     []units.Bandwidth
 	Utilization []float64 // busy fraction of the interval, 0..1
-}
-
-// WriteCSV emits the derived rates as CSV (one row per interval per
-// device), the shape an iostat log post-processor produces — convenient
-// for plotting Figure 8 with external tools.
-func (m *Monitor) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"time_s", "device", "sectors_read_per_s", "sectors_written_per_s",
-		"read_MBps", "write_MBps", "utilization"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-	for _, r := range m.Rates() {
-		for d, name := range m.names {
-			row := []string{
-				f(r.Time.Seconds()), name,
-				f(r.SectorsRead[d]), f(r.SectorsWrit[d]),
-				f(r.ReadBW[d].MBpsValue()), f(r.WriteBW[d].MBpsValue()),
-				f(r.Utilization[d]),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("monitor: csv: %v", err)
-	}
-	return nil
 }
 
 // Rates converts cumulative samples into per-second rates, the form

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"strings"
-
 	"testing"
 
 	"iophases/internal/des"
@@ -94,31 +92,6 @@ func TestStopIsIdempotentAndEndsSampling(t *testing.T) {
 	eng.Run() // must terminate: sampling chain must not persist
 	if len(m.Samples()) == 0 {
 		t.Fatal("no samples")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	eng := des.NewEngine()
-	d := disksim.NewDisk(eng, "sda", disksim.SATA7200(units.TiB))
-	m := Start(eng, []disksim.Device{d}, units.Second)
-	eng.Spawn("w", func(p *des.Proc) {
-		d.Write(p, 0, 100*units.MiB)
-	})
-	eng.Schedule(3*units.Second, func() { m.Stop() })
-	eng.Run()
-	var buf strings.Builder
-	if err := m.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("csv lines %d:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "time_s,device,") {
-		t.Fatalf("header %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "sda") {
-		t.Fatalf("row %q", lines[1])
 	}
 }
 

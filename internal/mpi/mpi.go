@@ -1,10 +1,10 @@
 // Package mpi provides a simulated MPI runtime: a fixed set of ranks
 // executing as deterministic coroutines on a cluster fabric, with barriers,
-// point-to-point transfers, collective cost models, busy-work — and, most
-// importantly for the paper's methodology, a per-rank logical clock (the
-// PAS2P "tick") that counts MPI events. Ticks are what let the phase
-// analyzer tell "40 writes separated by solver communication" (40 phases)
-// apart from "40 back-to-back reads" (one phase with rep 40).
+// a neighbor halo exchange, busy-work — and, most importantly for the
+// paper's methodology, a per-rank logical clock (the PAS2P "tick") that
+// counts MPI events. Ticks are what let the phase analyzer tell "40
+// writes separated by solver communication" (40 phases) apart from "40
+// back-to-back reads" (one phase with rep 40).
 package mpi
 
 import (
@@ -24,7 +24,6 @@ type World struct {
 	nodeOf  []string
 	barrier *des.Barrier
 	latency units.Duration
-	mail    map[[2]int]*des.Mailbox
 	ranks   []*Rank
 }
 
@@ -46,7 +45,6 @@ func NewWorld(eng *des.Engine, fab *netsim.Fabric, nodes []string) *World {
 		nodeOf:  append([]string(nil), nodes...),
 		barrier: des.NewBarrier(eng, "mpi-barrier", len(nodes)),
 		latency: 50 * units.Microsecond,
-		mail:    make(map[[2]int]*des.Mailbox),
 	}
 	return w
 }
@@ -60,11 +58,8 @@ func (w *World) Engine() *des.Engine { return w.eng }
 // Fabric exposes the interconnect.
 func (w *World) Fabric() *netsim.Fabric { return w.fab }
 
-// Latency reports the software messaging latency.
-func (w *World) Latency() units.Duration { return w.latency }
-
-// SetLatency overrides the software messaging latency used by collective
-// cost models (default 50 µs, a TCP/Ethernet MPI stack; InfiniBand stacks
+// SetLatency overrides the software messaging latency a Barrier pays per
+// phase (default 50 µs, a TCP/Ethernet MPI stack; InfiniBand stacks
 // are a few µs).
 func (w *World) SetLatency(d units.Duration) { w.latency = d }
 
@@ -102,17 +97,6 @@ func (w *World) Launch(program func(r *Rank), onDone func()) {
 	}
 }
 
-// mailbox returns the (src→dst) channel, creating it on first use.
-func (w *World) mailbox(src, dst int) *des.Mailbox {
-	key := [2]int{src, dst}
-	mb, ok := w.mail[key]
-	if !ok {
-		mb = des.NewMailbox(w.eng, fmt.Sprintf("mpi-%d->%d", src, dst), 1)
-		w.mail[key] = mb
-	}
-	return mb
-}
-
 // Rank is one MPI process. All methods must be called from the rank's own
 // coroutine (the program function passed to Run).
 type Rank struct {
@@ -133,9 +117,6 @@ func (r *Rank) Node() string { return r.world.nodeOf[r.id] }
 
 // Proc exposes the underlying simulated process (for I/O layers).
 func (r *Rank) Proc() *des.Proc { return r.proc }
-
-// World exposes the enclosing job.
-func (r *Rank) World() *World { return r.world }
 
 // Tick reports the rank's current logical clock value.
 func (r *Rank) Tick() int64 { return r.tick }
@@ -169,22 +150,6 @@ func (r *Rank) Sync() {
 	r.world.barrier.Wait(r.proc)
 }
 
-// Send transfers size bytes to rank dst (one tick), blocking until the
-// matching Recv caught up (rendezvous for large messages).
-func (r *Rank) Send(dst int, size int64) {
-	r.NextTick()
-	r.world.fab.Send(r.proc, r.Node(), r.world.nodeOf[dst], size)
-	r.world.mailbox(r.id, dst).Put(r.proc, size)
-}
-
-// Recv receives the next message from rank src (one tick) and reports its
-// size.
-func (r *Rank) Recv(src int) int64 {
-	r.NextTick()
-	v := r.world.mailbox(src, r.id).Get(r.proc)
-	return v.(int64)
-}
-
 // Exchange models one neighbor halo exchange of size bytes with rank
 // (id+1)%np — the dominant communication of stencil solvers like BT. It
 // costs one tick and the network transfer time, without rendezvous
@@ -195,35 +160,7 @@ func (r *Rank) Exchange(size int64) {
 	r.world.fab.Send(r.proc, r.Node(), r.world.nodeOf[dst], size)
 }
 
-// Bcast models a binomial-tree broadcast of size bytes rooted anywhere
-// (one tick): log2(np) stages of latency plus one transfer per stage on the
-// caller's path.
-func (r *Rank) Bcast(size int64) {
-	r.NextTick()
-	stages := logPhases(r.world.np)
-	r.proc.Sleep(units.Duration(stages) * r.world.latency)
-	if size > 0 && stages > 0 {
-		dst := (r.id + 1) % r.world.np
-		r.world.fab.Send(r.proc, r.Node(), r.world.nodeOf[dst], size)
-	}
-	r.world.barrier.Wait(r.proc)
-}
-
-// Allreduce models a recursive-doubling allreduce of size bytes (one tick).
-func (r *Rank) Allreduce(size int64) {
-	r.NextTick()
-	stages := logPhases(r.world.np)
-	r.proc.Sleep(units.Duration(stages) * r.world.latency)
-	if size > 0 {
-		dst := (r.id + 1) % r.world.np
-		for s := 0; s < stages; s++ {
-			r.world.fab.Send(r.proc, r.Node(), r.world.nodeOf[dst], size)
-		}
-	}
-	r.world.barrier.Wait(r.proc)
-}
-
-// logPhases is ceil(log2(n)), the stage count of tree collectives.
+// logPhases is ceil(log2(n)), the software phase count of a barrier.
 func logPhases(n int) int {
 	if n <= 1 {
 		return 0

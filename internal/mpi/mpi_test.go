@@ -68,27 +68,6 @@ func TestTicksCountMPIEvents(t *testing.T) {
 	}
 }
 
-func TestSendRecvRendezvous(t *testing.T) {
-	_, w := newTestWorld(2)
-	var got int64
-	var recvAt units.Duration
-	w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 10*units.MiB)
-		} else {
-			r.Compute(units.Second)
-			got = r.Recv(0)
-			recvAt = r.Now()
-		}
-	})
-	if got != 10*units.MiB {
-		t.Fatalf("recv size %d", got)
-	}
-	if recvAt < units.Second {
-		t.Fatalf("recv at %v", recvAt)
-	}
-}
-
 func TestSyncDoesNotTick(t *testing.T) {
 	_, w := newTestWorld(3)
 	w.Run(func(r *Rank) {
@@ -113,21 +92,6 @@ func TestCollectivesCostScalesWithLatency(t *testing.T) {
 	slow, fast := run(units.Millisecond), run(10*units.Microsecond)
 	if slow <= fast {
 		t.Fatalf("barrier cost: slow-lat %v <= fast-lat %v", slow, fast)
-	}
-}
-
-func TestBcastAndAllreduceComplete(t *testing.T) {
-	_, w := newTestWorld(4)
-	var ticks []int64
-	w.Run(func(r *Rank) {
-		r.Bcast(units.MiB)
-		r.Allreduce(8)
-		ticks = append(ticks, r.Tick())
-	})
-	for _, tk := range ticks {
-		if tk != 2 {
-			t.Fatalf("tick = %d after bcast+allreduce", tk)
-		}
 	}
 }
 

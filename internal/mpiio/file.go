@@ -47,9 +47,6 @@ func NewSystem(fs *fsim.FS, world *mpi.World) *System {
 // FS exposes the underlying filesystem.
 func (s *System) FS() *fsim.FS { return s.fs }
 
-// World exposes the job.
-func (s *System) World() *mpi.World { return s.world }
-
 // MarkStart records the application start time so traced event timestamps
 // are app-relative (call before the first MPI-IO operation).
 func (s *System) MarkStart(r *mpi.Rank) { s.appT0 = r.Now() }
@@ -78,7 +75,6 @@ type File struct {
 	views      []View
 	pointers   []int64 // individual file pointers, in etype units
 	handles    []*fsim.File
-	sharedPtr  int64 // shared file pointer, etype units
 	hints      hints
 	meta       trace.FileMeta
 	coll       collState
@@ -252,40 +248,6 @@ func (f *File) Read(r *mpi.Rank, size int64) {
 	off := f.pointers[r.ID()]
 	f.independent(r, trace.OpRead, off, size)
 	f.pointers[r.ID()] += size / f.views[r.ID()].Etype
-}
-
-// WriteShared writes size bytes at the shared file pointer
-// (MPI_File_write_shared): all ranks advance one pointer, so concurrent
-// writers receive disjoint, arrival-ordered regions. The pointer lives in
-// etype units of the calling rank's view.
-func (f *File) WriteShared(r *mpi.Rank, size int64) {
-	off := f.bumpShared(r, size)
-	f.independent(r, trace.OpWrite, off, size)
-}
-
-// ReadShared reads size bytes at the shared file pointer.
-func (f *File) ReadShared(r *mpi.Rank, size int64) {
-	off := f.bumpShared(r, size)
-	f.independent(r, trace.OpRead, off, size)
-}
-
-// bumpShared atomically claims [ptr, ptr+size) of the shared pointer and
-// records the pointer kind in metadata. The single-threaded engine makes
-// the fetch-and-add trivially atomic; the real cost (an RMA or hidden file
-// on the target) is charged as one metadata operation.
-func (f *File) bumpShared(r *mpi.Rank, size int64) int64 {
-	f.sys.fs.ChargeMetaOp(r.Proc(), r.Node())
-	et := f.views[r.ID()].Etype
-	if size%et != 0 {
-		panic(fmt.Sprintf("mpiio: shared size %d not a multiple of etype %d", size, et))
-	}
-	off := f.sharedPtr
-	f.sharedPtr += size / et
-	if f.meta.PointerSet != "shared" {
-		f.meta.PointerSet = "shared"
-		f.sys.syncMeta(f)
-	}
-	return off
 }
 
 // WriteAtAll is the collective write at an explicit view offset.

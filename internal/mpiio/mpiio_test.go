@@ -318,127 +318,6 @@ func TestCollectiveReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNonblockingOverlapsComputation(t *testing.T) {
-	// iwrite + compute + wait must beat write + compute when the
-	// transfer and computation genuinely overlap.
-	run := func(nonblocking bool) units.Duration {
-		r := newRig(1)
-		var took units.Duration
-		r.w.Run(func(rk *mpi.Rank) {
-			f := r.sys.Open(rk, "/nb", Shared)
-			start := rk.Now()
-			if nonblocking {
-				req := f.IWriteAt(rk, 0, 64*units.MiB)
-				rk.Compute(300 * units.Millisecond)
-				req.Wait(rk)
-			} else {
-				f.WriteAt(rk, 0, 64*units.MiB)
-				rk.Compute(300 * units.Millisecond)
-			}
-			took = rk.Now() - start
-			f.Close(rk)
-		})
-		return took
-	}
-	blocking, overlapped := run(false), run(true)
-	if overlapped >= blocking {
-		t.Fatalf("no overlap: nonblocking %v vs blocking %v", overlapped, blocking)
-	}
-}
-
-func TestNonblockingTraceAndMetadata(t *testing.T) {
-	r := newRig(2)
-	r.w.Run(func(rk *mpi.Rank) {
-		f := r.sys.Open(rk, "/nb", Shared)
-		req := f.IWriteAt(rk, int64(rk.ID())*units.MiB, units.MiB)
-		rk.Compute(units.Millisecond)
-		req.Wait(rk)
-		if !req.Test() {
-			t.Errorf("request not done after Wait")
-		}
-		f.Close(rk)
-	})
-	evs := r.sys.Tracer.DataEvents(0)
-	if len(evs) != 1 || evs[0].Op != trace.OpIWriteAt || !evs[0].Op.IsNonblocking() {
-		t.Fatalf("events %+v", evs)
-	}
-	if evs[0].Duration <= 0 {
-		t.Fatal("no duration recorded")
-	}
-	if m := r.sys.Tracer.FileMetaByID(0); m.Blocking {
-		t.Fatal("blocking flag not cleared")
-	}
-	if ctr := r.c.IODevice(0).Counters(); ctr.WriteBytes != 2*units.MiB {
-		t.Fatalf("device %d", ctr.WriteBytes)
-	}
-}
-
-func TestWaitBeforeCompletionBlocks(t *testing.T) {
-	r := newRig(1)
-	r.w.Run(func(rk *mpi.Rank) {
-		f := r.sys.Open(rk, "/nb2", Shared)
-		req := f.IReadAt(rk, 0, 32*units.MiB)
-		start := rk.Now()
-		req.Wait(rk) // immediate wait: must block for the transfer
-		if rk.Now() == start {
-			t.Error("wait returned instantly")
-		}
-		f.Close(rk)
-	})
-}
-
-func TestSharedPointerClaimsDisjointRegions(t *testing.T) {
-	r := newRig(4)
-	r.w.Run(func(rk *mpi.Rank) {
-		f := r.sys.Open(rk, "/log", Shared)
-		// Stagger arrivals so claim order is deterministic.
-		rk.Proc().Sleep(units.Duration(rk.ID()) * units.Millisecond)
-		f.WriteShared(rk, units.MiB)
-		f.Close(rk)
-	})
-	// Each rank got its own MiB: offsets 0..3 MiB, no overlap.
-	seen := make(map[int64]bool)
-	for p := 0; p < 4; p++ {
-		evs := r.sys.Tracer.DataEvents(p)
-		if len(evs) != 1 || evs[0].Size != units.MiB {
-			t.Fatalf("rank %d events %+v", p, evs)
-		}
-		off := evs[0].Offset
-		if off%units.MiB != 0 || off < 0 || off >= 4*units.MiB || seen[off] {
-			t.Fatalf("rank %d claimed offset %d", p, off)
-		}
-		seen[off] = true
-	}
-	if m := r.sys.Tracer.FileMetaByID(0); m.PointerSet != "shared" {
-		t.Fatalf("pointer meta %q", m.PointerSet)
-	}
-	if ctr := r.c.IODevice(0).Counters(); ctr.WriteBytes != 4*units.MiB {
-		t.Fatalf("device saw %d", ctr.WriteBytes)
-	}
-}
-
-func TestSharedPointerReadsBack(t *testing.T) {
-	r := newRig(2)
-	r.w.Run(func(rk *mpi.Rank) {
-		f := r.sys.Open(rk, "/log", Shared)
-		rk.Proc().Sleep(units.Duration(rk.ID()) * units.Millisecond)
-		f.WriteShared(rk, 512*units.KiB)
-		rk.Barrier()
-		f.ReadShared(rk, 512*units.KiB)
-		f.Close(rk)
-	})
-	for p := 0; p < 2; p++ {
-		evs := r.sys.Tracer.DataEvents(p)
-		if len(evs) != 2 || !evs[1].Op.IsRead() {
-			t.Fatalf("rank %d %+v", p, evs)
-		}
-		// Reads continue after the 1 MiB of writes.
-		if evs[1].Offset < 2*512*units.KiB {
-			t.Fatalf("read offset %d overlaps writes", evs[1].Offset)
-		}
-	}
-}
-
 func TestEtypeSizeValidation(t *testing.T) {
 	r := newRig(1)
 	panicked := false

@@ -8,20 +8,24 @@ import (
 	"iophases/internal/units"
 )
 
+// transferUnder times one 100 MiB Send from node0 to node1, started at
+// startAt, with sch attached before the fabric is built.
 func transferUnder(t *testing.T, sch *faults.Schedule, startAt units.Duration) units.Duration {
 	t.Helper()
 	eng := des.NewEngine()
 	if sch != nil {
 		faults.Attach(eng, sch, "test")
 	}
+	f := NewFabric(eng, "net", LinkParams{Bandwidth: units.MBps(100)})
+	f.AddEndpoint("node0")
+	f.AddEndpoint("node1")
 	var took units.Duration
 	eng.Spawn("tx", func(p *des.Proc) {
-		l := NewLink(eng, "node0:up", LinkParams{Bandwidth: units.MBps(100)})
 		if startAt > 0 {
 			p.Sleep(startAt)
 		}
 		start := p.Now()
-		l.Transfer(p, 100*units.MiB)
+		f.Send(p, "node0", "node1", 100*units.MiB)
 		took = p.Now() - start
 	})
 	eng.Run()
@@ -29,9 +33,10 @@ func transferUnder(t *testing.T, sch *faults.Schedule, startAt units.Duration) u
 }
 
 func TestLinkDegradedScalesTransfer(t *testing.T) {
+	// Only the sender's uplink matches; the whole pipelined send slows.
 	healthy := transferUnder(t, nil, 0)
 	slow := transferUnder(t, &faults.Schedule{Name: "d", Effects: []faults.Effect{
-		{Kind: faults.LinkDegraded, Factor: 2},
+		{Kind: faults.LinkDegraded, Match: "node0/up", Factor: 2},
 	}}, 0)
 	if slow != 2*healthy {
 		t.Fatalf("degraded transfer %v, want 2x healthy %v", slow, healthy)

@@ -1,7 +1,8 @@
 // Package netsim models cluster interconnects for the I/O-phase simulator.
 //
-// The model is intentionally first-order: a Link is a shared serial medium
-// with a fixed bandwidth and per-message latency, served FIFO. Concurrent
+// The model is intentionally first-order: every endpoint's uplink and
+// downlink is a shared serial medium, served FIFO, and a message pays a
+// fixed bandwidth and per-link latency (LinkParams.PathCost). Concurrent
 // senders queue behind each other, so the aggregate throughput through any
 // link never exceeds its bandwidth — the mechanism that makes an NFS server
 // on Gigabit Ethernet the bottleneck below the RAID's device peak, exactly
@@ -23,12 +24,11 @@ type LinkParams struct {
 	Latency   units.Duration  // per-message one-way latency
 }
 
-// PathCost reports the uncontended cost of one fabric Send between two
-// distinct endpoints whose links share these parameters: uplink plus
-// downlink latency and one serialization time (cut-through switching —
-// the exact duration Fabric.Send charges when neither link is queued).
-// This is the service-rate introspection hook the analytic fast path
-// (internal/fastpath) prices network legs with.
+// PathCost reports the cost of one fabric Send between two distinct
+// endpoints: uplink plus downlink latency and one serialization time
+// (cut-through switching). Fabric.Send charges exactly this once both
+// links are acquired, and the analytic fast path (internal/fastpath)
+// prices network legs with it.
 func (lp LinkParams) PathCost(size int64) units.Duration {
 	return 2*lp.Latency + units.TransferTime(size, lp.Bandwidth)
 }
@@ -52,12 +52,12 @@ func Infiniband20G() LinkParams {
 	return LinkParams{Bandwidth: units.MBps(1900), Latency: 4 * units.Microsecond}
 }
 
-// Link is a unidirectional shared medium. Use one Link per direction for
+// Link is a unidirectional shared medium: the queue a Fabric's messages
+// occupy and the counters they leave. Use one Link per direction for
 // full-duplex media.
 type Link struct {
-	name   string
-	params LinkParams
-	res    *des.Resource
+	name string
+	res  *des.Resource
 
 	bytes    int64
 	messages int64
@@ -68,17 +68,11 @@ type Link struct {
 	// aggregate into one per-link series.
 	cBytes *obs.Counter
 	cMsgs  *obs.Counter
-
-	flt *faults.Injector // nil on a healthy cluster
 }
 
-// NewLink creates a link on the engine.
-func NewLink(eng *des.Engine, name string, params LinkParams) *Link {
-	if params.Bandwidth <= 0 {
-		panic(fmt.Sprintf("netsim: link %q without bandwidth", name))
-	}
-	l := &Link{name: name, params: params, res: des.NewResource(eng, "link:"+name, 1),
-		flt: faults.For(eng)}
+// newLink creates a link on the engine.
+func newLink(eng *des.Engine, name string) *Link {
+	l := &Link{name: name, res: des.NewResource(eng, "link:"+name, 1)}
 	if h := obs.Hot(); h != nil {
 		l.cBytes = h.Counter("netsim/link/" + name + "/bytes")
 		l.cMsgs = h.Counter("netsim/link/" + name + "/messages")
@@ -89,41 +83,10 @@ func NewLink(eng *des.Engine, name string, params LinkParams) *Link {
 // Name reports the link name.
 func (l *Link) Name() string { return l.name }
 
-// Transfer moves size bytes across the link, blocking the process for
-// queueing plus latency plus serialization time.
-func (l *Link) Transfer(p *des.Proc, size int64) {
-	if size < 0 {
-		panic("netsim: negative transfer")
-	}
-	l.res.Acquire(p, 1)
-	d := l.params.Latency + units.TransferTime(size, l.params.Bandwidth)
-	if l.flt != nil {
-		// Outage first (a flapping link holds the frame until it is back
-		// up), then degradation stretches the transfer itself.
-		if w := l.flt.LinkOutage(l.name, p.Now()); w > 0 {
-			p.Sleep(w)
-		}
-		d = units.Duration(float64(d) * l.flt.LinkFactor(l.name, p.Now()))
-	}
-	p.Sleep(d)
-	l.res.Release(1)
-	l.bytes += size
-	l.messages++
-	l.busy += d
-	l.cBytes.Add(size)
-	l.cMsgs.Inc()
-}
-
 // Stats reports cumulative traffic counters.
 func (l *Link) Stats() (bytes, messages int64, busy units.Duration) {
 	return l.bytes, l.messages, l.busy
 }
-
-// Bandwidth reports the configured payload rate.
-func (l *Link) Bandwidth() units.Bandwidth { return l.params.Bandwidth }
-
-// Latency reports the configured per-message latency.
-func (l *Link) Latency() units.Duration { return l.params.Latency }
 
 // Fabric is a star topology: every endpoint owns an uplink (endpoint →
 // switch) and a downlink (switch → endpoint), and the switch core is
@@ -138,6 +101,7 @@ type Fabric struct {
 	up     map[string]*Link
 	down   map[string]*Link
 	order  []string
+	flt    *faults.Injector // nil on a healthy cluster
 
 	// Loopback traffic (src == dst in Send) never crosses a link, so it is
 	// counted here instead of in any Link's Stats — summing link counters
@@ -151,12 +115,16 @@ type Fabric struct {
 
 // NewFabric creates an empty fabric whose endpoint links all share params.
 func NewFabric(eng *des.Engine, name string, params LinkParams) *Fabric {
+	if params.Bandwidth <= 0 {
+		panic(fmt.Sprintf("netsim: fabric %q without bandwidth", name))
+	}
 	f := &Fabric{
 		eng:    eng,
 		name:   name,
 		params: params,
 		up:     make(map[string]*Link),
 		down:   make(map[string]*Link),
+		flt:    faults.For(eng),
 	}
 	if h := obs.Hot(); h != nil {
 		f.cLocalBytes = h.Counter("netsim/fabric/" + name + "/local_bytes")
@@ -171,8 +139,8 @@ func (f *Fabric) AddEndpoint(name string) {
 	if _, dup := f.up[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate endpoint %q", name))
 	}
-	f.up[name] = NewLink(f.eng, f.name+"/"+name+"/up", f.params)
-	f.down[name] = NewLink(f.eng, f.name+"/"+name+"/down", f.params)
+	f.up[name] = newLink(f.eng, f.name+"/"+name+"/up")
+	f.down[name] = newLink(f.eng, f.name+"/"+name+"/down")
 	f.order = append(f.order, name)
 }
 
@@ -223,9 +191,8 @@ func (f *Fabric) Send(p *des.Proc, src, dst string, size int64) {
 	// transfers never form a cycle, so this cannot deadlock.
 	upl.res.Acquire(p, 1)
 	dnl.res.Acquire(p, 1)
-	d := upl.params.Latency + dnl.params.Latency +
-		units.TransferTime(size, minBW(upl.params.Bandwidth, dnl.params.Bandwidth))
-	if flt := upl.flt; flt != nil {
+	d := f.params.PathCost(size)
+	if flt := f.flt; flt != nil {
 		// The path is one pipelined transfer: wait out the longer of the
 		// two endpoints' outages, then stretch by the worse degradation
 		// factor — applied once, even when both links match an effect.
@@ -252,13 +219,6 @@ func (f *Fabric) Send(p *des.Proc, src, dst string, size int64) {
 		l.cBytes.Add(size)
 		l.cMsgs.Inc()
 	}
-}
-
-func minBW(a, b units.Bandwidth) units.Bandwidth {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // LocalStats reports cumulative loopback traffic: Send calls with

@@ -10,49 +10,62 @@ import (
 )
 
 func TestLinkSerializationTime(t *testing.T) {
+	// One message pays both links' latency and one serialization time:
+	// exactly PathCost.
 	eng := des.NewEngine()
-	l := NewLink(eng, "l", LinkParams{Bandwidth: units.MBps(100), Latency: units.Millisecond})
+	params := LinkParams{Bandwidth: units.MBps(100), Latency: units.Millisecond}
+	f := NewFabric(eng, "net", params)
+	f.AddEndpoint("a")
+	f.AddEndpoint("b")
 	var done units.Duration
 	eng.Spawn("tx", func(p *des.Proc) {
-		l.Transfer(p, 100*units.MiB)
+		f.Send(p, "a", "b", 100*units.MiB)
 		done = p.Now()
 	})
 	eng.Run()
-	want := units.Second + units.Millisecond
-	if done != want {
+	want := units.Second + 2*units.Millisecond
+	if done != want || done != params.PathCost(100*units.MiB) {
 		t.Fatalf("transfer took %v, want %v", done, want)
 	}
 }
 
 func TestLinkContentionSerializes(t *testing.T) {
-	// Two concurrent 1s transfers through one link finish at 1s and 2s:
-	// aggregate never exceeds link bandwidth.
+	// Two concurrent 1s sends from one endpoint to two others share its
+	// uplink, so they finish at 1s and 2s: aggregate never exceeds link
+	// bandwidth.
 	eng := des.NewEngine()
-	l := NewLink(eng, "l", LinkParams{Bandwidth: units.MBps(100)})
+	f := NewFabric(eng, "net", LinkParams{Bandwidth: units.MBps(100)})
+	for _, ep := range []string{"a", "b", "c"} {
+		f.AddEndpoint(ep)
+	}
 	var ends []units.Duration
-	for i := 0; i < 2; i++ {
-		eng.Spawn(fmt.Sprintf("tx%d", i), func(p *des.Proc) {
-			l.Transfer(p, 100*units.MiB)
+	for _, dst := range []string{"b", "c"} {
+		eng.Spawn("tx-"+dst, func(p *des.Proc) {
+			f.Send(p, "a", dst, 100*units.MiB)
 			ends = append(ends, p.Now())
 		})
 	}
 	eng.Run()
-	if ends[0] != units.Second || ends[1] != 2*units.Second {
+	if len(ends) != 2 || ends[0] != units.Second || ends[1] != 2*units.Second {
 		t.Fatalf("ends = %v, want [1s 2s]", ends)
 	}
 }
 
 func TestLinkStats(t *testing.T) {
 	eng := des.NewEngine()
-	l := NewLink(eng, "l", LinkParams{Bandwidth: units.MBps(100)})
+	f := NewFabric(eng, "net", LinkParams{Bandwidth: units.MBps(100)})
+	f.AddEndpoint("a")
+	f.AddEndpoint("b")
 	eng.Spawn("tx", func(p *des.Proc) {
-		l.Transfer(p, 10*units.MiB)
-		l.Transfer(p, 20*units.MiB)
+		f.Send(p, "a", "b", 10*units.MiB)
+		f.Send(p, "a", "b", 20*units.MiB)
 	})
 	eng.Run()
-	bytes, msgs, _ := l.Stats()
-	if bytes != 30*units.MiB || msgs != 2 {
-		t.Fatalf("stats = %d bytes %d msgs", bytes, msgs)
+	for _, l := range []*Link{f.Uplink("a"), f.Downlink("b")} {
+		bytes, msgs, busy := l.Stats()
+		if bytes != 30*units.MiB || msgs != 2 || busy != 300*units.Millisecond {
+			t.Fatalf("%s stats = %d bytes %d msgs busy %v", l.Name(), bytes, msgs, busy)
+		}
 	}
 }
 

@@ -16,14 +16,12 @@ package replay
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
 	"iophases/internal/mpi"
 	"iophases/internal/mpiio"
 	"iophases/internal/obs"
-	"iophases/internal/trace"
 	"iophases/internal/units"
 )
 
@@ -200,114 +198,4 @@ func (c *checked) add(factors ...int64) {
 	s := c.v + p
 	c.ok = c.ok && ok && (s > c.v) == (p > 0)
 	c.v = s
-}
-
-// Model replays every phase of a model and sums Eq. 1 — the fully
-// phase-faithful counterpart of predict.EstimateTime.
-func Model(spec cluster.Spec, m *core.Model) (total units.Duration, perPhase []Result, err error) {
-	for _, pm := range m.Phases {
-		r, err := Phase(spec, m, pm)
-		if err != nil {
-			return 0, nil, err
-		}
-		perPhase = append(perPhase, r)
-		total += r.Elapsed
-	}
-	return total, perPhase, nil
-}
-
-// TraceSet replays a complete trace on a target configuration: every
-// rank's recorded event sequence is re-executed op for op, with the
-// original inter-operation time (compute and communication) reproduced as
-// busy-work. This is the maximum-fidelity estimator — it needs the whole
-// trace, not the compact model, which is exactly the trade-off the
-// paper's phase model exists to avoid. It serves as the upper baseline
-// when judging how much accuracy the model abstraction gives up.
-//
-// The returned duration is the I/O busy time (max per-rank sum of call
-// durations), comparable to measured phase totals.
-func TraceSet(spec cluster.Spec, set *trace.Set) (units.Duration, error) {
-	np := set.NP
-	if np > spec.MaxProcs() {
-		return 0, fmt.Errorf("replay: %d ranks exceed %s capacity %d (use a larger configuration or a smaller trace)",
-			np, spec.Name, spec.MaxProcs())
-	}
-	c := cluster.Build(spec)
-	nodes := make([]string, np)
-	for i := range nodes {
-		nodes[i] = c.NodeOfRank(i, np)
-	}
-	w := mpi.NewWorld(c.Eng, c.Fabric, nodes)
-	sys := mpiio.NewSystem(c.FS, w)
-
-	busy := make([]units.Duration, np)
-	w.Run(func(r *mpi.Rank) {
-		files := make(map[int]*mpiio.File)
-		var cursor units.Duration
-		for _, ev := range set.Events[r.ID()] {
-			// Reproduce the original think time between calls.
-			if gap := ev.Time - cursor; gap > 0 {
-				r.Compute(gap)
-			}
-			f := files[ev.File]
-			if f == nil {
-				meta := set.FileMetaByID(ev.File)
-				access := mpiio.Shared
-				name := fmt.Sprintf("/replayset.%d", ev.File)
-				if meta != nil {
-					if meta.AccessType == "unique" {
-						access = mpiio.Unique
-					}
-					name = meta.Name
-				}
-				f = sys.Open(r, name, access)
-				if meta != nil && meta.HasView {
-					v := set.View(ev.File, r.ID())
-					if v.Block > 0 {
-						f.SetView(r, v.Disp, v.Etype, mpiio.Vector{
-							Block: v.Block, Stride: v.Stride, Phase: v.Phase,
-						})
-					} else if v.Etype > 1 || v.Disp != 0 {
-						f.SetView(r, v.Disp, v.Etype, mpiio.Contig{})
-					}
-				}
-				files[ev.File] = f
-			}
-			start := r.Now()
-			switch {
-			case !ev.Op.IsData():
-				// Open/SetView already handled; Close at the end.
-			case ev.Op.IsWrite() && ev.Op.IsCollective():
-				f.WriteAtAll(r, ev.Offset, ev.Size)
-			case ev.Op.IsWrite():
-				f.WriteAt(r, ev.Offset, ev.Size)
-			case ev.Op.IsCollective():
-				f.ReadAtAll(r, ev.Offset, ev.Size)
-			default:
-				f.ReadAt(r, ev.Offset, ev.Size)
-			}
-			if ev.Op.IsData() {
-				busy[r.ID()] += r.Now() - start
-			}
-			cursor = ev.Time + ev.Duration
-		}
-		// Close in file-id order: Close is collective, so every rank
-		// must close in the same order (map iteration would not be
-		// deterministic).
-		var ids []int
-		for id := range files {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			files[id].Close(r)
-		}
-	})
-	var max units.Duration
-	for _, d := range busy {
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"iophases/internal/apps/btio"
-
 	"iophases/internal/apps/madbench"
 	"iophases/internal/cluster"
 	"iophases/internal/core"
@@ -38,22 +36,6 @@ func TestReplayRejectsOversizedModels(t *testing.T) {
 		!strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("oversized phase: err = %v", err)
 	}
-	big := *m
-	big.Phases = []*core.PhaseModel{&pm}
-	if _, _, err := replay.Model(cluster.ConfigA(), &big); err == nil {
-		t.Fatal("Model accepted an oversized phase")
-	}
-
-	params := madbench.Default()
-	params.RS = units.MiB
-	res := runner.Run(cluster.ConfigA(), 4, "madbench2", func(sys *mpiio.System) func(*mpi.Rank) {
-		return madbench.Program(sys, params)
-	}, runner.Options{Trace: true})
-	res.Set.NP = 10_000
-	if _, err := replay.TraceSet(cluster.ConfigA(), res.Set); err == nil ||
-		!strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("oversized trace set: err = %v", err)
-	}
 }
 
 func TestPhaseReplayMovesTheWeight(t *testing.T) {
@@ -66,24 +48,6 @@ func TestPhaseReplayMovesTheWeight(t *testing.T) {
 		if r.BW <= 0 || r.Elapsed <= 0 {
 			t.Fatalf("phase %d replay %+v", pm.ID, r)
 		}
-	}
-}
-
-func TestModelReplaySumsPhases(t *testing.T) {
-	m := madbenchModel(t, cluster.ConfigB(), 8, 4*units.MiB)
-	total, per, err := replay.Model(cluster.ConfigB(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(per) != len(m.Phases) {
-		t.Fatalf("per-phase results %d", len(per))
-	}
-	var sum units.Duration
-	for _, r := range per {
-		sum += r.Elapsed
-	}
-	if sum != total {
-		t.Fatalf("total %v != sum %v", total, sum)
 	}
 }
 
@@ -199,46 +163,5 @@ func TestReplayCollectivePhase(t *testing.T) {
 	}
 	if r.BW <= 0 {
 		t.Fatalf("collective replay %+v", r)
-	}
-}
-
-func TestTraceSetReplayApproximatesMeasurement(t *testing.T) {
-	// Full-trace replay on the SAME configuration must land close to the
-	// original measurement — the upper-fidelity baseline.
-	params := madbench.Default()
-	params.RS = 8 * units.MiB
-	spec := cluster.ConfigA()
-	res := runner.Run(spec, 8, "madbench2", func(sys *mpiio.System) func(*mpi.Rank) {
-		return madbench.Program(sys, params)
-	}, runner.Options{Trace: true})
-	m := core.Build(res.Set)
-	var measured float64
-	for _, pm := range m.Phases {
-		measured += pm.MeasuredSec
-	}
-	replayedD, rerr := replay.TraceSet(spec, res.Set)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	replayed := replayedD.Seconds()
-	err := predict.RelativeError(replayed, measured)
-	t.Logf("measured %.2fs, trace-replayed %.2fs (%.1f%%)", measured, replayed, err)
-	if err > 15 {
-		t.Fatalf("trace replay off by %.1f%%", err)
-	}
-}
-
-func TestTraceSetReplayBTIOCollective(t *testing.T) {
-	// Collective traces with strided views replay without deadlock.
-	params := btio.Default(btio.ClassW)
-	res := runner.Run(cluster.ConfigA(), 4, "btio", func(sys *mpiio.System) func(*mpi.Rank) {
-		return btio.Program(sys, params)
-	}, runner.Options{Trace: true})
-	d, err := replay.TraceSet(cluster.ConfigB(), res.Set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatalf("replay busy time %v", d)
 	}
 }

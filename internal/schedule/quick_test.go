@@ -100,14 +100,13 @@ func TestOverlapZeroInsideGaps(t *testing.T) {
 // increments — the grid has exactly the right point count and the chosen
 // offset is bit-equal to a grid point.
 func TestBestOffsetGridIsIndexExact(t *testing.T) {
-	if got := GridSteps(1000, 0.1); got != 10000 {
-		t.Fatalf("GridSteps(1000, 0.1) = %d, want 10000", got)
-	}
-	if got := GridSteps(0.3, 0.1); got != 3 {
-		t.Fatalf("GridSteps(0.3, 0.1) = %d, want 3", got)
-	}
-	if got := GridSteps(1, 0.3); got != 3 {
-		t.Fatalf("GridSteps(1, 0.3) = %d, want 3", got)
+	for _, g := range []struct {
+		window, step float64
+		want         int
+	}{{1000, 0.1, 10000}, {0.3, 0.1, 3}, {1, 0.3, 3}} {
+		if got, err := GridSteps(g.window, g.step); got != g.want || err != nil {
+			t.Fatalf("GridSteps(%v, %v) = %d, %v; want %d", g.window, g.step, got, err, g.want)
+		}
 	}
 
 	mk := func(start, end float64, w int64) *core.Model {

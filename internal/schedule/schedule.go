@@ -90,39 +90,68 @@ type Plan struct {
 // BestOffset searches start offsets for job B in [0, window] at the given
 // step and returns the plan minimizing contention, plus the score at
 // offset 0 (the naive co-start) for comparison. Ties prefer the smallest
-// offset, so B never waits longer than it has to.
+// offset, so B never waits longer than it has to. A grid of more than
+// MaxGridSteps offsets panics: callers pass fixed grids, and input that
+// sets the window or the step goes through PlanJobs, which reports it.
+func BestOffset(a, b *core.Model, windowSec, stepSec float64) (best Plan, naive Plan) {
+	ta, tb := Timeline(a), Timeline(b)
+	naive = Plan{OffsetSec: 0, Score: Overlap(ta, tb, 0)}
+	if ta == nil || tb == nil {
+		return naive, naive
+	}
+	best, err := search(ta, tb, windowSec, stepSec)
+	if err != nil {
+		panic(err.Error())
+	}
+	return best, naive
+}
+
+// search scores job B's timeline tb against ta at offset 0 and at every
+// point of the [0, window] grid, and returns the plan with the least
+// contention, the earliest on a tie.
 //
 // The grid is indexed, not accumulated: offset i is float64(i)*stepSec, so
 // the searched points are identical for any window size (an accumulating
 // `off += stepSec` drifts by one ulp per step, and over a long window the
 // drift moves grid points past phase boundaries — the planner's answer
 // then depends on where the window ends, not on the timelines).
-func BestOffset(a, b *core.Model, windowSec, stepSec float64) (best Plan, naive Plan) {
-	ta, tb := Timeline(a), Timeline(b)
-	naive = Plan{OffsetSec: 0, Score: Overlap(ta, tb, 0)}
-	best = naive
-	if windowSec <= 0 || stepSec <= 0 || ta == nil || tb == nil {
-		return best, naive
+func search(ta, tb []Interval, windowSec, stepSec float64) (Plan, error) {
+	best := Plan{OffsetSec: 0, Score: Overlap(ta, tb, 0)}
+	n, err := GridSteps(windowSec, stepSec)
+	if err != nil {
+		return Plan{}, err
 	}
-	for i, n := 1, GridSteps(windowSec, stepSec); i <= n; i++ {
+	for i := 1; i <= n; i++ {
 		off := float64(i) * stepSec
 		if s := Overlap(ta, tb, off); s < best.Score {
 			best = Plan{OffsetSec: off, Score: s}
 		}
 	}
-	return best, naive
+	return best, nil
 }
 
+// MaxGridSteps bounds the offsets one search scores. Each costs one
+// Overlap over the two timelines, so the bound keeps a search to seconds;
+// the planner's own callers use a few hundred.
+const MaxGridSteps = 1 << 20
+
 // GridSteps reports how many step-sized offsets past zero the search grid
-// of [0, window] contains. The epsilon admits the final grid point when
-// window is an exact multiple of step up to rounding (window 1000, step
-// 0.1 must search 10000 offsets, not 9999), scaled to the window so it
-// cannot invent a point beyond it at any magnitude.
-func GridSteps(windowSec, stepSec float64) int {
+// of [0, window] contains, 0 when either is not positive. The epsilon
+// admits the final grid point when window is an exact multiple of step up
+// to rounding (window 1000, step 0.1 must search 10000 offsets, not 9999),
+// scaled to the window so it cannot invent a point beyond it at any
+// magnitude. A grid of more than MaxGridSteps offsets is an error, checked
+// before the count is converted to an int, which it may not fit.
+func GridSteps(windowSec, stepSec float64) (int, error) {
 	if windowSec <= 0 || stepSec <= 0 {
-		return 0
+		return 0, nil
 	}
-	return int((windowSec + windowSec*1e-12) / stepSec)
+	n := (windowSec + windowSec*1e-12) / stepSec
+	if !(n < MaxGridSteps+1) {
+		return 0, fmt.Errorf("schedule: a %gs window at a %gs step is %.3g offsets, over the grid bound MaxGridSteps = %d",
+			windowSec, stepSec, n, MaxGridSteps)
+	}
+	return int(n), nil
 }
 
 // Gaps reports the compute gaps of a timeline (the complements of its I/O
@@ -174,9 +203,10 @@ func Shift(tl []Interval, offset float64) []Interval {
 // of the already-placed (shifted) timelines and takes the offset that adds
 // the least contention. Returned plans are per job, in input order; each
 // Score is the contention that job adds against everything placed before
-// it. For two jobs this reduces exactly to BestOffset. Models without
-// phase timing are an error — a plan over missing timelines would be
-// silent nonsense.
+// it. For two jobs this reduces exactly to BestOffset, through the same
+// search. Models without phase timing are an error — a plan over missing
+// timelines would be silent nonsense — and so is a grid of more than
+// MaxGridSteps offsets.
 func PlanJobs(models []*core.Model, windowSec, stepSec float64) ([]Plan, error) {
 	if len(models) < 2 {
 		return nil, fmt.Errorf("schedule: PlanJobs needs at least 2 models, got %d", len(models))
@@ -191,16 +221,12 @@ func PlanJobs(models []*core.Model, windowSec, stepSec float64) ([]Plan, error) 
 	placed := Shift(timelines[0], 0) // job 0 anchors the schedule
 	plans[0] = Plan{}
 	for j := 1; j < len(models); j++ {
-		tb := timelines[j]
-		best := Plan{OffsetSec: 0, Score: Overlap(placed, tb, 0)}
-		for i, n := 1, GridSteps(windowSec, stepSec); i <= n; i++ {
-			off := float64(i) * stepSec
-			if s := Overlap(placed, tb, off); s < best.Score {
-				best = Plan{OffsetSec: off, Score: s}
-			}
+		best, err := search(placed, timelines[j], windowSec, stepSec)
+		if err != nil {
+			return nil, err
 		}
 		plans[j] = best
-		placed = append(placed, Shift(tb, best.OffsetSec)...)
+		placed = append(placed, Shift(timelines[j], best.OffsetSec)...)
 	}
 	return plans, nil
 }

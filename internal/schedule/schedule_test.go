@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"iophases/internal/apps/madbench"
@@ -165,5 +166,43 @@ func TestRunConcurrentIsolatesJobs(t *testing.T) {
 	solo := runner.Run(cluster.ConfigA(), 4, "solo", mk("/a.dat"), runner.Options{})
 	if results[0].Elapsed <= solo.Elapsed {
 		t.Fatalf("no interference: concurrent %v vs solo %v", results[0].Elapsed, solo.Elapsed)
+	}
+}
+
+// TestGridBound: a search grid of more than MaxGridSteps offsets is
+// refused, not searched. A step of 1e-300 s or a window of 1e300 s gives
+// a count past every int, which converted is MinInt64, so the search
+// would not run and the co-start plan would stand as if it were the
+// answer; a step of 1e-9 s over 40 s asks for 4·10^10 offsets, hours of
+// search. PlanJobs reports the
+// bound as an error and BestOffset, whose callers pass fixed grids,
+// panics with it.
+func TestGridBound(t *testing.T) {
+	a := modelFromIntervals([]Interval{{Start: 0, End: 10, Weight: 1000}, {Start: 20, End: 30, Weight: 2000}})
+	b := modelFromIntervals([]Interval{{Start: 0, End: 10, Weight: 1500}})
+	for _, g := range []struct{ window, step float64 }{
+		{40, 1e-300}, {1e300, 0.5}, {40, 1e-9}, {MaxGridSteps + 1, 1},
+	} {
+		plans, err := PlanJobs([]*core.Model{a, b}, g.window, g.step)
+		if err == nil || !strings.Contains(err.Error(), "MaxGridSteps") {
+			t.Errorf("PlanJobs(window %g, step %g) = %+v, %v; want an error naming MaxGridSteps",
+				g.window, g.step, plans, err)
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "MaxGridSteps") {
+					t.Errorf("BestOffset(window %g, step %g) panicked with %q; want a panic naming MaxGridSteps",
+						g.window, g.step, msg)
+				}
+			}()
+			BestOffset(a, b, g.window, g.step)
+		}()
+	}
+	// A grid of exactly MaxGridSteps offsets is searched.
+	if n, err := GridSteps(MaxGridSteps, 1); n != MaxGridSteps || err != nil {
+		t.Fatalf("GridSteps(MaxGridSteps, 1) = %d, %v; want the full grid", n, err)
+	}
+	if _, err := PlanJobs([]*core.Model{a, b}, MaxGridSteps, 1); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -211,13 +211,12 @@ func checkSpec(t *testing.T, rng *rand.Rand, spec cluster.Spec, muts []mutation,
 	})
 }
 
-// richSpec is ConfigA with the optional subtrees populated, so the walker
-// reaches the fields inside LocalDisk and Faults rather than only the
-// nil->non-nil transition (covered by the plain ConfigA).
+// richSpec is ConfigA with a fault schedule, so the walker reaches the
+// fields inside every pointer target — Storage.RAID, Storage.Cache and
+// Faults — rather than only Faults' nil->non-nil transition (covered by
+// the plain ConfigA).
 func richSpec() cluster.Spec {
 	s := cluster.ConfigA()
-	d := s.Storage.Disk
-	s.LocalDisk = &d
 	s.Faults = &faults.Schedule{
 		Name: "degraded", Seed: 7,
 		Effects: []faults.Effect{{Kind: faults.Kind("slow-disk"), Match: "ion", FromSec: 1, ForSec: 2, Factor: 3}},
@@ -226,9 +225,9 @@ func richSpec() cluster.Spec {
 }
 
 // TestFingerprintCoversClusterSpec mutates every reachable field of
-// cluster.Spec — ConfigA as-is (nil LocalDisk/Faults, so their allocation
-// is a mutation) and the enriched variant (so their interiors are walked
-// too) — and of ior.Params, asserting that each mutation re-keys.
+// cluster.Spec — ConfigA as-is (nil Faults, so its allocation is a
+// mutation) and the enriched variant (so its interior is walked too) —
+// and of ior.Params, asserting that each mutation re-keys.
 func TestFingerprintCoversClusterSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	p := testParams()

@@ -42,12 +42,12 @@
 // values equal bit for bit, and the domain prefixes keep the three kinds
 // of key apart. A digest would add only a collision argument.
 //
-// A key costs its length in memory. A preset spec encodes in 186–223
-// bytes and a replay's parameters in 20 more, so a replay key is 210–250
+// A key costs its length in memory. A preset spec encodes in 148–189
+// bytes and a replay's parameters in 20 more, so a replay key is 172–213
 // bytes. A co-execution key holds its apps' whole models and grows with
 // them: two four-rank MADBench2 apps on configA take 1.2 KB. So the
 // DefaultCapacity (4096) kept keys hold about 5 MB even if every one were
-// a co-execution key of that size, and about 1 MB of replay keys.
+// a co-execution key of that size, and under 1 MB of replay keys.
 //
 // The cache is one Memo, safe for concurrent use and deduplicating
 // in-flight work: when several sweep workers miss on one key

@@ -86,7 +86,7 @@ func TestKeySeparatesPhysicalFields(t *testing.T) {
 // equal RAID/Cache specs fingerprint equally.
 func TestKeyDereferencesPointers(t *testing.T) {
 	a := cluster.ConfigA()
-	b := cluster.ConfigA() // fresh allocations of RAID, Cache, LocalDisk
+	b := cluster.ConfigA() // fresh allocations of Storage.RAID and Storage.Cache
 	if Fingerprint(a, testParams()) != Fingerprint(b, testParams()) {
 		t.Fatal("fresh but equal specs fingerprint differently")
 	}

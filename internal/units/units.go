@@ -4,7 +4,12 @@
 // deterministic across platforms.
 package units
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Byte size multiples (binary, as used by IOR and IOzone).
 const (
@@ -94,4 +99,29 @@ func FormatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
+}
+
+// ParseSize reads a byte count the way the IOR and IOzone command lines
+// write one: plain bytes, or a k, m or g suffix (binary multiples, either
+// case), as in "256k", "32m" or "2g". A count past the int64 range is an
+// error rather than a wrapped value.
+func ParseSize(s string) (int64, error) {
+	t := strings.ToLower(strings.TrimSpace(s))
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(t, "k"):
+		mult, t = KiB, t[:len(t)-1]
+	case strings.HasSuffix(t, "m"):
+		mult, t = MiB, t[:len(t)-1]
+	case strings.HasSuffix(t, "g"):
+		mult, t = GiB, t[:len(t)-1]
+	}
+	n, err := strconv.ParseInt(t, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("size %q overflows int64", s)
+	}
+	return n * mult, nil
 }

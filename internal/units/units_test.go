@@ -1,6 +1,7 @@
 package units
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -76,5 +77,26 @@ func TestBandwidthString(t *testing.T) {
 	}
 	if MBps(112).MBpsValue() != 112 {
 		t.Fatal("MBpsValue round trip")
+	}
+}
+
+func TestParseSize(t *testing.T) {
+	for in, want := range map[string]int64{
+		"4096": 4096, "256k": 256 * KiB, " 32M ": 32 * MiB, "2g": 2 * GiB, "-1g": -GiB,
+		"8589934591g":         8589934591 * GiB, // the largest g count that fits
+		"9223372036854775807": math.MaxInt64,
+	} {
+		if got, err := ParseSize(in); got != want || err != nil {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{
+		"12x", "", "k",
+		"18014398509481985k", // 2^64 + 1024 bytes, which wraps to 1024
+		"8589934592g", "-8589934593g", "9223372036854775808",
+	} {
+		if got, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", in, got)
+		}
 	}
 }

@@ -313,7 +313,8 @@ func RunCoexec(spec CoexecSpec) (*CoexecResult, error) { return simcache.RunCoex
 // PlanOffsets places N jobs greedily: job 0 at offset 0, each later job
 // at the offset in [0, window] minimizing byte-weighted phase overlap
 // against everything already placed. For two jobs this equals
-// BestStartOffset.
+// BestStartOffset. A window holding more than 2^20 step-sized offsets is
+// an error.
 func PlanOffsets(models []*Model, windowSec, stepSec float64) ([]SchedulePlan, error) {
 	return schedule.PlanJobs(models, windowSec, stepSec)
 }
@@ -321,7 +322,8 @@ func PlanOffsets(models []*Model, windowSec, stepSec float64) ([]SchedulePlan, e
 // BestStartOffset plans job B's start relative to job A from their I/O
 // models, minimizing the byte-weighted overlap of their I/O phases (the
 // planning use of the phase view that §IV-A sketches). It returns the best
-// plan and the naive co-start plan for comparison.
+// plan and the naive co-start plan for comparison. A window holding more
+// than 2^20 step-sized offsets panics; PlanOffsets reports it instead.
 func BestStartOffset(a, b *Model, windowSec, stepSec float64) (best, naive SchedulePlan) {
 	return schedule.BestOffset(a, b, windowSec, stepSec)
 }
