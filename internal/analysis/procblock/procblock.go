@@ -2,19 +2,19 @@
 // blocking primitives out of des.Proc bodies.
 //
 // The coroutine engine hands control to exactly one process at a time:
-// a process that blocks runs the event loop itself and wakes the next one
-// over that process's wake channel. A Proc body that blocks on a raw
-// channel, a sync.Mutex, a WaitGroup or real time escapes that handoff —
-// the engine believes the process is running while the goroutine is
-// actually parked in the runtime, which wedges the simulation or races it
-// (DESIGN.md §5). Inside a Proc body the legal
-// blocking operations are the virtual ones: Proc.Sleep, Proc.Park,
-// Proc.Fork and the des.Resource / des.Barrier / des.Mailbox
+// a process that blocks runs the event loop itself and, unless its own
+// resume is next, yields the next process due to Run, which resumes that
+// process's coroutine. A Proc body that blocks on a raw channel, a
+// sync.Mutex, a WaitGroup or real time escapes that handoff — the engine
+// believes the process is running while its coroutine is actually parked
+// in the runtime, which wedges the simulation or races it (DESIGN.md §5).
+// Inside a Proc body the legal blocking operations are the virtual ones:
+// Proc.Sleep, Proc.Park, Proc.Fork and the des.Resource / des.Barrier
 // abstractions built on them.
 //
 // A "Proc body" is any function or function literal with a *des.Proc
 // parameter — the engine's Spawn contract — including function literals
-// nested inside one (they execute on the proc's goroutine chain).
+// nested inside one (they execute in the proc's coroutine).
 // Package des itself is exempt: it implements the primitives.
 package procblock
 
@@ -97,9 +97,9 @@ func hasProcParam(pass *framework.Pass, ft *ast.FuncType) bool {
 }
 
 // checkProcBody flags blocking primitives anywhere in a proc body,
-// including nested function literals (they run on the proc's goroutine).
+// including nested function literals (they run in the proc's coroutine).
 func checkProcBody(pass *framework.Pass, body *ast.BlockStmt) {
-	const fix = "bypasses the coroutine engine (use Proc.Sleep/Park/Fork or des.Resource/Barrier/Mailbox)"
+	const fix = "bypasses the coroutine engine (use Proc.Sleep/Park/Fork or des.Resource/Barrier)"
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:

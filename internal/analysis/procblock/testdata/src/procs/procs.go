@@ -36,8 +36,8 @@ func badRange(p *des.Proc) {
 	}
 }
 
-// badNested: a function literal inside a proc body runs on the proc's
-// goroutine chain — its channel ops are just as illegal.
+// badNested: a function literal inside a proc body runs in the proc's
+// coroutine — its channel ops are just as illegal.
 func badNested(p *des.Proc) {
 	helper := func() {
 		results <- 2 // want `channel send inside a des.Proc body`

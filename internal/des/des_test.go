@@ -114,9 +114,29 @@ func TestDeadlockDetection(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	m := NewMailbox(e, "never", 0)
-	e.Spawn("stuck", func(p *Proc) { m.Get(p) })
+	e.Spawn("stuck", func(p *Proc) { p.Park("never", "") })
 	e.Run()
+}
+
+// TestProcPanicReachesRunCaller: a panic in a process body comes out of
+// Run on its caller's goroutine with the body's value, so a recover
+// around Run gets it while the other process is still parked mid-run.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ at units.Duration }
+	e := NewEngine()
+	e.Spawn("slow", func(p *Proc) { p.Sleep(units.Second) })
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(units.Millisecond)
+		panic(boom{p.Now()})
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if want := (boom{units.Millisecond}); got != want {
+		t.Fatalf("recovered %#v, want %#v", got, want)
+	}
 }
 
 func TestResourceFIFO(t *testing.T) {
@@ -228,57 +248,6 @@ func TestBarrierReusable(t *testing.T) {
 	e.Run()
 	if count != 20 {
 		t.Fatalf("count = %d, want 20", count)
-	}
-}
-
-func TestMailboxRendezvous(t *testing.T) {
-	e := NewEngine()
-	m := NewMailbox(e, "m", 0)
-	var sent, recv units.Duration
-	e.Spawn("tx", func(p *Proc) {
-		m.Put(p, 42)
-		sent = p.Now()
-	})
-	e.Spawn("rx", func(p *Proc) {
-		p.Sleep(5 * units.Second)
-		if v := m.Get(p); v != 42 {
-			t.Errorf("got %v", v)
-		}
-		recv = p.Now()
-	})
-	e.Run()
-	if recv != 5*units.Second {
-		t.Fatalf("recv at %v", recv)
-	}
-	if sent != 5*units.Second {
-		t.Fatalf("blocking send completed at %v, want 5s", sent)
-	}
-}
-
-func TestMailboxBuffered(t *testing.T) {
-	e := NewEngine()
-	m := NewMailbox(e, "m", 2)
-	var puts []units.Duration
-	e.Spawn("tx", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			m.Put(p, i)
-			puts = append(puts, p.Now())
-		}
-	})
-	e.Spawn("rx", func(p *Proc) {
-		p.Sleep(units.Second)
-		for i := 0; i < 3; i++ {
-			if v := m.Get(p); v != i {
-				t.Errorf("item %d = %v", i, v)
-			}
-		}
-	})
-	e.Run()
-	if puts[0] != 0 || puts[1] != 0 {
-		t.Fatalf("buffered puts should not block: %v", puts)
-	}
-	if puts[2] != units.Second {
-		t.Fatalf("third put at %v, want 1s", puts[2])
 	}
 }
 

@@ -7,12 +7,14 @@
 // number, and no wall-clock or map-iteration order ever influences results.
 // Running the same program twice produces bit-identical traces.
 //
-// Each Engine is single-threaded: all of its events and processes execute
-// on one goroutine chain with explicit handoff, the goroutine that holds
-// control running the event loop until it hands control on. Independent
-// engines share nothing, so distinct simulations may run concurrently on
-// separate goroutines (see internal/sweep) without locks and without
-// perturbing each other's event order.
+// Each Engine is single-threaded: its processes are coroutines that Run
+// resumes one at a time, and whichever of Run and a process holds control
+// runs the event loop until it hands control on. A panic in a process body
+// or in a callback comes out of Run on its caller's goroutine. Independent
+// engines share no simulation state (only a mutex-guarded list of idle
+// coroutines), so distinct simulations may run concurrently on separate
+// goroutines (see internal/sweep) without perturbing each other's event
+// order.
 package des
 
 import (
@@ -102,13 +104,9 @@ type Engine struct {
 	queue    eventQueue
 	seq      uint64
 	live     map[*Proc]struct{}
-	pool     []*Proc // recycled procs: goroutine + channel ready for reuse
+	pool     []*Proc // finished procs: suspended coroutines ready for reuse
 	running  bool
-	switches uint64 // goroutine switches: control handed to another process's goroutine
-	// done carries control back to Run once the queue drains on a process
-	// goroutine. Made on Run's first handoff, so NewEngine stays inlinable
-	// and an engine that never runs a process allocates no channel.
-	done chan struct{}
+	switches uint64 // coroutine resumes: control handed to a process that is not already running
 
 	// Run-telemetry handles, nil unless obs was enabled when the engine
 	// was built. Every method on the nil struct is a no-op branch, so the
@@ -178,11 +176,10 @@ func (e *Engine) Now() units.Duration { return e.now }
 // that carries the clock past int64 nanoseconds, panics: causality
 // violations and wrapped clocks are programming errors.
 //
-// fn runs on whichever goroutine holds control when its event comes up:
-// Run's, or that of the process whose blocking or return reached it. Only
-// event order decides when fn runs; the goroutine matters only to a panic
-// in fn, which may surface on a process goroutine as one in a process
-// body does.
+// fn runs wherever control is when its event comes up: in Run, or in the
+// coroutine of the process whose blocking or return reached it. Only
+// event order decides when fn runs, and a panic in fn comes out of Run
+// either way, as one in a process body does.
 func (e *Engine) Schedule(delay units.Duration, fn func()) {
 	e.seq++
 	e.queue.push(event{at: e.after(delay), seq: e.seq, fn: fn})
@@ -217,8 +214,8 @@ func (e *Engine) badDelay(delay units.Duration) {
 
 // dispatch pops events in queue order, running callbacks inline, and
 // returns the first process due to resume, or nil once the queue drains.
-// The goroutine that holds control calls it: Run to start a simulation, a
-// process when it blocks or finishes (see Proc.handoff).
+// Whoever holds control calls it: Run, or a process when it blocks or
+// finishes (see Proc.handoff).
 func (e *Engine) dispatch() *Proc {
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
@@ -234,24 +231,21 @@ func (e *Engine) dispatch() *Proc {
 // Run executes events until the queue drains. If processes are still alive
 // when the queue empties, the simulation has deadlocked and Run panics with
 // the blocked processes' names and states — silent hangs would otherwise be
-// indistinguishable from completion.
+// indistinguishable from completion. A panic in a process body or in a
+// callback comes out of Run; the engine is not usable after it, and its
+// other processes stay suspended.
 func (e *Engine) Run() {
 	if e.running {
 		panic("des: Run re-entered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if p := e.dispatch(); p != nil {
-		// From here the processes pass control among themselves; the
-		// one that finds the queue empty hands it back on done.
-		if e.done == nil {
-			e.done = make(chan struct{})
-		}
+	// A process yields back here only when the next process due is
+	// another one, or nil once the queue has drained (Proc.handoff).
+	for p := e.dispatch(); p != nil; p, _ = p.resume() {
 		e.switches++
-		p.wake <- struct{}{}
-		<-e.done
 	}
-	e.drainPool()
+	e.releasePool()
 	if len(e.live) > 0 {
 		names := make([]string, 0, len(e.live))
 		for p := range e.live {
@@ -268,17 +262,4 @@ func (e *Engine) Run() {
 		panic(fmt.Sprintf("des: deadlock at %v (switches=%d), %d blocked processes: %v",
 			e.now, e.switches, len(names), names))
 	}
-}
-
-// drainPool terminates the recycled proc goroutines once the simulation has
-// run out of events. Without this, every finished engine would leave its
-// free-listed goroutines parked on their wake channels forever — a leak
-// that compounds across the thousands of engines a sweep creates.
-func (e *Engine) drainPool() {
-	for i, p := range e.pool {
-		p.fn = nil // loop() interprets a wake without a function as exit
-		p.wake <- struct{}{}
-		e.pool[i] = nil
-	}
-	e.pool = e.pool[:0]
 }

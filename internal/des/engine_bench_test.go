@@ -46,7 +46,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 // BenchmarkEngineProcs measures the process-handoff path: many Procs
 // sleeping in lockstep, the pattern mpi.World produces. Lockstep sleeps
 // tie at every instant, so nearly every resume hands control to another
-// process's goroutine — this is the goroutine switch cost, on purpose.
+// process through Run — this is the coroutine switch cost, on purpose.
+// After the first op the coroutines come from the idle list.
 func BenchmarkEngineProcs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +68,7 @@ func BenchmarkEngineProcs(b *testing.B) {
 // uncontended disk transfer chain or inter-phase busy-work. A far-future
 // sentinel keeps the queue non-empty, so every sleep is a push and a pop
 // against a live heap, after which the lone process finds its own resume
-// and keeps running with no channel operation (Proc.handoff).
+// and keeps running with no coroutine switch (Proc.handoff).
 func switchHeavy(e *Engine) {
 	e.Schedule(3600*units.Second, func() {})
 	e.Spawn("p", func(p *Proc) {
@@ -79,7 +80,7 @@ func switchHeavy(e *Engine) {
 }
 
 // BenchmarkEngineSwitchHeavy measures a sleep's queue round trip with no
-// goroutine switch: the cost of Sleep when the sleeper's own resume is the
+// coroutine switch: the cost of Sleep when the sleeper's own resume is the
 // next event.
 func BenchmarkEngineSwitchHeavy(b *testing.B) {
 	b.ReportAllocs()

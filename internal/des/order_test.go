@@ -30,9 +30,8 @@ func TestTiedEventFiresBeforeSleeperResumes(t *testing.T) {
 // mixTrace runs a pseudo-random workload derived from seed and records
 // every observable step as (proc, virtual time) pairs plus the final clock.
 // The workload mixes the engine's whole surface — sleeps (some tied),
-// callbacks scheduled from proc context, unpark-then-park yields, a
-// contended resource, and a mailbox — so any change to event order shows
-// up in the trace.
+// callbacks scheduled from proc context, unpark-then-park yields and a
+// contended resource — so any change to event order shows up in the trace.
 func mixTrace(seed uint64) ([]string, units.Duration) {
 	e := NewEngine()
 	rng := seed
@@ -47,14 +46,13 @@ func mixTrace(seed uint64) ([]string, units.Duration) {
 		tr = append(tr, fmt.Sprintf("%s@%d", who, at))
 	}
 	res := NewResource(e, "res", 2)
-	mbox := NewMailbox(e, "mb", 1)
 	np := int(2 + next(5))
 	for i := 0; i < np; i++ {
 		i := i
 		steps := int(3 + next(6))
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for s := 0; s < steps; s++ {
-				switch next(5) {
+				switch next(4) {
 				case 0:
 					p.Sleep(units.Duration(next(200)) * units.Microsecond)
 				case 1:
@@ -68,94 +66,60 @@ func mixTrace(seed uint64) ([]string, units.Duration) {
 					// Yield: resume behind every event already due now.
 					e.Unpark(p)
 					p.Park("yield", "")
-				case 4:
-					if i%2 == 0 {
-						mbox.Put(p, i)
-					} else {
-						mbox.Get(p)
-					}
 				}
 				note(fmt.Sprintf("p%d.%d", i, s), p.Now())
 			}
 		})
 	}
-	// Mailbox puts and gets may be unbalanced; a harvester unsticks any
-	// party still parked once the queue drains, so the run terminates for
-	// every seed.
-	e.Spawn("harvest", func(p *Proc) {
-		for {
-			p.Sleep(units.Second)
-			if len(e.queue) > 0 {
-				continue // still making progress
-			}
-			if len(e.live) <= 1 {
-				return // only the harvester remains
-			}
-			mbox.promoteAll()
-		}
-	})
 	e.Run()
 	return tr, e.Now()
 }
 
-// promoteAll unblocks every parked mailbox party (test-only: the harvester
-// uses it to guarantee the random workload terminates).
-func (m *Mailbox) promoteAll() {
-	for len(m.putters) > 0 {
-		m.promotePutter()
-	}
-	for len(m.getters) > 0 {
-		g := m.getters[0]
-		m.getters = m.getters[1:]
-		m.items = append(m.items, len(m.items))
-		m.eng.scheduleResume(0, g)
-	}
-}
-
 // mixGolden is mixTrace's output for seeds 1–32: the number of trace
 // steps, the final clock in nanoseconds and the FNV-64a digest of the
-// trace lines. It was recorded while uncontended sleeps still advanced the
-// clock inline instead of queueing a resume (the values were the same with
-// that fast path off), so it pins that queueing every sleep kept the event
-// order.
+// trace lines. It was recorded on the goroutine-and-channel handoff that
+// the coroutine engine replaced, once the mailbox step had left mixTrace
+// with des.Mailbox, so it pins that the coroutine handoff kept the event
+// order. (The coroutine engine also reproduced the previous values, which
+// that step still drove.)
 var mixGolden = []struct {
 	seed   uint64
 	steps  int
 	end    int64
 	digest uint64
 }{
-	{1, 25, 2000000000, 0xbe802a80453fd04f},
-	{2, 32, 4000000000, 0xdd16598b1a07293a},
-	{3, 31, 3000000000, 0xc0818c6e1a444cbb},
-	{4, 42, 1000000000, 0x733f1410284785e0},
-	{5, 13, 1000000000, 0xe383acc08ec17f71},
-	{6, 25, 1000000000, 0x9ad1ae7c87e83fdf},
-	{7, 24, 3000000000, 0x3e17b3d0ae74422a},
-	{8, 27, 1000000000, 0xa8533cfdc244f2fa},
-	{9, 40, 2000000000, 0x731ce39da20aeb9a},
-	{10, 17, 2000000000, 0xcbec8a58a6285b30},
-	{11, 18, 2000000000, 0x33b8d4be95f1feb0},
-	{12, 27, 2000000000, 0x0cb6f3a35a115ddf},
-	{13, 36, 2000000000, 0xf71852f25ce67527},
-	{14, 40, 1000000000, 0x83ea6f0bbe69d272},
-	{15, 11, 3000000000, 0x693ff91e676d7d6f},
-	{16, 16, 1000000000, 0xd271790b02f36320},
-	{17, 25, 3000000000, 0x3b5e1991b43026d7},
-	{18, 32, 2000000000, 0xdcd041002a645e02},
-	{19, 16, 3000000000, 0x72bf84169e7fd096},
-	{20, 12, 1000000000, 0xe95aa5abdc163fa0},
-	{21, 36, 2000000000, 0x31e6b0580f366532},
-	{22, 33, 1000000000, 0xbe9af078c7bb1ee6},
-	{23, 32, 2000000000, 0x0a6ec2c769e42cba},
-	{24, 43, 3000000000, 0xe70f1865b94a90a1},
-	{25, 20, 2000000000, 0xb9f0cc497668ed2c},
-	{26, 20, 2000000000, 0x0395345ae961ead3},
-	{27, 34, 3000000000, 0x28c6f9c78a621fed},
-	{28, 28, 1000000000, 0xd18057c2444c41c4},
-	{29, 22, 1000000000, 0xd7e5029fe77a25bb},
-	{30, 11, 3000000000, 0x9c1179c9397155d4},
-	{31, 29, 1000000000, 0x18c9e8120b9e0d94},
-	{32, 21, 1000000000, 0xb09e300876368424},
+	{1, 28, 223000, 0xfe0669ccc4330810},
+	{2, 32, 396000, 0x7e1e688e241baf40},
+	{3, 31, 514000, 0xf14a5c3d6163da97},
+	{4, 50, 255000, 0x8f04a96bd8cb1081},
+	{5, 15, 230000, 0x5c265f3aaef7d9db},
+	{6, 29, 430000, 0x1055776771041db5},
+	{7, 24, 277000, 0xfd5825cbbb48ba23},
+	{8, 35, 236000, 0xe732a6cd4ba1fc40},
+	{9, 45, 382000, 0x89f9afbb0507e938},
+	{10, 15, 262000, 0xd3b97b2024a269f1},
+	{11, 24, 319000, 0x6ddf9612b4acdec8},
+	{12, 29, 449000, 0xcc792f25dfeb756f},
+	{13, 38, 319000, 0x8c09123511cec90b},
+	{14, 44, 289000, 0x65da7c77ec67dde5},
+	{15, 10, 179000, 0x0d8ba6e3cd4b9fd9},
+	{16, 18, 188000, 0xfc2f003f7f7a25c3},
+	{17, 27, 466000, 0xecad727069237c2e},
+	{18, 33, 679000, 0x44c062144c407784},
+	{19, 19, 662000, 0x98eae3d998088278},
+	{20, 11, 184000, 0x475293d791c233f4},
+	{21, 37, 309000, 0x805c951eb4502988},
+	{22, 34, 536000, 0x086dab859b4b05a1},
+	{23, 40, 444000, 0x045b0612d9fa307d},
+	{24, 47, 323000, 0x9d918a63d307c232},
+	{25, 17, 430000, 0xc0c994856bbfc1e2},
+	{26, 21, 291000, 0x209aa7b2b1b3f8bc},
+	{27, 33, 370000, 0xad88149bba288cad},
+	{28, 25, 360000, 0xf364150202fa3da4},
+	{29, 19, 305000, 0x37652ae66be0c1f1},
+	{30, 15, 163000, 0x10fdf00c3cef0a91},
+	{31, 31, 272000, 0x54048c909ccee146},
+	{32, 19, 240000, 0x978b37f31765726f},
 }
 
 // TestMixTraceGolden is the engine-wide event-order check: every seed's
@@ -206,9 +170,9 @@ func TestDeadlockReportNamesProcsAndReasons(t *testing.T) {
 	e.Run()
 }
 
-// TestProcRecyclingDrainsPool pins that finished engines leave no parked
-// helper goroutines behind: spawning through several Run cycles reuses the
-// pool and Run's exit empties it.
+// TestProcRecyclingDrainsPool pins that a finished run leaves no procs in
+// its engine: spawning through several Run cycles reuses the coroutines,
+// and Run's exit hands the pool to the idle list.
 func TestProcRecyclingDrainsPool(t *testing.T) {
 	e := NewEngine()
 	for round := 0; round < 3; round++ {

@@ -1,21 +1,31 @@
+//go:build go1.23
+
 package des
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 
 	"iophases/internal/units"
 )
 
-// Proc is a simulated process: a goroutine that runs in virtual time,
-// cooperatively interleaved by the engine. At most one goroutine of an
-// engine executes at any instant. Control passes like a baton: a process
-// that blocks runs the event loop itself and wakes the next process due
-// over that process's wake channel (see handoff), so every transfer is a
-// channel rendezvous and Procs may freely share state without data races.
+// Proc is a simulated process: a coroutine (iter.Pull) that runs in
+// virtual time, cooperatively interleaved by the engine. At most one
+// coroutine of an engine executes at any instant. Control passes like a
+// baton: a process that blocks runs the event loop itself and, unless its
+// own resume is next, yields the next process due to Run, which resumes it
+// (see handoff). Every transfer is a coroutine switch, so Procs may freely
+// share state without data races.
 type Proc struct {
 	eng  *Engine
 	name string
-	wake chan struct{}
+	// resume runs the coroutine until it yields the next process due;
+	// yield, set inside the coroutine, is its half of that switch; stop
+	// finishes a pooled coroutine that the idle list has no room for.
+	resume func() (*Proc, bool)
+	yield  func(*Proc) bool
+	stop   func()
 	// reason and on say what the process last blocked on, for deadlock
 	// reports: a verb and the primitive's name ("acquire", "disk0"). They
 	// are joined only when a report is built, so blocking builds no string.
@@ -30,73 +40,107 @@ type Proc struct {
 	index    int
 }
 
+// idle holds the suspended coroutines of finished runs for any engine in
+// the process to reuse, so a new engine does not pay iter.Pull's
+// allocations per coroutine. It keeps at most idleCap; Run finishes the
+// rest (releasePool).
+var idle struct {
+	sync.Mutex
+	procs []*Proc
+}
+
+// idleCap bounds the idle list; idle's mutex guards it. It is a variable
+// only so that tests can exceed the bound with small engines.
+var idleCap = 1024
+
 // Spawn starts fn as a new simulated process. The process begins at the
 // current virtual time (via a zero-delay event) and runs until fn returns.
 //
-// Procs are recycled: a terminated process returns its goroutine and
-// channel to the engine's free list, so the simulators' per-request
-// helper processes (see Fork) cost no allocation and no goroutine
-// creation in steady state. No caller may retain the returned *Proc past
-// fn's return — the identity is reused.
+// Procs are recycled: a terminated process returns its coroutine to the
+// engine's pool, and Run moves the pool to the idle list, so the
+// simulators' per-request helper processes (see Fork) cost no allocation
+// and no coroutine creation in steady state. No caller may retain the
+// returned *Proc past fn's return — the identity is reused.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.pool); n > 0 {
 		p = e.pool[n-1]
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
-		p.name = name
-		p.fn = fn
 	} else {
-		p = &Proc{
-			eng:  e,
-			name: name,
-			wake: make(chan struct{}),
-			fn:   fn,
-		}
-		go p.loop()
+		p = takeIdle()
 	}
+	p.eng, p.name, p.fn = e, name, fn
 	e.live[p] = struct{}{}
 	e.scheduleResume(0, p)
 	return p
 }
 
-// loop is the recycled goroutine body: run one process function per life,
-// then join the engine's free list and pass control on. handoff returns
-// when the goroutine is resumed again, either for a new life (Spawn reused
-// it) or with no function, drainPool's termination signal.
-func (p *Proc) loop() {
-	<-p.wake
+// takeIdle returns a suspended coroutine from the idle list, or a new one.
+func takeIdle() *Proc {
+	idle.Lock()
+	if n := len(idle.procs); n > 0 {
+		p := idle.procs[n-1]
+		idle.procs[n-1] = nil
+		idle.procs = idle.procs[:n-1]
+		idle.Unlock()
+		return p
+	}
+	idle.Unlock()
+	p := new(Proc)
+	p.resume, p.stop = iter.Pull(p.loop)
+	return p
+}
+
+// releasePool moves the engine's pooled coroutines to the idle list, up to
+// its cap, and finishes the others. A pooled coroutine is suspended in
+// handoff with no function, so stop makes its loop return. A proc joins
+// the list with only its coroutine, so an idle one keeps no finished
+// engine reachable.
+func (e *Engine) releasePool() {
+	idle.Lock()
+	n := min(len(e.pool), idleCap-len(idle.procs))
+	for _, p := range e.pool[:n] {
+		*p = Proc{resume: p.resume, yield: p.yield, stop: p.stop}
+	}
+	idle.procs = append(idle.procs, e.pool[:n]...)
+	idle.Unlock()
+	for _, p := range e.pool[n:] {
+		p.stop()
+	}
+	clear(e.pool)
+	e.pool = e.pool[:0]
+}
+
+// loop is the coroutine body: run one process function per life, then
+// join the engine's pool and pass control on. handoff returns when the
+// coroutine is resumed again, for a new life (Spawn reused it, possibly
+// for another engine) or with no function, from stop.
+func (p *Proc) loop(yield func(*Proc) bool) {
+	p.yield = yield
 	for p.fn != nil {
 		fn := p.fn
 		p.fn = nil
 		fn(p)
 		e := p.eng
-		delete(e.live, p) // this goroutine holds control; safe to touch
+		delete(e.live, p) // this coroutine holds control; safe to touch
 		e.pool = append(e.pool, p)
 		p.handoff()
 	}
 }
 
 // handoff passes control on from p, which has just blocked or finished,
-// and returns when p holds it again. p's own goroutine runs the event loop
-// (Engine.dispatch). If the next process due is p itself, p keeps running
-// with no goroutine switch. If it is another process, p wakes it directly
-// and waits on its own wake channel: one switch per resume. If the queue
-// drains, p signals Run and waits, for drainPool if p is pooled, forever
-// if the simulation deadlocked with p blocked.
+// and returns when p holds it again. p's coroutine runs the event loop
+// (Engine.dispatch) itself. If the next process due is p, p keeps running
+// with no switch. Otherwise p yields that process, or nil once the queue
+// drains, to Run, whose loop resumes it: two coroutine switches and no
+// scheduler wakeup. A p left suspended when the queue drains is pooled, or
+// blocked in a deadlock and never resumed.
 func (p *Proc) handoff() {
-	e := p.eng
-	next := e.dispatch()
-	if next == p {
-		return
+	next := p.eng.dispatch()
+	if next != p {
+		p.yield(next)
 	}
-	if next == nil {
-		e.done <- struct{}{}
-	} else {
-		e.switches++
-		next.wake <- struct{}{}
-	}
-	<-p.wake
 }
 
 // block parks the calling process and returns when some event resumes it.
@@ -118,7 +162,7 @@ func (p *Proc) Now() units.Duration { return p.eng.now }
 // Sleep advances the process by d in virtual time: its resume is queued
 // behind every event already due at or before now+d. If that resume is
 // the next event, handoff finds it and the process keeps running with no
-// goroutine switch.
+// coroutine switch.
 func (p *Proc) Sleep(d units.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: %s sleeping negative duration %v", p.name, d))

@@ -39,76 +39,3 @@ func (b *Barrier) Wait(p *Proc) {
 	b.arrived = append(b.arrived, p)
 	p.block("barrier", b.name)
 }
-
-// Mailbox is a blocking point-to-point channel in virtual time, used for
-// MPI-style message passing. Senders block until a receiver takes the value
-// (rendezvous), matching blocking MPI semantics; buffered delivery is the
-// caller's concern.
-type Mailbox struct {
-	eng     *Engine
-	name    string
-	items   []interface{}
-	getters []*Proc
-	cap     int
-	putters []mboxPut
-}
-
-type mboxPut struct {
-	p *Proc
-	v interface{}
-}
-
-// NewMailbox creates a mailbox with the given buffer capacity; capacity 0
-// means every Put rendezvouses with a Get.
-func NewMailbox(eng *Engine, name string, capacity int) *Mailbox {
-	if capacity < 0 {
-		panic(fmt.Sprintf("des: mailbox %q capacity %d", name, capacity))
-	}
-	return &Mailbox{eng: eng, name: name, cap: capacity}
-}
-
-// Put delivers v, blocking while the buffer is full and no getter waits.
-func (m *Mailbox) Put(p *Proc, v interface{}) {
-	if len(m.getters) > 0 {
-		g := m.getters[0]
-		m.getters = m.getters[1:]
-		m.items = append(m.items, v)
-		m.eng.scheduleResume(0, g)
-		return
-	}
-	if len(m.items) < m.cap {
-		m.items = append(m.items, v)
-		return
-	}
-	m.putters = append(m.putters, mboxPut{p, v})
-	p.block("put", m.name)
-}
-
-// Get receives the oldest value, blocking while the mailbox is empty.
-func (m *Mailbox) Get(p *Proc) interface{} {
-	if len(m.items) == 0 {
-		m.promotePutter() // rendezvous with a blocked sender, if any
-	}
-	for len(m.items) == 0 {
-		m.getters = append(m.getters, p)
-		p.block("get", m.name)
-	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	if len(m.items) < m.cap {
-		m.promotePutter() // buffer space freed; admit the next sender
-	}
-	return v
-}
-
-// promotePutter moves the oldest blocked sender's value into the buffer and
-// resumes that sender. Callers guarantee there is room (or an active take).
-func (m *Mailbox) promotePutter() {
-	if len(m.putters) == 0 {
-		return
-	}
-	pt := m.putters[0]
-	m.putters = m.putters[1:]
-	m.items = append(m.items, pt.v)
-	m.eng.scheduleResume(0, pt.p)
-}

@@ -12,10 +12,11 @@
 //   - Effects are pure functions of virtual time wherever possible
 //     (windows, factors, flap duty cycles). The only randomness —
 //     transient-error draws — comes from a per-engine rand stream seeded
-//     from Schedule.Seed, consulted in discrete-event order on the
-//     engine's single goroutine chain. Two engines built from the same
-//     (spec, schedule) therefore inject identical fault sequences, so a
-//     sweep at any -j reproduces the -j 1 results bit for bit.
+//     from Schedule.Seed, consulted in discrete-event order by the
+//     engine's one running process or callback. Two engines built from
+//     the same (spec, schedule) therefore inject identical fault
+//     sequences, so a sweep at any -j reproduces the -j 1 results bit for
+//     bit.
 //
 //   - A schedule is part of a configuration's physical identity: it rides
 //     on cluster.Spec, so the simcache content-address fingerprint keys

@@ -18,9 +18,9 @@ var ErrTransient = errors.New("faults: transient I/O error")
 
 // Injector is a schedule bound to one engine: the object the service
 // layers (disksim, netsim, fsim) consult. One injector belongs to exactly
-// one engine and is only touched from that engine's goroutine chain, so —
-// like every DES structure — it needs no locking and its rand stream is
-// consumed in deterministic event order.
+// one engine and is only touched by its one running process or callback,
+// so — like every DES structure — it needs no locking and its rand stream
+// is consumed in deterministic event order.
 type Injector struct {
 	sch *Schedule
 	rng *rand.Rand

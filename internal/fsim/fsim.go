@@ -93,8 +93,9 @@ func EffectiveStripeCount(stripeCount, ntargets int) int {
 // the data-path totals split cleanly per app: when every handle on a
 // filesystem carries an account, the accounts' byte totals sum exactly to
 // the filesystem's Traffic() totals — the conservation law co-execution
-// reports are checked against. Fields are plain ints: the DES executes
-// all procs on one goroutine, so no atomics are needed.
+// reports are checked against. Fields are plain ints: the DES runs one
+// proc at a time, handing control on by coroutine switches, so no atomics
+// are needed.
 type Account struct {
 	Name         string // application label, for reports
 	BytesWritten int64  // client extent bytes successfully written

@@ -396,8 +396,10 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, endpoint string, 
 }
 
 // safeCompute runs a query computation, converting a panic into a 500 so
-// one poisoned query cannot take the daemon down. The panic value goes to
-// the access log and a counter, never into the response body.
+// one poisoned query cannot take the daemon down. That covers a panic in
+// a simulation: des.Engine.Run raises a process's panic on its caller, and
+// sweep.MapN a worker's on its own. The panic value goes to the access log
+// and a counter, never into the response body.
 func (s *Server) safeCompute(fn func() flightResult, entry *AccessEntry) (res flightResult) {
 	defer func() {
 		if r := recover(); r != nil {

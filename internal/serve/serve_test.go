@@ -486,9 +486,9 @@ func TestPanicBecomes500(t *testing.T) {
 }
 
 // TestFaithfulNegativeOffsetIs422: a corpus model whose mixed phase
-// reaches a negative offset is answered with 422 on a faithful predict.
-// The phase replay would otherwise panic on a simulation goroutine, past
-// safeCompute's recover, and end the daemon.
+// reaches a negative offset is answered with 422 on a faithful predict,
+// before anything is simulated, not with the 500 that safeCompute makes
+// of the panic the phase replay would raise.
 func TestFaithfulNegativeOffsetIs422(t *testing.T) {
 	good := testModel(t)
 	neg := *good

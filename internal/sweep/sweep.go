@@ -66,6 +66,12 @@ func Map[T, R any](items []T, fn func(i int, item T) R) []R {
 // per call and none per task. Timeline spans (one per task, per worker
 // track) remain gated on an active recorder, since they format labels
 // and grow the span ring.
+//
+// A panic in fn stops its worker and is raised again on the caller once
+// every worker has stopped, so a recover around MapN (iod's safeCompute)
+// catches it as it would a serial loop's. Of several, the lowest index's
+// is raised: items are claimed in index order, so every lower index ran,
+// and that is the panic the serial loop would have raised.
 func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	out := make([]R, len(items))
 	if len(items) == 0 {
@@ -104,9 +110,14 @@ func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 		cBusy.Add(int64(time.Since(t0)))
 		return out
 	}
-	// tally is one worker's task count and running time, written by that
-	// worker before wg.Done and read by the caller after wg.Wait.
-	type tally struct{ tasks, busy int64 }
+	// tally is one worker's task count and running time, and the index
+	// and value of the panic that stopped it (val nil if none), written by
+	// that worker before wg.Done and read by the caller after wg.Wait.
+	type tally struct {
+		tasks, busy int64
+		at          int
+		val         any
+	}
 	tallies := make([]tally, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -119,16 +130,18 @@ func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 			if tl != nil {
 				tr = tl.Track("sweep pool", fmt.Sprintf("worker %d", w))
 			}
-			n := 0
+			n, i := 0, 0
+			defer func() {
+				tallies[w] = tally{int64(n), int64(time.Since(t0)), i, recover()}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= len(items) {
 					break
 				}
 				out[i] = run(tr, i, items[i])
 				n++
 			}
-			tallies[w] = tally{int64(n), int64(time.Since(t0))}
 		}(w)
 	}
 	wg.Wait()
@@ -136,8 +149,14 @@ func MapN[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	for _, t := range tallies {
 		sum.tasks += t.tasks
 		sum.busy += t.busy
+		if t.val != nil && (sum.val == nil || t.at < sum.at) {
+			sum.at, sum.val = t.at, t.val
+		}
 	}
 	cTasks.Add(sum.tasks)
 	cBusy.Add(sum.busy)
+	if sum.val != nil {
+		panic(sum.val)
+	}
 	return out
 }

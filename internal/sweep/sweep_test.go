@@ -69,3 +69,25 @@ func TestSetConcurrency(t *testing.T) {
 		t.Fatalf("default concurrency %d", got)
 	}
 }
+
+// TestMapNRepanicsLowestIndex: a panic in a worker comes out of MapN on
+// the caller, after the workers stop, with the value of the lowest index
+// whose fn panicked, as a serial loop would raise it. Every fifth item
+// from k on panics, so with two workers several do.
+func TestMapNRepanicsLowestIndex(t *testing.T) {
+	const k = 5
+	items := make([]int, 64)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		MapN(2, items, func(i, _ int) int {
+			if i >= k && i%k == 0 {
+				panic(fmt.Sprintf("item %d", i))
+			}
+			return i
+		})
+		return nil
+	}()
+	if want := fmt.Sprintf("item %d", k); got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
+	}
+}
