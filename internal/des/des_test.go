@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -119,8 +120,9 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 // TestProcPanicReachesRunCaller: a panic in a process body comes out of
-// Run on its caller's goroutine with the body's value, so a recover
-// around Run gets it while the other process is still parked mid-run.
+// Run on its caller's goroutine as a *Panic holding the body's value, so a
+// recover around Run gets it while the other process is still parked
+// mid-run.
 func TestProcPanicReachesRunCaller(t *testing.T) {
 	type boom struct{ at units.Duration }
 	e := NewEngine()
@@ -129,13 +131,48 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		p.Sleep(units.Millisecond)
 		panic(boom{p.Now()})
 	})
-	got := func() (r any) {
-		defer func() { r = recover() }()
-		e.Run()
-		return nil
-	}()
-	if want := (boom{units.Millisecond}); got != want {
-		t.Fatalf("recovered %#v, want %#v", got, want)
+	got := recoverRun(e)
+	pp, ok := got.(*Panic)
+	if want := (boom{units.Millisecond}); !ok || pp.Value != want || pp.Proc != "bad" {
+		t.Fatalf("recovered %#v, want a *Panic of process bad holding %#v", got, want)
+	}
+}
+
+// recoverRun runs e and returns what a panic out of Run carried.
+func recoverRun(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+var errFire = errors.New("disk on fire")
+
+// explode panics below a process body, in a callback run on the
+// process's coroutine, so only the captured stack can name it.
+func explode() { panic(errFire) }
+
+// TestProcPanicKeepsItsStack: the value Run raises keeps the frames of the
+// coroutine that panicked, which the re-raise on Run's caller loses: the
+// stack names the panicking function, the text starts with the original
+// panic's, and an error value stays reachable through errors.Is.
+func TestProcPanicKeepsItsStack(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("victim", func(p *Proc) {
+		e.Schedule(units.Millisecond, explode)
+		p.Sleep(units.Second) // dispatches the callback on this coroutine
+	})
+	pp, ok := recoverRun(e).(*Panic)
+	if !ok {
+		t.Fatal("Run did not raise a *Panic")
+	}
+	if !strings.Contains(string(pp.Stack), "des.explode(") {
+		t.Errorf("captured stack does not name des.explode:\n%s", pp.Stack)
+	}
+	if msg := pp.Error(); !strings.HasPrefix(msg, errFire.Error()) || !strings.Contains(msg, "process victim") {
+		t.Errorf("panic text %q does not start with the original's and name the process", msg)
+	}
+	if !errors.Is(pp, errFire) {
+		t.Error("the original error is not reachable through Unwrap")
 	}
 }
 

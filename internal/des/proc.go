@@ -5,6 +5,7 @@ package des
 import (
 	"fmt"
 	"iter"
+	"runtime/debug"
 	"sync"
 
 	"iophases/internal/units"
@@ -118,6 +119,7 @@ func (e *Engine) releasePool() {
 // for another engine) or with no function, from stop.
 func (p *Proc) loop(yield func(*Proc) bool) {
 	p.yield = yield
+	defer p.repanic()
 	for p.fn != nil {
 		fn := p.fn
 		p.fn = nil
@@ -126,6 +128,35 @@ func (p *Proc) loop(yield func(*Proc) bool) {
 		delete(e.live, p) // this coroutine holds control; safe to touch
 		e.pool = append(e.pool, p)
 		p.handoff()
+	}
+}
+
+// Panic is the value Run raises when a process body, or a callback run on
+// a process's coroutine, panics. iter.Pull re-raises the panic on Run's
+// caller with only that caller's frames, so Stack keeps the coroutine's,
+// taken before they unwind. Error's text begins with Value's.
+type Panic struct {
+	Value any
+	Proc  string // the process whose coroutine panicked
+	Stack []byte
+}
+
+func (e *Panic) Error() string {
+	return fmt.Sprintf("%v\n\ndes: panic in process %s:\n%s", e.Value, e.Proc, e.Stack)
+}
+
+// Unwrap returns Value when it is an error.
+func (e *Panic) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// repanic re-raises a panic leaving p's coroutine as a *Panic. Deferred in
+// loop, it runs on top of the panicking frames, so the stack it takes
+// still holds them.
+func (p *Proc) repanic() {
+	if v := recover(); v != nil {
+		panic(&Panic{Value: v, Proc: p.name, Stack: debug.Stack()})
 	}
 }
 

@@ -6,7 +6,8 @@ import "fmt"
 // links, disk queues and server threads. Acquire blocks until the requested
 // units are available; waiters are admitted strictly in arrival order (no
 // barging), so a large request at the head of the queue is not starved by
-// smaller ones behind it.
+// smaller ones behind it. AcquireThen queues a callback in the same FIFO,
+// for a request that needs no process of its own.
 type Resource struct {
 	eng      *Engine
 	name     string
@@ -20,9 +21,11 @@ type Resource struct {
 	head    int
 }
 
+// resWaiter is a blocked process, or with p nil a callback.
 type resWaiter struct {
-	p *Proc
-	n int
+	p  *Proc
+	fn func()
+	n  int
 }
 
 // NewResource creates a resource with the given total capacity.
@@ -35,20 +38,42 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 
 // Acquire obtains n units, blocking the process until they are free.
 func (r *Resource) Acquire(p *Proc, n int) {
+	if r.admit(n) {
+		return
+	}
+	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	p.block("acquire", r.name)
+}
+
+// AcquireThen obtains n units for fn: when they are free, fn runs at once;
+// otherwise fn waits in the FIFO with the blocked processes, and the
+// Release that admits it schedules fn as a zero-delay event at the queue
+// position where a process's resume would go. Whatever fn starts must
+// Release the units.
+func (r *Resource) AcquireThen(n int, fn func()) {
+	if r.admit(n) {
+		fn()
+		return
+	}
+	r.waiters = append(r.waiters, resWaiter{fn: fn, n: n})
+}
+
+// admit takes n units if nothing is queued and they are free.
+func (r *Resource) admit(n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: acquire %d of %q (capacity %d)", n, r.name, r.capacity))
 	}
 	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
 		r.inUse += n
-		return
+		return true
 	}
-	r.waiters = append(r.waiters, resWaiter{p, n})
-	p.block("acquire", r.name)
+	return false
 }
 
 // Release returns n units and admits as many queued waiters as now fit, in
-// FIFO order. Admitted processes resume via zero-delay events so wake-up
-// order matches queue order deterministically.
+// FIFO order. Admitted processes resume, and admitted callbacks run, via
+// zero-delay events, so wake-up order matches queue order
+// deterministically.
 func (r *Resource) Release(n int) {
 	if n <= 0 || r.inUse < n {
 		panic(fmt.Sprintf("des: release %d of %q (in use %d)", n, r.name, r.inUse))
@@ -62,7 +87,11 @@ func (r *Resource) Release(n int) {
 		r.inUse += w.n
 		r.waiters[r.head] = resWaiter{}
 		r.head++
-		r.eng.scheduleResume(0, w.p) // closure-free wakeup
+		if w.p != nil {
+			r.eng.scheduleResume(0, w.p) // closure-free wakeup
+		} else {
+			r.eng.Schedule(0, w.fn)
+		}
 	}
 	if r.head == len(r.waiters) {
 		r.waiters = r.waiters[:0]

@@ -129,15 +129,45 @@ func SAS15K(capacity int64) DiskParams {
 	}
 }
 
-// Disk is a single spindle with a FIFO request queue.
+// Disk is a single spindle with a FIFO request queue. A process's Read or
+// Write blocks it until the request completes; an array leg's request
+// (do) waits in the same queue with a completion callback and no process.
+// Both go through begin and end, so the timing and the accounting exist
+// once.
 type Disk struct {
 	name   string
 	params DiskParams
+	eng    *des.Engine
 	queue  *des.Resource
 	head   HeadClock // head-position timing state (shared with mirror.go)
 	ctr    Counters
 	met    diskMetrics
 	flt    *faults.Injector // nil on a healthy cluster
+	// cbs holds the callback requests. It is made at the first one: most
+	// disks of a large cluster never see one, and a disk costs what it
+	// did before callbacks until then.
+	cbs *callbacks
+}
+
+// callbacks is a disk's callback requests: pending[next:] wait for the
+// queue in arrival order, which is the order a one-unit queue admits them
+// in, and cur holds it. Its functions are the disk's start and finish,
+// bound once, so a request allocates nothing.
+type callbacks struct {
+	pending           []diskReq
+	next              int
+	cur               diskReq
+	startFn, finishFn func()
+}
+
+// diskReq is a callback request: its extent, when it joined the queue,
+// its service time once it holds the queue, and what to run on
+// completion.
+type diskReq struct {
+	offset, size int64
+	write        bool
+	queued, t    units.Duration
+	done         func()
 }
 
 // NewDisk creates a disk on the engine.
@@ -148,6 +178,7 @@ func NewDisk(eng *des.Engine, name string, params DiskParams) *Disk {
 	return &Disk{
 		name:   name,
 		params: params,
+		eng:    eng,
 		queue:  des.NewResource(eng, "disk:"+name, 1),
 		head:   HeadClock{params: params, lastEnd: -1},
 		met:    newDiskMetrics(),
@@ -158,71 +189,111 @@ func NewDisk(eng *des.Engine, name string, params DiskParams) *Disk {
 func (d *Disk) Name() string    { return d.name }
 func (d *Disk) Capacity() int64 { return d.params.CapacityB }
 
-// serviceTime computes the duration of one request and updates head state.
-// The timing model lives in HeadClock so the analytic fast path advances
-// the identical formulas; this wrapper only keeps the seek counters.
-func (d *Disk) serviceTime(offset, size int64, write bool) units.Duration {
+// Read services a read, blocking the process. A zero-byte request moves
+// no data and, on a real device, never leaves the submitting host: Read,
+// Write and do return at once, with no seek, no counter and no histogram
+// sample (the seed charged a full seek here and polluted
+// disksim/read_size with zeros).
+func (d *Disk) Read(p *des.Proc, offset, size int64) { d.access(p, offset, size, false) }
+
+// Write services a write, blocking the process.
+func (d *Disk) Write(p *des.Proc, offset, size int64) { d.access(p, offset, size, true) }
+
+// access serves a process's request: it queues, sleeps for the service
+// time and returns once the disk is released.
+func (d *Disk) access(p *des.Proc, offset, size int64, write bool) {
+	if size == 0 {
+		return
+	}
+	queued := p.Now()
+	d.queue.Acquire(p, 1)
+	t := d.begin(offset, size, write, queued)
+	p.Sleep(t)
+	d.end(size, write, t)
+}
+
+// do serves a request without a process: it waits in the queue like a
+// process's, and done runs inside the event that completes it, where the
+// process's Sleep would return. Array runs its member legs this way.
+func (d *Disk) do(offset, size int64, write bool, done func()) {
+	if size == 0 {
+		done()
+		return
+	}
+	q := d.cbs
+	if q == nil {
+		q = &callbacks{}
+		q.startFn, q.finishFn = d.start, d.finish
+		d.cbs = q
+	}
+	q.pending = append(q.pending, diskReq{offset: offset, size: size, write: write, queued: d.eng.Now(), done: done})
+	d.queue.AcquireThen(1, q.startFn)
+}
+
+// start serves the oldest callback request once the queue admits it.
+func (d *Disk) start() {
+	q := d.cbs
+	r := q.pending[q.next]
+	q.pending[q.next] = diskReq{}
+	if q.next++; q.next == len(q.pending) {
+		q.pending, q.next = q.pending[:0], 0
+	}
+	r.t = d.begin(r.offset, r.size, r.write, r.queued)
+	q.cur = r
+	if r.t == 0 {
+		d.finish() // as Sleep(0) returns at once
+		return
+	}
+	d.eng.Schedule(r.t, q.finishFn)
+}
+
+// finish completes the callback request in service and runs its callback.
+func (d *Disk) finish() {
+	q := d.cbs
+	r := q.cur
+	q.cur = diskReq{}
+	d.end(r.size, r.write, r.t)
+	r.done()
+}
+
+// begin starts a request that has just been admitted: it samples the time
+// spent queued since queued and returns the service time, advancing the
+// head state. The timing model lives in HeadClock so the analytic fast
+// path advances the identical formulas.
+func (d *Disk) begin(offset, size int64, write bool, queued units.Duration) units.Duration {
+	now := d.eng.Now()
+	if h := d.met.queueWait; h != nil {
+		h.Observe(int64((now - queued) / units.Microsecond))
+	}
 	t, seek := d.head.ServiceTime(offset, size, write)
 	if seek {
 		d.ctr.Seeks++
 		d.met.seeks.Inc()
 	}
+	if d.flt != nil {
+		t = d.flt.DiskTime(d.name, now, t)
+	}
 	return t
 }
 
-func (d *Disk) Read(p *des.Proc, offset, size int64) {
-	if size == 0 {
-		// A zero-byte read moves no data and, on a real device, never
-		// leaves the submitting host: no seek, no counter, no histogram
-		// sample (the seed charged a full seek here and polluted
-		// disksim/read_size with zeros).
-		return
-	}
-	d.acquire(p)
-	t := d.serviceTime(offset, size, false)
-	if d.flt != nil {
-		t = d.flt.DiskTime(d.name, p.Now(), t)
-	}
-	p.Sleep(t)
+// end releases the queue after a request of service time t and accounts
+// it.
+func (d *Disk) end(size int64, write bool, t units.Duration) {
 	d.queue.Release(1)
-	d.ctr.ReadOps++
-	d.ctr.ReadBytes += size
+	if write {
+		d.ctr.WriteOps++
+		d.ctr.WriteBytes += size
+		d.met.writeOps.Inc()
+		d.met.writeBytes.Add(size)
+		d.met.writeSize.Observe(size)
+	} else {
+		d.ctr.ReadOps++
+		d.ctr.ReadBytes += size
+		d.met.readOps.Inc()
+		d.met.readBytes.Add(size)
+		d.met.readSize.Observe(size)
+	}
 	d.ctr.BusyTime += t
-	d.met.readOps.Inc()
-	d.met.readBytes.Add(size)
-	d.met.readSize.Observe(size)
-}
-
-func (d *Disk) Write(p *des.Proc, offset, size int64) {
-	if size == 0 {
-		return
-	}
-	d.acquire(p)
-	t := d.serviceTime(offset, size, true)
-	if d.flt != nil {
-		t = d.flt.DiskTime(d.name, p.Now(), t)
-	}
-	p.Sleep(t)
-	d.queue.Release(1)
-	d.ctr.WriteOps++
-	d.ctr.WriteBytes += size
-	d.ctr.BusyTime += t
-	d.met.writeOps.Inc()
-	d.met.writeBytes.Add(size)
-	d.met.writeSize.Observe(size)
-}
-
-// acquire takes the request queue, observing the virtual time spent waiting
-// behind other requests. The Now() reads happen only when telemetry is on,
-// so the disabled path is a single branch around a plain Acquire.
-func (d *Disk) acquire(p *des.Proc) {
-	if d.met.queueWait == nil {
-		d.queue.Acquire(p, 1)
-		return
-	}
-	before := p.Now()
-	d.queue.Acquire(p, 1)
-	d.met.queueWait.Observe(int64((p.Now() - before) / units.Microsecond))
 }
 
 func (d *Disk) Counters() Counters { return d.ctr }

@@ -78,7 +78,7 @@ func (h *HeadClock) OpTime(offset, size int64, write bool) units.Duration {
 
 // ArrayClock mirrors Array timing for a contention-free caller: every
 // member request of one logical op starts at the same instant (the DES
-// spawns all chunk helpers at the issuing time), so the op's blocking time
+// starts all member legs at the issuing time), so the op's blocking time
 // is the maximum member service time; RAID5 sub-stripe writes decompose
 // into head/middle/tail exactly as Array.Write does. Reset readies one
 // for use.
@@ -107,8 +107,8 @@ func (a *ArrayClock) dataDisks() int {
 	return len(a.members)
 }
 
-// issueTime mirrors Array.issue on a healthy array: all member helpers
-// are forked at the same virtual instant against distinct member queues,
+// issueTime mirrors Array.issue on a healthy array: all member legs
+// start at the same virtual instant against distinct member queues,
 // so each member's (sequential) service chain starts immediately and the
 // caller unblocks at the slowest member.
 func (a *ArrayClock) issueTime(s Stripe, write, rmw bool) units.Duration {

@@ -24,21 +24,24 @@ const (
 // whole files land on one member.
 const JBODStripe = 64 * units.GiB
 
-// Array is a striped disk array with a single controller queue. Member
-// requests are issued to the member disks concurrently through helper
-// processes, so a full-stripe access genuinely overlaps the spindles and
-// the per-disk counters reflect real member activity (Figure 8 samples
-// them).
+// Array is a striped disk array with a single controller queue. A request
+// runs one leg per touched member, all at once, so a full-stripe access
+// genuinely overlaps the spindles and the per-disk counters reflect real
+// member activity (Figure 8 samples them). A leg is a fixed list of
+// member-disk requests, so it runs as event callbacks (see leg) while the
+// caller waits.
 type Array struct {
 	eng        *des.Engine
 	name       string
-	chunkName  string // precomputed helper-proc name (issue is the hot path)
 	level      RAIDLevel
 	members    []*Disk
 	stripeUnit int64
 	queue      *des.Resource
 	ctr        Counters
 	flt        *faults.Injector // nil on a healthy cluster
+	// free holds the request states not in flight. The controller admits
+	// at most four requests, so the list stays that short.
+	free []*arrayReq
 }
 
 // NewArray builds an array over the given member disks. stripeUnit is the
@@ -56,7 +59,6 @@ func NewArray(eng *des.Engine, name string, level RAIDLevel, members []*Disk, st
 	return &Array{
 		eng:        eng,
 		name:       name,
-		chunkName:  name + "/chunk",
 		level:      level,
 		members:    members,
 		stripeUnit: stripeUnit,
@@ -217,58 +219,169 @@ func (a *Array) effectiveFailed(now units.Duration) int {
 	return -1
 }
 
-// issue runs the extent's member runs against the member disks
-// concurrently, one helper per touched member in first-touch order, and
-// blocks the caller until all complete. Data is laid out round-robin in
+// issue runs the extent's member legs against the member disks
+// concurrently, one per touched member in first-touch order, and blocks
+// the caller until all complete. Data is laid out round-robin in
 // stripeUnit pieces; for RAID5 the parity rotation is approximated by
 // spreading data over all members (which matches the aggregate bandwidth
 // behaviour of rotating parity). failed is the member lost for this
 // request (-1 when healthy), sampled once per logical request so a
 // rebuild completing mid-request cannot split one access across both
 // regimes.
+//
+// Each leg starts from its own zero-delay event, and the last to finish
+// schedules the caller's resume, so every event comes at the virtual time
+// and in the order that a helper process per leg (Proc.Fork) would give.
 func (a *Array) issue(p *des.Proc, s Stripe, write, rmw bool, failed int) {
-	p.Fork(a.chunkName, s.Touched(), func(hp *des.Proc, i int) {
-		disk, off, n := s.Nth(i)
-		if disk == failed {
-			if write {
-				// Data destined for the lost member lands in
-				// parity only: surviving members absorb an
-				// extra parity update of the chunk size.
-				alt := a.members[(disk+1)%len(a.members)]
-				alt.Write(hp, off, n)
-			} else {
-				// Reconstruction: read the chunk's stripe
-				// from every surviving member.
-				hp.Fork(a.name+"/rebuild", len(a.members)-1, func(rp *des.Proc, m int) {
-					if m >= failed {
-						m++
-					}
-					a.members[m].Read(rp, off, n)
-				})
-			}
-			return
+	n := s.Touched()
+	if n == 0 {
+		return
+	}
+	r := a.takeReq()
+	r.caller, r.left = p, n
+	for i := 0; i < n; i++ {
+		disk, off, size := s.Nth(i)
+		l := &r.legs[i]
+		l.disk, l.off, l.n, l.at = a.members[disk], off, size, 0
+		switch {
+		case disk == failed && write:
+			// Data destined for the lost member lands in parity
+			// only: surviving members absorb an extra parity
+			// update of the chunk size.
+			l.disk, l.ops = a.members[(disk+1)%len(a.members)], writeOnly
+		case disk == failed:
+			// Reconstruction: read the chunk's stripe from every
+			// surviving member.
+			l.disk, l.lost = nil, failed
+		case write && rmw:
+			// Read-modify-write: the old data (and parity) must be
+			// read before the new parity can be written. The
+			// parity write on the rotating parity member is
+			// charged to the same disk's queue as an extra op of
+			// equal size — aggregate cost matches the classic
+			// 4-I/O small-write penalty within 2x.
+			l.ops = readModifyWrite
+		case write:
+			l.ops = writeOnly
+		default:
+			l.ops = readOnly
 		}
-		d := a.members[disk]
-		if write {
-			if rmw {
-				// Read-modify-write: the old data (and
-				// parity) must be read before the new
-				// parity can be written.
-				d.Read(hp, off, n)
-			}
-			d.Write(hp, off, n)
-			if rmw {
-				// Parity write on the rotating parity
-				// member; charge it to the same disk's
-				// queue as an extra op of equal size —
-				// aggregate cost matches the classic
-				// 4-I/O small-write penalty within 2x.
-				d.Write(hp, off, n)
-			}
-		} else {
-			d.Read(hp, off, n)
+		a.eng.Schedule(0, l.stepFn)
+	}
+	p.Park("issue", a.name)
+	r.caller = nil
+	a.free = append(a.free, r)
+}
+
+// The request lists of a leg on a live member: false reads, true writes.
+var (
+	readOnly        = []bool{false}
+	writeOnly       = []bool{true}
+	readModifyWrite = []bool{false, true, true}
+)
+
+// arrayReq is the state of one issue in flight: the caller, parked until
+// its legs finish, and the legs, reused from request to request.
+type arrayReq struct {
+	a       *Array
+	caller  *des.Proc
+	left    int    // legs not yet finished
+	reading int    // the rebuild leg's survivor reads not yet finished
+	legs    []leg  // one per member, in first-touch order
+	reads   []leg  // the survivor reads of a rebuild leg, made on first use
+	joinFn  func() // join, bound once
+}
+
+// leg is one member's share of an array request. It needs no stack of its
+// own: it is a fixed list of requests on one member disk, each issued from
+// inside the event that completes the one before (Disk.do), or, for a
+// rebuild read, a fan-out of single reads to the survivors. Only one
+// member is lost at a time, so a request has at most one rebuild leg.
+type leg struct {
+	r        *arrayReq
+	disk     *Disk // nil for a rebuild leg
+	off, n   int64
+	ops      []bool // the requests in order: false reads, true writes
+	at       int    // the next request to issue
+	lost     int    // a rebuild leg's lost member
+	survivor bool   // one of a rebuild leg's survivor reads
+	stepFn   func() // step, bound once so that a leg allocates nothing
+}
+
+// takeReq returns a request state from the free list, or a new one.
+func (a *Array) takeReq() *arrayReq {
+	if n := len(a.free); n > 0 {
+		r := a.free[n-1]
+		a.free = a.free[:n-1]
+		return r
+	}
+	r := &arrayReq{a: a}
+	r.joinFn = r.join
+	r.legs = r.newLegs(len(a.members))
+	return r
+}
+
+// newLegs makes n legs of r with their callbacks bound.
+func (r *arrayReq) newLegs(n int) []leg {
+	legs := make([]leg, n)
+	for i := range legs {
+		legs[i].r = r
+		legs[i].stepFn = legs[i].step
+	}
+	return legs
+}
+
+// join counts a finished leg and resumes the caller after the last.
+func (r *arrayReq) join() {
+	if r.left--; r.left == 0 {
+		r.a.eng.Unpark(r.caller)
+	}
+}
+
+// step runs at the leg's zero-delay start and inside the event that
+// completes each of its requests: it issues the next request, or finishes
+// the leg after the last. A rebuild leg starts one read per survivor, in
+// member order, each from a zero-delay event of its own.
+func (l *leg) step() {
+	r := l.r
+	switch {
+	case l.disk == nil:
+		r.rebuild(l.lost, l.off, l.n)
+	case l.at < len(l.ops):
+		write := l.ops[l.at]
+		l.at++
+		l.disk.do(l.off, l.n, write, l.stepFn)
+	case !l.survivor:
+		r.join()
+	default:
+		// The rebuild leg finishes at a zero-delay event after its
+		// last survivor read, as a helper resumed from its fork.
+		if r.reading--; r.reading == 0 {
+			r.a.eng.Schedule(0, r.joinFn)
 		}
-	})
+	}
+}
+
+// rebuild starts the reads of the lost member's chunk [off, off+n) from
+// every survivor.
+func (r *arrayReq) rebuild(lost int, off, n int64) {
+	members := r.a.members
+	if r.reads == nil {
+		r.reads = r.newLegs(len(members) - 1)
+		for i := range r.reads {
+			r.reads[i].ops, r.reads[i].survivor = readOnly, true
+		}
+	}
+	r.reading = len(r.reads)
+	for i := range r.reads {
+		m := i
+		if m >= lost {
+			m++
+		}
+		rl := &r.reads[i]
+		rl.disk, rl.off, rl.n, rl.at = members[m], off, n, 0
+		r.a.eng.Schedule(0, rl.stepFn)
+	}
 }
 
 // fullStripe reports whether the extent covers whole stripes (so RAID5 can

@@ -17,11 +17,11 @@ const admissionVersion = "v1"
 // checks mirror the panics of cluster.Build and the device constructors: a
 // spec the DES would refuse to build must bail so the fall-back path
 // preserves the panic-on-bad-input behavior.
-func specReason(spec cluster.Spec) string {
+func specReason(spec *cluster.Spec) string {
 	if spec.Faults != nil {
 		return "faults"
 	}
-	st := spec.Storage
+	st := &spec.Storage
 	switch {
 	case spec.ComputeNodes <= 0 || spec.CoresPerNode <= 0,
 		st.IONodes <= 0 || st.DisksPerNode <= 0,
@@ -51,7 +51,7 @@ func specReason(spec cluster.Spec) string {
 }
 
 // admitIOR reports why an IOR run is statically inadmissible, or "".
-func admitIOR(spec cluster.Spec, p ior.Params) string {
+func admitIOR(spec *cluster.Spec, p ior.Params) string {
 	if r := specReason(spec); r != "" {
 		return r
 	}
@@ -74,7 +74,7 @@ func admitIOR(spec cluster.Spec, p ior.Params) string {
 // admission decision for an IOR run: "v1:ok" when admissible, "v1:<reason>"
 // otherwise.
 func DecisionTag(spec cluster.Spec, p ior.Params) string {
-	if r := admitIOR(spec, p); r != "" {
+	if r := admitIOR(&spec, p); r != "" {
 		return admissionVersion + ":" + r
 	}
 	return admissionVersion + ":ok"

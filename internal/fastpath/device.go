@@ -51,7 +51,7 @@ type serverSim struct {
 // reset readies the analytic target for a spec's storage side: every
 // scalar field back to zero, the device clock and cache state back to the
 // state cluster.Build's freshly built devices start in.
-func (s *serverSim) reset(st cluster.StorageSpec) {
+func (s *serverSim) reset(st *cluster.StorageSpec) {
 	*s = serverSim{head: s.head, array: s.array, ledger: s.ledger}
 	s.dev = s.deviceClock(st)
 	if c := st.Cache; c != nil {
@@ -64,7 +64,7 @@ func (s *serverSim) reset(st cluster.StorageSpec) {
 
 // deviceClock mirrors cluster.Build's per-I/O-node device assembly: RAID
 // array, JBOD-as-RAID0 concatenation, or a bare disk.
-func (s *serverSim) deviceClock(st cluster.StorageSpec) disksim.DeviceClock {
+func (s *serverSim) deviceClock(st *cluster.StorageSpec) disksim.DeviceClock {
 	switch {
 	case st.RAID != nil:
 		s.array.Reset(st.RAID.Level, st.DisksPerNode, st.RAID.StripeUnit, st.Disk)

@@ -130,7 +130,8 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 // device.
 func TestReadAfterUndroppedWriteBails(t *testing.T) {
 	for _, drop := range []bool{false, true} {
-		w := getWalker(cluster.ConfigA())
+		spec := cluster.ConfigA()
+		w := getWalker(&spec)
 		w.open()
 		w.writeExtent(0, units.MiB)
 		if w.bailed() {

@@ -10,7 +10,12 @@ import (
 // is inadmissible or the walk hit a dynamic bailout; the caller must then
 // run the full DES. When ok, the Result is bit-identical to ior.Run's —
 // every field — which ModeVerify asserts.
-func RunIOR(spec cluster.Spec, p ior.Params) (ior.Result, bool) {
+func RunIOR(spec cluster.Spec, p ior.Params) (ior.Result, bool) { return RunIOROn(&spec, p) }
+
+// RunIOROn is RunIOR on a spec the caller keeps: the run reads it in
+// place, where passing the spec by value copies it at every call on the
+// way down. spec must not change during the call.
+func RunIOROn(spec *cluster.Spec, p ior.Params) (ior.Result, bool) {
 	if admitIOR(spec, p) != "" {
 		cBailouts.Inc()
 		return ior.Result{}, false

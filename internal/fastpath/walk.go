@@ -32,7 +32,7 @@ var walkers = sync.Pool{New: func() any { return new(walker) }}
 
 // getWalker returns a walker at the start of a run on spec: the state
 // newly built devices have. Return it with walkers.Put when the run ends.
-func getWalker(spec cluster.Spec) *walker {
+func getWalker(spec *cluster.Spec) *walker {
 	mc := spec.Storage.MetaCost
 	if mc == 0 {
 		mc = fsim.DefaultMetaCost
@@ -44,7 +44,7 @@ func getWalker(spec cluster.Spec) *walker {
 		maxReq:   spec.Storage.ServerRequest,
 		srv:      w.srv,
 	}
-	w.srv.reset(spec.Storage)
+	w.srv.reset(&spec.Storage)
 	return w
 }
 

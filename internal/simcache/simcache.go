@@ -225,28 +225,28 @@ func (t *Target) RunIOR(p ior.Params, mode fastpath.Mode) ior.Result {
 		return ior.Run(t.spec, p)
 	}
 	return recall(t.key(p), func() (any, bool) {
-		return computeIOR(t.spec, p, mode), true
+		return computeIOR(&t.spec, p, mode), true
 	}).(ior.Result)
 }
 
 // computeIOR resolves the mode and runs the fast path, the DES, or both.
-func computeIOR(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result {
+func computeIOR(spec *cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result {
 	switch mode.Resolve() {
 	case fastpath.ModeOn:
-		if res, ok := fastpath.RunIOR(spec, p); ok {
+		if res, ok := fastpath.RunIOROn(spec, p); ok {
 			return res
 		}
-		return ior.Run(spec, p)
+		return ior.Run(*spec, p)
 	case fastpath.ModeVerify:
-		fast, ok := fastpath.RunIOR(spec, p)
-		des := ior.Run(spec, p)
+		fast, ok := fastpath.RunIOROn(spec, p)
+		des := ior.Run(*spec, p)
 		if ok && !reflect.DeepEqual(fast, des) {
 			panic(fmt.Sprintf("fastpath: divergence on %s %+v:\n fast %+v\n  des %+v",
 				spec.Name, p, fast, des))
 		}
 		return des
 	default:
-		return ior.Run(spec, p)
+		return ior.Run(*spec, p)
 	}
 }
 

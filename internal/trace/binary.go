@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"iophases/internal/units"
 )
@@ -103,6 +104,9 @@ func (bw *BinaryWriter) Close() error {
 // reader.
 const binWindow = 64 * 1024
 
+// binWindows keeps the decoders' windows across readers.
+var binWindows = sync.Pool{New: func() any { return new([binWindow]byte) }}
+
 // maxRecordLen bounds an event record: a code and six varints. Before each
 // record the decoder refills its window to hold at least this many bytes
 // unless the file ends first, so a record never has to wait for a read
@@ -118,7 +122,8 @@ var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 // yet decoded.
 type binReader struct {
 	f        io.ReadCloser
-	buf      []byte
+	win      *[binWindow]byte // the window, pooled
+	buf      []byte           // win[:]
 	pos, end int
 	rerr     error // what ended reading f: io.EOF at the end of the file
 	ops      []Op
@@ -133,27 +138,38 @@ type binReader struct {
 // newBinReader validates the header and returns a decoder for the trace
 // of rank wantRank.
 func newBinReader(rc io.ReadCloser, wantRank int, path string) (*binReader, error) {
-	d := &binReader{f: rc, buf: make([]byte, binWindow), path: path}
+	win := binWindows.Get().(*[binWindow]byte)
+	d := &binReader{f: rc, win: win, buf: win[:], path: path}
+	if err := d.header(wantRank); err != nil {
+		d.release()
+		return nil, err
+	}
+	return d, nil
+}
+
+// header decodes the magic and the rank number.
+func (d *binReader) header(wantRank int) error {
+	path := d.path
 	buf, _ := d.fill(0, len(binMagic)+binary.MaxVarintLen64)
 	if len(buf) < len(binMagic) {
-		return nil, fmt.Errorf("%s: trace: bad binary header: %v", path, d.short(len(buf)))
+		return fmt.Errorf("%s: trace: bad binary header: %v", path, d.short(len(buf)))
 	}
 	if magic := buf[:len(binMagic)]; string(magic) != string(binMagic) {
-		return nil, fmt.Errorf("%s: trace: bad magic %q (want %q)", path, magic, binMagic)
+		return fmt.Errorf("%s: trace: bad magic %q (want %q)", path, magic, binMagic)
 	}
 	rank, k, err := d.uvarint(buf[len(binMagic):])
 	if err != nil {
-		return nil, fmt.Errorf("%s: trace: reading rank: %v", path, err)
+		return fmt.Errorf("%s: trace: reading rank: %v", path, err)
 	}
 	d.pos = len(binMagic) + k
 	if rank > 1<<30 {
-		return nil, fmt.Errorf("%s: trace: implausible rank %d", path, rank)
+		return fmt.Errorf("%s: trace: implausible rank %d", path, rank)
 	}
 	if int(rank) != wantRank {
-		return nil, fmt.Errorf("%s: trace: header rank %d does not match rank %d of this trace file", path, rank, wantRank)
+		return fmt.Errorf("%s: trace: header rank %d does not match rank %d of this trace file", path, rank, wantRank)
 	}
 	d.rank = int(rank)
-	return d, nil
+	return nil
 }
 
 // maxEmptyReads is how many reads in a row may return neither bytes nor an
@@ -326,4 +342,15 @@ decode:
 	return n, err
 }
 
-func (d *binReader) Close() error { return d.f.Close() }
+// Close returns the window to the pool; the reader is not used after.
+func (d *binReader) Close() error {
+	d.release()
+	return d.f.Close()
+}
+
+func (d *binReader) release() {
+	if d.win != nil {
+		binWindows.Put(d.win)
+		d.win, d.buf = nil, nil
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -147,5 +148,45 @@ func TestOpenDirRejectsBadNP(t *testing.T) {
 				t.Fatalf("error does not name meta.json: %v", err)
 			}
 		})
+	}
+}
+
+// TestEachReusesReadBuffers: a read of a rank file takes Each's chunk
+// buffer and the reader's line buffer or byte window from pools, so once
+// warmed, reading a short rank allocates a small fraction of the 147 KB
+// chunk buffer alone.
+func TestEachReusesReadBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	s := NewSet("short", "c", 1)
+	for i := int64(0); i < 16; i++ {
+		s.Record(Event{Rank: 0, Op: OpWriteAt, Tick: i + 1, Offset: 10 * i, Size: 10})
+	}
+	for _, f := range []Format{FormatText, FormatBinary} {
+		dir := t.TempDir()
+		if err := WriteDir(s.Source(), dir, f); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			if err := Each(src, 0, func([]Event) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 16<<10 {
+			t.Errorf("format %v: a warmed read of a %d-event rank allocates %d bytes", f, len(s.Events[0]), per)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"iophases/internal/units"
 )
@@ -181,16 +182,25 @@ func scanErr(err error, line int) error {
 type textReader struct {
 	rc   io.ReadCloser
 	sc   *bufio.Scanner
-	ops  map[Op]Op // op names seen so far, each held in its own string
+	buf  *[scanBufLen]byte // the scanner's first buffer, pooled
+	ops  map[Op]Op         // op names seen so far, each held in its own string
 	want int
 	line int
 	path string
 }
 
+// scanBufLen is a text reader's initial line buffer; the scanner grows
+// past it up to maxLineLen for a longer row.
+const scanBufLen = 64 * 1024
+
+// scanBufs keeps the text readers' initial line buffers across readers.
+var scanBufs = sync.Pool{New: func() any { return new([scanBufLen]byte) }}
+
 func newTextReader(rc io.ReadCloser, want int, path string) *textReader {
+	buf := scanBufs.Get().(*[scanBufLen]byte)
 	sc := bufio.NewScanner(rc)
-	sc.Buffer(make([]byte, 64*1024), maxLineLen)
-	return &textReader{rc: rc, sc: sc, ops: make(map[Op]Op), want: want, path: path}
+	sc.Buffer(buf[:], maxLineLen)
+	return &textReader{rc: rc, sc: sc, buf: buf, ops: make(map[Op]Op), want: want, path: path}
 }
 
 // intern returns the reader's own copy of op, which parseTextLine cut out of
@@ -231,7 +241,14 @@ func (r *textReader) Read(buf []Event) (int, error) {
 	return n, nil
 }
 
-func (r *textReader) Close() error { return r.rc.Close() }
+// Close returns the line buffer to the pool; the reader is not used after.
+func (r *textReader) Close() error {
+	if r.buf != nil {
+		scanBufs.Put(r.buf)
+		r.sc, r.buf = nil, nil
+	}
+	return r.rc.Close()
+}
 
 // saveMeta writes the meta.json sidecar.
 func saveMeta(dir string, m Meta) error {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // Meta describes a trace set without its events; it is also the meta.json
@@ -137,12 +138,17 @@ func (d *dirSource) OpenRank(p int) (Reader, error) {
 // amortize the Reader call overhead.
 const eachChunk = 2048
 
+// chunkBufs keeps Each's read buffers (about 147 KB each) across calls, so
+// reading a short rank does not allocate one.
+var chunkBufs = sync.Pool{New: func() any { return new([eachChunk]Event) }}
+
 // Each calls fn with rank p's events in trace order, one chunk at a time,
 // and returns the first error from the source or from fn; an error from fn
 // stops the loop. fn is never called with an empty chunk. For a Set's own
 // Source the rank's resident slice is passed whole, in a single call, with
 // no reader and no copy; any other source is read in eachChunk-event chunks
-// through one reused buffer. fn must not retain or modify the slice.
+// through one buffer, which later calls reuse. fn must not retain or
+// modify the slice.
 func Each(src Source, p int, fn func([]Event) error) (err error) {
 	if ss, ok := src.(setSource); ok && p >= 0 && p < ss.s.NP {
 		if evs := ss.s.Events[p]; len(evs) > 0 {
@@ -159,7 +165,9 @@ func Each(src Source, p int, fn func([]Event) error) (err error) {
 			err = cerr
 		}
 	}()
-	buf := make([]Event, eachChunk)
+	chunk := chunkBufs.Get().(*[eachChunk]Event)
+	defer chunkBufs.Put(chunk)
+	buf := chunk[:]
 	for {
 		n, rerr := r.Read(buf)
 		if n > 0 {
