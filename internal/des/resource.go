@@ -16,7 +16,7 @@ type Resource struct {
 	// waiters[head:] are the queued waiters. Dequeuing advances head
 	// instead of re-slicing so the backing array's capacity is reused —
 	// admission churn on a busy resource allocates nothing in steady
-	// state.
+	// state (see enqueue).
 	waiters []resWaiter
 	head    int
 }
@@ -41,7 +41,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.admit(n) {
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.enqueue(resWaiter{p: p, n: n})
 	p.block("acquire", r.name)
 }
 
@@ -55,7 +55,20 @@ func (r *Resource) AcquireThen(n int, fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{fn: fn, n: n})
+	r.enqueue(resWaiter{fn: fn, n: n})
+}
+
+// enqueue appends a waiter. When the array is full and its admitted front
+// is at least half of it, the queued waiters slide to the front first, so
+// a resource that never drains reuses its array instead of growing it by
+// every waiter it ever had.
+func (r *Resource) enqueue(w resWaiter) {
+	if len(r.waiters) == cap(r.waiters) && r.head > 0 && r.head >= len(r.waiters)/2 {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters, r.head = r.waiters[:n], 0
+	}
+	r.waiters = append(r.waiters, w)
 }
 
 // admit takes n units if nothing is queued and they are free.

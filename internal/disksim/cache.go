@@ -25,7 +25,15 @@ type WriteCache struct {
 	level    int64 // dirty bytes not yet flushed
 	dirty    CacheLedger
 	flushing bool
-	waiters  []*des.Proc
+	// waiters holds the writers waiting for room and the drains, in the
+	// order they began to wait: parked processes and callback writes
+	// alike, so each is woken where the other would be.
+	waiters []cacheWaiter
+	// free holds the callback writes not in flight (see takeWrite).
+	free []*cacheWrite
+	// The flusher process's name and body, made at the first flush.
+	flusherName string
+	flushFn     func(*des.Proc)
 
 	// Recently-written index: a FIFO of write extents bounded to the
 	// cache capacity in bytes, approximating an LRU page cache. Reads
@@ -106,28 +114,123 @@ func NewWriteCache(eng *des.Engine, name string, dev Device, params CacheParams)
 func (c *WriteCache) Name() string    { return c.name }
 func (c *WriteCache) Capacity() int64 { return c.dev.Capacity() }
 
+// cacheWaiter is a parked process, or with p nil a callback write's
+// next step.
+type cacheWaiter struct {
+	p  *des.Proc
+	fn func()
+}
+
 // Write absorbs data at memory speed while space is available and blocks
 // behind the flusher when the cache is full, pacing sustained writes at
 // device speed — the fluid write-back model.
 func (c *WriteCache) Write(p *des.Proc, offset, size int64) {
-	remaining := size
-	for remaining > 0 {
-		for c.capacity-c.level <= 0 {
-			c.waiters = append(c.waiters, p)
+	for size > 0 {
+		for c.full() {
+			c.waiters = append(c.waiters, cacheWaiter{p: p})
 			p.Park("cache full", c.name)
 		}
-		n := c.capacity - c.level
-		if n > remaining {
-			n = remaining
-		}
+		n := c.room(size)
 		p.Sleep(units.TransferTime(n, c.memBW))
-		c.level += n
-		c.dirty.Add(offset, n)
-		c.recent.remember(cacheExtent{offset, n})
+		c.deposit(offset, n)
 		offset += n
-		remaining -= n
-		c.kickFlusher()
+		size -= n
 	}
+}
+
+// full reports whether a writer must wait for the flusher.
+func (c *WriteCache) full() bool { return c.capacity-c.level <= 0 }
+
+// room reports how much of the remaining bytes the cache takes in its
+// next absorption: all of them, or as much as is free when it starts.
+func (c *WriteCache) room(remaining int64) int64 {
+	return min(c.capacity-c.level, remaining)
+}
+
+// deposit accounts n absorbed bytes at offset and starts the flusher.
+func (c *WriteCache) deposit(offset, n int64) {
+	c.level += n
+	c.dirty.Add(offset, n)
+	c.recent.remember(cacheExtent{offset, n})
+	c.kickFlusher()
+}
+
+// AccessThen serves a request without a process. A write is absorbed as
+// Write absorbs it, waiting for room in the same FIFO as parked writers
+// and drains; a read hit takes its memory-speed time, and a miss goes to
+// the device's AccessThen. done runs where Read or Write would return.
+func (c *WriteCache) AccessThen(offset, size int64, write bool, done func()) {
+	if write {
+		w := c.takeWrite()
+		w.offset, w.size, w.done = offset, size, done
+		w.step()
+		return
+	}
+	if !c.recent.hit(offset, size) {
+		c.dev.AccessThen(offset, size, false, done)
+		return
+	}
+	if t := units.TransferTime(size, c.memBW); t > 0 {
+		c.eng.Schedule(t, done)
+		return
+	}
+	done()
+}
+
+// cacheWrite is a callback write in flight: the extent still to absorb,
+// the absorption under way and the completion. Its steps are bound once
+// and writes are reused from a free list on the cache, so a callback
+// write allocates nothing.
+type cacheWrite struct {
+	c            *WriteCache
+	offset, size int64 // what is left to absorb
+	n            int64 // the absorption under way
+	done         func()
+	stepFn       func()
+	absorbFn     func()
+}
+
+// takeWrite returns a callback write from the free list, or a new one.
+func (c *WriteCache) takeWrite() *cacheWrite {
+	if n := len(c.free); n > 0 {
+		w := c.free[n-1]
+		c.free = c.free[:n-1]
+		return w
+	}
+	w := &cacheWrite{c: c}
+	w.stepFn, w.absorbFn = w.step, w.absorb
+	return w
+}
+
+// step is Write's loop for a callback write: it finishes the write, waits
+// for room, or starts the next absorption.
+func (w *cacheWrite) step() {
+	c := w.c
+	if w.size <= 0 {
+		done := w.done
+		w.done = nil
+		c.free = append(c.free, w)
+		done()
+		return
+	}
+	if c.full() {
+		c.waiters = append(c.waiters, cacheWaiter{fn: w.stepFn})
+		return
+	}
+	w.n = c.room(w.size)
+	if t := units.TransferTime(w.n, c.memBW); t > 0 {
+		c.eng.Schedule(t, w.absorbFn)
+		return
+	}
+	w.absorb()
+}
+
+// absorb ends an absorption and goes on with the rest of the write.
+func (w *cacheWrite) absorb() {
+	w.c.deposit(w.offset, w.n)
+	w.offset += w.n
+	w.size -= w.n
+	w.step()
 }
 
 // Reset empties the ledger for a cache with the given flush chunk size,
@@ -228,15 +331,24 @@ func (c *WriteCache) kickFlusher() {
 		return
 	}
 	c.flushing = true
-	c.eng.Spawn("flusher:"+c.name, func(fp *des.Proc) {
-		for c.dirty.Dirty() {
-			off, n := c.dirty.Gather()
-			c.dev.Write(fp, off, n)
-			c.level -= n
-			c.wakeWaiters()
-		}
-		c.flushing = false
-	})
+	if c.flushFn == nil {
+		// Named and bound at the first flush, so that starting the
+		// flusher again allocates nothing.
+		c.flusherName, c.flushFn = "flusher:"+c.name, c.flush
+	}
+	c.eng.Spawn(c.flusherName, c.flushFn)
+}
+
+// flush is the flusher's body: it writes dirty data to the device a
+// gathered chunk at a time and wakes the waiters as room frees.
+func (c *WriteCache) flush(fp *des.Proc) {
+	for c.dirty.Dirty() {
+		off, n := c.dirty.Gather()
+		c.dev.Write(fp, off, n)
+		c.level -= n
+		c.wakeWaiters()
+	}
+	c.flushing = false
 }
 
 // Gather pops up to one chunk of dirty data in elevator order, cutting at
@@ -289,16 +401,22 @@ func (s *CacheLedger) Gather() (off, n int64) {
 
 // wakeWaiters admits blocked writers once a meaningful amount of space is
 // free (hysteresis): waking on every freed sliver would let writers refill
-// the cache in fragments and re-trigger the sliver cascade.
+// the cache in fragments and re-trigger the sliver cascade. Each waiter
+// goes on from a zero-delay event, in the order it began to wait; waking
+// only schedules, so the list is reused at once.
 func (c *WriteCache) wakeWaiters() {
 	if free := c.capacity - c.level; free < c.chunk && c.level > 0 {
 		return
 	}
-	waiting := c.waiters
-	c.waiters = nil
-	for _, w := range waiting {
-		c.eng.Unpark(w)
+	for _, w := range c.waiters {
+		if w.p != nil {
+			c.eng.Unpark(w.p)
+		} else {
+			c.eng.Schedule(0, w.fn)
+		}
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Invalidate clears the recently-written index (echo 3 >
@@ -311,7 +429,7 @@ func (c *WriteCache) Invalidate() {
 // Drain blocks until all dirty data reaches the device (fsync / close).
 func (c *WriteCache) Drain(p *des.Proc) {
 	for c.level > 0 {
-		c.waiters = append(c.waiters, p)
+		c.waiters = append(c.waiters, cacheWaiter{p: p})
 		p.Park("cache drain", c.name)
 	}
 }

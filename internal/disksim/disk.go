@@ -75,6 +75,11 @@ type Device interface {
 	Read(p *des.Proc, offset, size int64)
 	// Write services a write of size bytes at offset, blocking the process.
 	Write(p *des.Proc, offset, size int64)
+	// AccessThen services a read or write without a process: it queues
+	// and takes its time as Read or Write would, at the same instants
+	// and in the same order, and done runs inside the event that
+	// completes it, where Read or Write would return.
+	AccessThen(offset, size int64, write bool, done func())
 	// Counters reports cumulative activity.
 	Counters() Counters
 	// Name identifies the device in reports.
@@ -130,10 +135,10 @@ func SAS15K(capacity int64) DiskParams {
 }
 
 // Disk is a single spindle with a FIFO request queue. A process's Read or
-// Write blocks it until the request completes; an array leg's request
-// (do) waits in the same queue with a completion callback and no process.
-// Both go through begin and end, so the timing and the accounting exist
-// once.
+// Write blocks it until the request completes; a callback request
+// (AccessThen) waits in the same queue with a completion callback and no
+// process. Both go through begin and end, so the timing and the
+// accounting exist once.
 type Disk struct {
 	name   string
 	params DiskParams
@@ -191,8 +196,8 @@ func (d *Disk) Capacity() int64 { return d.params.CapacityB }
 
 // Read services a read, blocking the process. A zero-byte request moves
 // no data and, on a real device, never leaves the submitting host: Read,
-// Write and do return at once, with no seek, no counter and no histogram
-// sample (the seed charged a full seek here and polluted
+// Write and AccessThen return at once, with no seek, no counter and no
+// histogram sample (the seed charged a full seek here and polluted
 // disksim/read_size with zeros).
 func (d *Disk) Read(p *des.Proc, offset, size int64) { d.access(p, offset, size, false) }
 
@@ -212,10 +217,11 @@ func (d *Disk) access(p *des.Proc, offset, size int64, write bool) {
 	d.end(size, write, t)
 }
 
-// do serves a request without a process: it waits in the queue like a
-// process's, and done runs inside the event that completes it, where the
-// process's Sleep would return. Array runs its member legs this way.
-func (d *Disk) do(offset, size int64, write bool, done func()) {
+// AccessThen serves a request without a process: it waits in the queue
+// like a process's, and done runs inside the event that completes it,
+// where the process's Sleep would return. Array's member legs and fsim's
+// chunk legs run this way.
+func (d *Disk) AccessThen(offset, size int64, write bool, done func()) {
 	if size == 0 {
 		done()
 		return
@@ -225,6 +231,13 @@ func (d *Disk) do(offset, size int64, write bool, done func()) {
 		q = &callbacks{}
 		q.startFn, q.finishFn = d.start, d.finish
 		d.cbs = q
+	}
+	if len(q.pending) == cap(q.pending) && q.next > 0 && q.next >= len(q.pending)/2 {
+		// Slide the waiting requests to the front, as the queue's
+		// Resource does, so a disk that never drains reuses the array.
+		n := copy(q.pending, q.pending[q.next:])
+		clear(q.pending[n:])
+		q.pending, q.next = q.pending[:n], 0
 	}
 	q.pending = append(q.pending, diskReq{offset: offset, size: size, write: write, queued: d.eng.Now(), done: done})
 	d.queue.AcquireThen(1, q.startFn)

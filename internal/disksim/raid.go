@@ -39,8 +39,7 @@ type Array struct {
 	queue      *des.Resource
 	ctr        Counters
 	flt        *faults.Injector // nil on a healthy cluster
-	// free holds the request states not in flight. The controller admits
-	// at most four requests, so the list stays that short.
+	// free holds the request states not in flight (see takeReq).
 	free []*arrayReq
 }
 
@@ -219,41 +218,168 @@ func (a *Array) effectiveFailed(now units.Duration) int {
 	return -1
 }
 
-// issue runs the extent's member legs against the member disks
-// concurrently, one per touched member in first-touch order, and blocks
-// the caller until all complete. Data is laid out round-robin in
+// Read serves a read, blocking the process.
+func (a *Array) Read(p *des.Proc, offset, size int64) { a.access(p, offset, size, false) }
+
+// Write serves a write, blocking the process.
+func (a *Array) Write(p *des.Proc, offset, size int64) { a.access(p, offset, size, true) }
+
+// access serves a process's request: it waits for the controller, then
+// parks while each part's legs run, and resumes after the last leg of
+// each part.
+func (a *Array) access(p *des.Proc, offset, size int64, write bool) {
+	a.queue.Acquire(p, 1)
+	r := a.takeReq(offset, size, write)
+	r.caller = p
+	r.plan()
+	for r.next() {
+		p.Park("issue", a.name)
+	}
+	r.end()
+}
+
+// AccessThen serves a request without a process: it waits for the
+// controller in the same FIFO as a process's, and where the process would
+// resume between parts a zero-delay event continues it; done runs inside
+// the event that ends its last part, where Read or Write would return.
+func (a *Array) AccessThen(offset, size int64, write bool, done func()) {
+	r := a.takeReq(offset, size, write)
+	r.done = done
+	a.queue.AcquireThen(1, r.resumeFn)
+}
+
+// arrayReq is the state of one request in flight: what it asks for, the
+// process parked on it or its completion callback, its parts (the RAID5
+// head, middle and tail of a write, otherwise the whole extent) and one
+// leg per member, reused from request to request.
+type arrayReq struct {
+	a         *Array
+	caller    *des.Proc // a blocking request's process
+	done      func()    // a callback request's completion
+	off, size int64
+	write     bool
+	failed    int // the member lost for the whole request, -1 when healthy
+	parts     [3]raidPart
+	nparts    int    // 0 until plan
+	part      int    // the next part to issue
+	left      int    // legs of the current part not yet finished
+	reading   int    // the rebuild leg's survivor reads not yet finished
+	legs      []leg  // one per member, in first-touch order
+	reads     []leg  // the survivor reads of a rebuild leg, made on first use
+	joinFn    func() // join, bound once
+	resumeFn  func() // resume, bound once
+}
+
+// takeReq returns a request state from the free list, or a new one. The
+// free list holds as many states as requests were ever in flight at once:
+// the four the controller admits and the callback requests queued for it.
+func (a *Array) takeReq(offset, size int64, write bool) *arrayReq {
+	var r *arrayReq
+	if n := len(a.free); n > 0 {
+		r = a.free[n-1]
+		a.free = a.free[:n-1]
+	} else {
+		r = &arrayReq{a: a}
+		r.joinFn, r.resumeFn = r.join, r.resume
+		r.legs = r.newLegs(len(a.members))
+	}
+	r.off, r.size, r.write = offset, size, write
+	return r
+}
+
+// plan samples the lost member, once per request so that a rebuild
+// completing mid-request cannot split one access across both regimes, and
+// lays out the parts. RAID5 writes only the partial-stripe head and tail
+// with read-modify-write; the aligned middle writes full stripes with
+// parity computed from the new data alone.
+func (r *arrayReq) plan() {
+	a := r.a
+	r.failed = a.effectiveFailed(a.eng.Now())
+	if r.write && a.level == RAID5 {
+		r.parts, r.nparts = raid5Parts(r.off, r.size, a.stripeUnit*int64(a.dataDisks()))
+	} else {
+		r.parts[0], r.nparts = raidPart{off: r.off, size: r.size}, 1
+	}
+	r.part = 0
+}
+
+// next issues the next part that touches a member and reports whether it
+// did; false means the request is done.
+func (r *arrayReq) next() bool {
+	a := r.a
+	for r.part < r.nparts {
+		part := r.parts[r.part]
+		r.part++
+		if r.issue(NewStripe(a.stripeUnit, len(a.members), part.off, part.size), part.rmw) {
+			return true
+		}
+	}
+	return false
+}
+
+// resume runs a callback request once the controller admits it and
+// after each part: it issues the next part or ends the request.
+func (r *arrayReq) resume() {
+	if r.nparts == 0 {
+		r.plan()
+	}
+	if !r.next() {
+		r.end()
+	}
+}
+
+// end releases the controller, accounts the request and returns its state
+// to the free list, then runs a callback request's completion.
+func (r *arrayReq) end() {
+	a := r.a
+	a.queue.Release(1)
+	if r.write {
+		a.ctr.WriteOps++
+		a.ctr.WriteBytes += r.size
+	} else {
+		a.ctr.ReadOps++
+		a.ctr.ReadBytes += r.size
+	}
+	done := r.done
+	r.caller, r.done, r.nparts = nil, nil, 0
+	a.free = append(a.free, r)
+	if done != nil {
+		done()
+	}
+}
+
+// issue starts one leg per member the part touches, in first-touch order,
+// and reports whether there were any. Data is laid out round-robin in
 // stripeUnit pieces; for RAID5 the parity rotation is approximated by
 // spreading data over all members (which matches the aggregate bandwidth
-// behaviour of rotating parity). failed is the member lost for this
-// request (-1 when healthy), sampled once per logical request so a
-// rebuild completing mid-request cannot split one access across both
-// regimes.
+// behaviour of rotating parity).
 //
 // Each leg starts from its own zero-delay event, and the last to finish
-// schedules the caller's resume, so every event comes at the virtual time
-// and in the order that a helper process per leg (Proc.Fork) would give.
-func (a *Array) issue(p *des.Proc, s Stripe, write, rmw bool, failed int) {
+// resumes the caller or, for a callback request, schedules resume, so
+// every event comes at the virtual time and in the order that a helper
+// process per leg (Proc.Fork) would give.
+func (r *arrayReq) issue(s Stripe, rmw bool) bool {
 	n := s.Touched()
 	if n == 0 {
-		return
+		return false
 	}
-	r := a.takeReq()
-	r.caller, r.left = p, n
+	a := r.a
+	r.left = n
 	for i := 0; i < n; i++ {
 		disk, off, size := s.Nth(i)
 		l := &r.legs[i]
 		l.disk, l.off, l.n, l.at = a.members[disk], off, size, 0
 		switch {
-		case disk == failed && write:
+		case disk == r.failed && r.write:
 			// Data destined for the lost member lands in parity
 			// only: surviving members absorb an extra parity
 			// update of the chunk size.
 			l.disk, l.ops = a.members[(disk+1)%len(a.members)], writeOnly
-		case disk == failed:
+		case disk == r.failed:
 			// Reconstruction: read the chunk's stripe from every
 			// surviving member.
-			l.disk, l.lost = nil, failed
-		case write && rmw:
+			l.disk, l.lost = nil, r.failed
+		case r.write && rmw:
 			// Read-modify-write: the old data (and parity) must be
 			// read before the new parity can be written. The
 			// parity write on the rotating parity member is
@@ -261,16 +387,14 @@ func (a *Array) issue(p *des.Proc, s Stripe, write, rmw bool, failed int) {
 			// equal size — aggregate cost matches the classic
 			// 4-I/O small-write penalty within 2x.
 			l.ops = readModifyWrite
-		case write:
+		case r.write:
 			l.ops = writeOnly
 		default:
 			l.ops = readOnly
 		}
 		a.eng.Schedule(0, l.stepFn)
 	}
-	p.Park("issue", a.name)
-	r.caller = nil
-	a.free = append(a.free, r)
+	return true
 }
 
 // The request lists of a leg on a live member: false reads, true writes.
@@ -280,22 +404,10 @@ var (
 	readModifyWrite = []bool{false, true, true}
 )
 
-// arrayReq is the state of one issue in flight: the caller, parked until
-// its legs finish, and the legs, reused from request to request.
-type arrayReq struct {
-	a       *Array
-	caller  *des.Proc
-	left    int    // legs not yet finished
-	reading int    // the rebuild leg's survivor reads not yet finished
-	legs    []leg  // one per member, in first-touch order
-	reads   []leg  // the survivor reads of a rebuild leg, made on first use
-	joinFn  func() // join, bound once
-}
-
 // leg is one member's share of an array request. It needs no stack of its
 // own: it is a fixed list of requests on one member disk, each issued from
-// inside the event that completes the one before (Disk.do), or, for a
-// rebuild read, a fan-out of single reads to the survivors. Only one
+// inside the event that completes the one before (Disk.AccessThen), or,
+// for a rebuild read, a fan-out of single reads to the survivors. Only one
 // member is lost at a time, so a request has at most one rebuild leg.
 type leg struct {
 	r        *arrayReq
@@ -308,19 +420,6 @@ type leg struct {
 	stepFn   func() // step, bound once so that a leg allocates nothing
 }
 
-// takeReq returns a request state from the free list, or a new one.
-func (a *Array) takeReq() *arrayReq {
-	if n := len(a.free); n > 0 {
-		r := a.free[n-1]
-		a.free = a.free[:n-1]
-		return r
-	}
-	r := &arrayReq{a: a}
-	r.joinFn = r.join
-	r.legs = r.newLegs(len(a.members))
-	return r
-}
-
 // newLegs makes n legs of r with their callbacks bound.
 func (r *arrayReq) newLegs(n int) []leg {
 	legs := make([]leg, n)
@@ -331,10 +430,17 @@ func (r *arrayReq) newLegs(n int) []leg {
 	return legs
 }
 
-// join counts a finished leg and resumes the caller after the last.
+// join counts a finished leg. After the last, the request goes on from a
+// zero-delay event, where a process's resume would come: the caller's, or
+// resume's for a callback request.
 func (r *arrayReq) join() {
-	if r.left--; r.left == 0 {
+	if r.left--; r.left > 0 {
+		return
+	}
+	if r.caller != nil {
 		r.a.eng.Unpark(r.caller)
+	} else {
+		r.a.eng.Schedule(0, r.resumeFn)
 	}
 }
 
@@ -350,7 +456,7 @@ func (l *leg) step() {
 	case l.at < len(l.ops):
 		write := l.ops[l.at]
 		l.at++
-		l.disk.do(l.off, l.n, write, l.stepFn)
+		l.disk.AccessThen(l.off, l.n, write, l.stepFn)
 	case !l.survivor:
 		r.join()
 	default:
@@ -382,42 +488,6 @@ func (r *arrayReq) rebuild(lost int, off, n int64) {
 		rl.disk, rl.off, rl.n, rl.at = members[m], off, n, 0
 		r.a.eng.Schedule(0, rl.stepFn)
 	}
-}
-
-// fullStripe reports whether the extent covers whole stripes (so RAID5 can
-// compute parity without reading).
-func (a *Array) fullStripe(offset, size int64) bool {
-	stripe := a.stripeUnit * int64(a.dataDisks())
-	return offset%stripe == 0 && size%stripe == 0
-}
-
-func (a *Array) Read(p *des.Proc, offset, size int64) {
-	a.queue.Acquire(p, 1)
-	a.issue(p, NewStripe(a.stripeUnit, len(a.members), offset, size), false, false, a.effectiveFailed(p.Now()))
-	a.queue.Release(1)
-	a.ctr.ReadOps++
-	a.ctr.ReadBytes += size
-}
-
-func (a *Array) Write(p *des.Proc, offset, size int64) {
-	total := size
-	a.queue.Acquire(p, 1)
-	failed := a.effectiveFailed(p.Now())
-	if a.level != RAID5 {
-		a.issue(p, NewStripe(a.stripeUnit, len(a.members), offset, size), true, false, failed)
-	} else {
-		// RAID5: only the partial-stripe head and tail pay
-		// read-modify-write; the aligned middle writes full stripes
-		// with parity computed from the new data alone.
-		stripe := a.stripeUnit * int64(a.dataDisks())
-		parts, n := raid5Parts(offset, size, stripe)
-		for _, part := range parts[:n] {
-			a.issue(p, NewStripe(a.stripeUnit, len(a.members), part.off, part.size), true, part.rmw, failed)
-		}
-	}
-	a.queue.Release(1)
-	a.ctr.WriteOps++
-	a.ctr.WriteBytes += total
 }
 
 // Counters reports array-level logical counters. Member-level physical

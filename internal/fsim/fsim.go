@@ -10,7 +10,6 @@ package fsim
 
 import (
 	"fmt"
-	"slices"
 
 	"iophases/internal/des"
 	"iophases/internal/disksim"
@@ -117,9 +116,8 @@ type FS struct {
 	read    int64
 	met     fsMetrics
 	flt     *faults.Injector // nil on a healthy cluster
-	// chunkName is the stripe helper procs' name, built once here rather
-	// than on every fanned-out request.
-	chunkName string
+	// free holds the striped accesses not in flight (see takeAccess).
+	free []*stripedAccess
 }
 
 type fileMeta struct {
@@ -148,7 +146,7 @@ func New(eng *des.Engine, fab *netsim.Fabric, params Params) *FS {
 		params.MetaCost = DefaultMetaCost
 	}
 	return &FS{eng: eng, fab: fab, params: params, files: make(map[string]*fileMeta),
-		met: newFSMetrics(), flt: faults.For(eng), chunkName: params.Name + "/chunk"}
+		met: newFSMetrics(), flt: faults.For(eng)}
 }
 
 // Name reports the filesystem instance name.
@@ -248,8 +246,8 @@ type extentChunk struct {
 // round-robin by StripeSize, one chunk per touched target (successive
 // stripe rows are contiguous in target-local space), in target order.
 // The layout is disksim.Stripe's, the one RAID arrays use. Read and
-// Write pass a buffer on their own stack; runChunks hands its helpers a
-// copy, which no other process writes while they run.
+// Write pass a buffer on their own stack; runChunks copies each chunk
+// into its leg.
 func (fs *FS) stripeExtent(buf []extentChunk, ntargets int, offset, size int64) []extentChunk {
 	s := disksim.NewStripe(fs.params.StripeSize, ntargets, offset, size)
 	for t := 0; t < ntargets; t++ {
@@ -317,53 +315,60 @@ func (f *File) Read(p *des.Proc, client string, offset, size int64) error {
 		a.BytesRead += size
 		a.Reads++
 		// Data back to the client plus one 256-byte request message per
-		// server-granularity step — the same payloads chunkOp put on the
-		// fabric, tallied here so the hot closures stay untouched.
+		// server-granularity step — the same payloads the chunks put on
+		// the fabric, tallied here so the legs stay untouched.
 		a.NetBytes += size + 256*fs.requestMessages(chunks)
 	}
 	return nil
 }
 
-// requestMessages counts the per-step read request messages chunkOp issues
-// for a chunk set, given the server request granularity.
+// requestMessages counts the per-step read request messages a chunk set
+// puts on the fabric, given the server request granularity.
 func (fs *FS) requestMessages(chunks []extentChunk) int64 {
 	var n int64
 	for _, c := range chunks {
-		step := fs.params.MaxServerRequest
-		if step <= 0 || step > c.size {
-			step = c.size
-		}
+		step := fs.serverStep(c.size)
 		n += (c.size + step - 1) / step
 	}
 	return n
 }
 
-// runChunks executes per-target chunk operations, one helper per chunk
-// in target order when more than one target is involved. Error slots are
-// allocated only when an injector is attached.
+// runChunks runs an extent's per-target chunks. A single chunk runs
+// inline on the caller (chunkOp); several run as one leg each, all at
+// once, while the caller parks. Every leg runs to its end, and the
+// lowest-index error is returned.
 func (fs *FS) runChunks(p *des.Proc, client string, targets []int, chunks []extentChunk, write bool) error {
 	if len(chunks) == 1 {
 		return fs.chunkOp(p, client, targets, chunks[0], write)
 	}
-	var errs []error
-	if fs.flt != nil {
-		errs = make([]error, len(chunks))
+	a := fs.takeAccess()
+	a.caller, a.client, a.write, a.left = p, client, write, len(chunks)
+	for i, c := range chunks {
+		l := &a.legs[i]
+		l.t, l.off, l.size, l.step = fs.params.Targets[targets[c.target]], c.offset, c.size, fs.serverStep(c.size)
+		l.done, l.at, l.err = 0, legStart, nil
+		fs.eng.Schedule(0, l.runFn)
 	}
-	// Helpers read a copy: capturing chunks would move Read's and
-	// Write's stack buffers to the heap on every call.
-	own := slices.Clone(chunks)
-	p.Fork(fs.chunkName, len(own), func(hp *des.Proc, i int) {
-		err := fs.chunkOp(hp, client, targets, own[i], write)
-		if errs != nil {
-			errs[i] = err
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	p.Park("chunks", fs.params.Name)
+	var err error
+	for i := range chunks {
+		if err = a.legs[i].err; err != nil {
+			break
 		}
 	}
-	return nil
+	a.caller = nil
+	fs.free = append(fs.free, a)
+	return err
+}
+
+// serverStep reports the size of the requests a chunk of size bytes is
+// issued in: the server's request granularity, or the whole chunk.
+func (fs *FS) serverStep(size int64) int64 {
+	step := fs.params.MaxServerRequest
+	if step <= 0 || step > size {
+		step = size
+	}
+	return step
 }
 
 func (fs *FS) chunkOp(p *des.Proc, client string, targets []int, c extentChunk, write bool) error {
@@ -376,15 +381,9 @@ func (fs *FS) chunkOp(p *des.Proc, client string, targets []int, c extentChunk, 
 		}
 	}
 	t := fs.params.Targets[targets[c.target]]
-	step := fs.params.MaxServerRequest
-	if step <= 0 || step > c.size {
-		step = c.size
-	}
+	step := fs.serverStep(c.size)
 	for done := int64(0); done < c.size; done += step {
-		n := step
-		if c.size-done < n {
-			n = c.size - done
-		}
+		n := min(step, c.size-done)
 		off := c.offset + done
 		if write {
 			fs.fab.Send(p, client, t.Node, n)
@@ -397,6 +396,113 @@ func (fs *FS) chunkOp(p *des.Proc, client string, targets []int, c extentChunk, 
 		}
 	}
 	return nil
+}
+
+// stripedAccess is a striped read or write in flight: the caller, parked
+// until its legs end, and one leg per chunk, reused from access to access.
+type stripedAccess struct {
+	fs     *FS
+	caller *des.Proc
+	client string
+	write  bool
+	left   int // legs not yet ended
+	legs   []chunkLeg
+}
+
+// chunkLeg is one target's chunk of a striped access. It needs no stack
+// of its own: chunkOp's steps (the request message or the data to the
+// server, the device request, for a read the data back) are a fixed list,
+// each started inside the event that ends the one before
+// (Fabric.SendThen, Device.AccessThen). A leg starts from a zero-delay
+// event and ends by counting itself off in the event of its last step,
+// so every event comes at the virtual time and in the order that a Fork
+// helper per chunk would give (TestChunkLegsMatchForkHelpers).
+type chunkLeg struct {
+	a         *stripedAccess
+	t         Target
+	off, size int64 // the chunk, target-local
+	step      int64 // the server request size
+	done      int64 // bytes of the chunk whose steps have ended
+	n         int64 // the current request's size
+	at        legStage
+	err       error
+	runFn     func() // run, bound once so that a leg allocates nothing
+}
+
+// legStage is what a chunk leg does when its next event comes.
+type legStage uint8
+
+const (
+	legStart legStage = iota // draw a transient error, then issue
+	legIssue                 // issue the next request to the server, or end
+	legServe                 // the request reached the server: serve it
+	legReply                 // a read was served: send the data back
+)
+
+// takeAccess returns a striped access from the free list, or a new one
+// with a leg, bound once, for every target.
+func (fs *FS) takeAccess() *stripedAccess {
+	if n := len(fs.free); n > 0 {
+		a := fs.free[n-1]
+		fs.free = fs.free[:n-1]
+		return a
+	}
+	a := &stripedAccess{fs: fs, legs: make([]chunkLeg, len(fs.params.Targets))}
+	for i := range a.legs {
+		a.legs[i].a = a
+		a.legs[i].runFn = a.legs[i].run
+	}
+	return a
+}
+
+// run takes the leg one stage on. It runs at the leg's zero-delay start
+// and inside the event that ends each of its transfers.
+func (l *chunkLeg) run() {
+	a := l.a
+	fs := a.fs
+	switch l.at {
+	case legStart:
+		// As in chunkOp, a transient error is drawn when the leg
+		// starts, and the leg then moves nothing.
+		if fs.flt != nil {
+			if l.err = fs.flt.OpError(fs.eng.Now()); l.err != nil {
+				a.join()
+				return
+			}
+		}
+		l.at = legIssue
+		fallthrough
+	case legIssue:
+		if l.done == l.size {
+			a.join()
+			return
+		}
+		l.n = min(l.step, l.size-l.done)
+		l.at = legServe
+		if a.write {
+			fs.fab.SendThen(a.client, l.t.Node, l.n, l.runFn)
+		} else {
+			fs.fab.SendThen(a.client, l.t.Node, 256, l.runFn)
+		}
+	case legServe:
+		off := l.off + l.done
+		if a.write {
+			l.at, l.done = legIssue, l.done+l.n
+		} else {
+			l.at = legReply
+		}
+		l.t.Dev.AccessThen(off, l.n, a.write, l.runFn)
+	case legReply:
+		l.at, l.done = legIssue, l.done+l.n
+		fs.fab.SendThen(l.t.Node, a.client, l.n, l.runFn)
+	}
+}
+
+// join counts an ended leg and resumes the caller after the last.
+func (a *stripedAccess) join() {
+	if a.left--; a.left == 0 {
+		a.fs.eng.Unpark(a.caller)
+	}
 }
 
 // Sync drains every cache-wrapped target, modeling fsync/umount.

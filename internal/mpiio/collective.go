@@ -94,8 +94,9 @@ func (f *File) runTwoPhase(r *mpi.Rank, op trace.Op) {
 	h := f.sharedHandle()
 	np := world.Size()
 
-	// Only ranks with data shuffle and only aggregators with a
-	// non-empty domain access the file: one helper each, in order.
+	// Only ranks with data shuffle, one fabric send each, and only
+	// aggregators with a non-empty domain access the file, one helper
+	// each; both in order.
 	var movers []collArrival
 	for _, a := range arr {
 		if a.size != 0 {
@@ -109,16 +110,15 @@ func (f *File) runTwoPhase(r *mpi.Rank, op trace.Op) {
 		}
 	}
 	shuffle := func(toAggregators bool) {
-		r.Proc().Fork("coll-shuffle", len(movers), func(p *des.Proc, i int) {
-			a := movers[i]
-			aggNode := world.NodeOf(aggs[a.rank*len(aggs)/np])
-			rankNode := world.NodeOf(a.rank)
-			if toAggregators {
-				world.Fabric().Send(p, rankNode, aggNode, a.size)
-			} else {
-				world.Fabric().Send(p, aggNode, rankNode, a.size)
+		sh := sys.takeShuffle(len(movers))
+		for i, a := range movers {
+			m := &sh.moves[i]
+			m.src, m.dst, m.size = world.NodeOf(a.rank), world.NodeOf(aggs[a.rank*len(aggs)/np]), a.size
+			if !toAggregators {
+				m.src, m.dst = m.dst, m.src
 			}
-		})
+		}
+		sh.run(r.Proc(), len(movers))
 	}
 	access := func() {
 		r.Proc().Fork("coll-agg", len(busy), func(p *des.Proc, i int) {
@@ -146,5 +146,70 @@ func (f *File) runTwoPhase(r *mpi.Rank, op trace.Op) {
 		if a.rank != r.ID() {
 			eng.Unpark(a.proc)
 		}
+	}
+}
+
+// shuffleSends is one shuffle phase of a two-phase round: one fabric send
+// per rank with data, between its node and its aggregator's. A send needs
+// no stack of its own, so it runs as callbacks (Fabric.SendThen): each
+// starts from a zero-delay event in mover order and the last to end
+// resumes the orchestrating rank, so every event comes at the virtual
+// time and in the order that a Fork helper per mover would give. Only
+// the aggregator phase forks: its helpers retry file access with backoff.
+type shuffleSends struct {
+	sys    *System
+	caller *des.Proc
+	left   int // sends not yet ended
+	moves  []move
+	joinFn func()
+}
+
+// move is one mover's send.
+type move struct {
+	sh       *shuffleSends
+	src, dst string
+	size     int64
+	startFn  func()
+}
+
+// takeShuffle returns the system's shuffle state, made at first use, with
+// at least n moves bound. A system runs one collective round at a time.
+func (s *System) takeShuffle(n int) *shuffleSends {
+	sh := s.shuffle
+	if sh == nil {
+		sh = &shuffleSends{sys: s}
+		sh.joinFn = sh.join
+		s.shuffle = sh
+	}
+	if len(sh.moves) < n {
+		sh.moves = make([]move, n)
+		for i := range sh.moves {
+			sh.moves[i].sh = sh
+			sh.moves[i].startFn = sh.moves[i].start
+		}
+	}
+	return sh
+}
+
+// run starts the first n moves and parks p until the last ends; with no
+// moves it returns at once.
+func (sh *shuffleSends) run(p *des.Proc, n int) {
+	if n == 0 {
+		return
+	}
+	sh.caller, sh.left = p, n
+	eng := sh.sys.world.Engine()
+	for i := range sh.moves[:n] {
+		eng.Schedule(0, sh.moves[i].startFn)
+	}
+	p.Park("shuffle", sh.sys.fs.Name())
+	sh.caller = nil
+}
+
+func (m *move) start() { m.sh.sys.world.Fabric().SendThen(m.src, m.dst, m.size, m.sh.joinFn) }
+
+func (sh *shuffleSends) join() {
+	if sh.left--; sh.left == 0 {
+		sh.sys.world.Engine().Unpark(sh.caller)
 	}
 }

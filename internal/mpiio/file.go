@@ -27,6 +27,8 @@ type System struct {
 	aggSet []int // aggregator ranks, one per distinct node, in rank order
 	appT0  units.Duration
 	flt    *faults.Injector // nil on a healthy cluster; enables fsAccess retries
+	// shuffle is the collective shuffle's send state, made at first use.
+	shuffle *shuffleSends
 }
 
 // NewSystem creates the MPI-IO layer for a world over fs.

@@ -9,8 +9,10 @@ import (
 // Transient-error retry policy (MPI-IO is where real stacks hide storage
 // hiccups from the application: ROMIO's ADIO drivers retry EINTR/EAGAIN).
 // Backoff is capped exponential, charged as virtual time — a run with
-// injected transient errors finishes with the same data moved, just
-// later, and never surfaces a panic.
+// injected transient errors finishes later and never surfaces a panic.
+// It may also move more data: an extent is retried whole, so on a file
+// striped over several targets the chunks that did not fail complete,
+// and are then moved again by the retry.
 const (
 	retryBackoffBase = 2 * units.Millisecond
 	retryBackoffCap  = 256 * units.Millisecond

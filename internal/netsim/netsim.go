@@ -111,6 +111,9 @@ type Fabric struct {
 
 	cLocalBytes *obs.Counter
 	cLocalMsgs  *obs.Counter
+
+	// free holds the SendThen requests not in flight.
+	free []*sendReq
 }
 
 // NewFabric creates an empty fabric whose endpoint links all share params.
@@ -164,26 +167,11 @@ func (f *Fabric) Endpoints() []string {
 // overstate network utilization.
 func (f *Fabric) Send(p *des.Proc, src, dst string, size int64) {
 	if src == dst {
-		if !f.HasEndpoint(src) {
-			panic(fmt.Sprintf("netsim: unknown endpoint %q", src))
-		}
-		// Intra-node copy: memory bandwidth, effectively free relative
-		// to any network on this simulator's scale.
-		p.Sleep(units.TransferTime(size, units.GBps(4)))
-		f.localBytes += size
-		f.localMessages++
-		f.cLocalBytes.Add(size)
-		f.cLocalMsgs.Inc()
+		p.Sleep(f.localTime(src, size))
+		f.endLocal(size)
 		return
 	}
-	upl, ok := f.up[src]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown src endpoint %q", src))
-	}
-	dnl, ok := f.down[dst]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown dst endpoint %q", dst))
-	}
+	upl, dnl := f.path(src, dst)
 	// Cut-through switching: the message occupies the uplink and the
 	// destination downlink simultaneously and pays one serialization
 	// time, as in a real pipelined switch. Acquisition order is always
@@ -191,25 +179,99 @@ func (f *Fabric) Send(p *des.Proc, src, dst string, size int64) {
 	// transfers never form a cycle, so this cannot deadlock.
 	upl.res.Acquire(p, 1)
 	dnl.res.Acquire(p, 1)
+	if w := f.outage(upl, dnl, p.Now()); w > 0 {
+		p.Sleep(w)
+	}
+	d := f.pathTime(upl, dnl, size, p.Now())
+	p.Sleep(d)
+	f.end(upl, dnl, size, d)
+}
+
+// SendThen moves size bytes from src to dst without a process: the
+// message queues for the links, waits out an outage and takes its
+// transfer time as Send's does, at the same instants and in the same
+// order, and done runs inside the event that ends the transfer, where
+// Send would return. Send and SendThen share the lookups, the fault
+// sampling and the accounting, so the timing model exists once.
+func (f *Fabric) SendThen(src, dst string, size int64, done func()) {
+	r := f.takeSend()
+	r.size, r.done = size, done
+	if src == dst {
+		r.at = sendEnd
+		if t := f.localTime(src, size); t > 0 {
+			f.eng.Schedule(t, r.stepFn)
+			return
+		}
+		r.step()
+		return
+	}
+	r.upl, r.dnl = f.path(src, dst)
+	r.at = sendUp
+	r.upl.res.AcquireThen(1, r.stepFn)
+}
+
+// localTime checks a loopback endpoint and reports its copy time:
+// memory bandwidth, effectively free relative to any network on this
+// simulator's scale.
+func (f *Fabric) localTime(node string, size int64) units.Duration {
+	if !f.HasEndpoint(node) {
+		panic(fmt.Sprintf("netsim: unknown endpoint %q", node))
+	}
+	return units.TransferTime(size, units.GBps(4))
+}
+
+// endLocal accounts a finished loopback copy.
+func (f *Fabric) endLocal(size int64) {
+	f.localBytes += size
+	f.localMessages++
+	f.cLocalBytes.Add(size)
+	f.cLocalMsgs.Inc()
+}
+
+// path looks up the links a message from src to dst crosses.
+func (f *Fabric) path(src, dst string) (upl, dnl *Link) {
+	upl, ok := f.up[src]
+	if !ok {
+		panic(fmt.Sprintf("netsim: unknown src endpoint %q", src))
+	}
+	dnl, ok = f.down[dst]
+	if !ok {
+		panic(fmt.Sprintf("netsim: unknown dst endpoint %q", dst))
+	}
+	return upl, dnl
+}
+
+// outage reports how long a message that holds both links at now waits
+// for them to come up: the path is one pipelined transfer, so it waits
+// out the longer of the two endpoints' outages.
+func (f *Fabric) outage(upl, dnl *Link, now units.Duration) units.Duration {
+	if f.flt == nil {
+		return 0
+	}
+	w := f.flt.LinkOutage(upl.name, now)
+	if w2 := f.flt.LinkOutage(dnl.name, now); w2 > w {
+		w = w2
+	}
+	return w
+}
+
+// pathTime reports the transfer time of a message that starts moving at
+// now: PathCost stretched by the worse of the two links' degradation
+// factors, applied once even when both links match an effect.
+func (f *Fabric) pathTime(upl, dnl *Link, size int64, now units.Duration) units.Duration {
 	d := f.params.PathCost(size)
-	if flt := f.flt; flt != nil {
-		// The path is one pipelined transfer: wait out the longer of the
-		// two endpoints' outages, then stretch by the worse degradation
-		// factor — applied once, even when both links match an effect.
-		w := flt.LinkOutage(upl.name, p.Now())
-		if w2 := flt.LinkOutage(dnl.name, p.Now()); w2 > w {
-			w = w2
-		}
-		if w > 0 {
-			p.Sleep(w)
-		}
-		factor := flt.LinkFactor(upl.name, p.Now())
-		if f2 := flt.LinkFactor(dnl.name, p.Now()); f2 > factor {
+	if f.flt != nil {
+		factor := f.flt.LinkFactor(upl.name, now)
+		if f2 := f.flt.LinkFactor(dnl.name, now); f2 > factor {
 			factor = f2
 		}
 		d = units.Duration(float64(d) * factor)
 	}
-	p.Sleep(d)
+	return d
+}
+
+// end releases both links after a transfer of time d and accounts it.
+func (f *Fabric) end(upl, dnl *Link, size int64, d units.Duration) {
 	dnl.res.Release(1)
 	upl.res.Release(1)
 	for _, l := range [2]*Link{upl, dnl} {
@@ -218,6 +280,79 @@ func (f *Fabric) Send(p *des.Proc, src, dst string, size int64) {
 		l.busy += d
 		l.cBytes.Add(size)
 		l.cMsgs.Inc()
+	}
+}
+
+// sendReq is a SendThen in flight; upl and dnl are nil for a loopback
+// copy. Its step is bound once, when the fabric first needs one more
+// request, and requests are reused from a free list on the Fabric, so a
+// send allocates nothing.
+type sendReq struct {
+	f        *Fabric
+	upl, dnl *Link
+	size     int64
+	d        units.Duration
+	done     func()
+	at       sendStage
+	stepFn   func()
+}
+
+// sendStage is what a SendThen does when its next step runs.
+type sendStage uint8
+
+const (
+	sendUp   sendStage = iota // the uplink is held: queue for the downlink
+	sendDown                  // both links are held: wait out an outage
+	sendMove                  // the links are up: move the message
+	sendEnd                   // the message has arrived
+)
+
+// takeSend returns a request from the free list, or a new one.
+func (f *Fabric) takeSend() *sendReq {
+	if n := len(f.free); n > 0 {
+		r := f.free[n-1]
+		f.free = f.free[:n-1]
+		return r
+	}
+	r := &sendReq{f: f}
+	r.stepFn = r.step
+	return r
+}
+
+// step takes the send one stage on, as Send's next statement would. At
+// the end it returns the request to the free list and runs the callback,
+// which may start the next send with it.
+func (r *sendReq) step() {
+	f := r.f
+	switch r.at {
+	case sendUp:
+		r.at = sendDown
+		r.dnl.res.AcquireThen(1, r.stepFn)
+	case sendDown:
+		r.at = sendMove
+		if w := f.outage(r.upl, r.dnl, f.eng.Now()); w > 0 {
+			f.eng.Schedule(w, r.stepFn)
+			return
+		}
+		fallthrough
+	case sendMove:
+		r.at = sendEnd
+		r.d = f.pathTime(r.upl, r.dnl, r.size, f.eng.Now())
+		if r.d > 0 {
+			f.eng.Schedule(r.d, r.stepFn)
+			return
+		}
+		fallthrough
+	case sendEnd:
+		if r.upl == nil {
+			f.endLocal(r.size)
+		} else {
+			f.end(r.upl, r.dnl, r.size, r.d)
+		}
+		done := r.done
+		r.upl, r.dnl, r.done = nil, nil, nil
+		f.free = append(f.free, r)
+		done()
 	}
 }
 
